@@ -1,96 +1,40 @@
 """Hot numeric kernels: in-place subset transforms over 2**n tables.
 
-Two implementations of every kernel live here: an explicit-loop version
-compiled with numba, and a vectorized numpy version. Setting the
-environment variable ``ANDOR_NO_NUMBA=1`` before import selects the pure
-numpy path (also used automatically when numba is unavailable). The
-benchmark in ``benchmarks/bench_transforms.py`` times both.
-
 Arrays are indexed by bitmask: entry ``S`` holds the value for the subset
 whose members are the set bits of ``S`` (bit ``i-1`` <-> variable ``i``).
-All kernels mutate their argument in place; callers own the copy.
+A kernel transforms the last axis of a C-contiguous ``(2**n,)`` or
+``(k, 2**n)`` array, with ``n`` taken from ``shape[-1]``; every row gets the
+same operations in the same order as a 1-D call, so batched rows are
+bit-identical to transforming each row alone. All kernels mutate their
+argument in place; callers own the copy.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("ANDOR_NO_NUMBA", "") not in ("1", "true", "yes")
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+def _levels(a: np.ndarray):
+    """Yield the (lower, upper) half-block views of each butterfly level."""
+    if not a.flags.c_contiguous:
+        raise ValueError("subset kernels need a C-contiguous array")
+    n = a.shape[-1].bit_length() - 1
+    for i in range(n):
+        half = 1 << i
+        blocks = a.reshape(-1, half << 1)
+        yield blocks[:, :half], blocks[:, half:]
 
 
-def maybe_njit(func):
-    """Compile ``func`` with numba unless the fallback path is selected."""
-    if USE_NUMBA:
-        return njit(cache=True)(func)
-    return func
-
-
-def diff_transform_np(a: np.ndarray) -> np.ndarray:
+def diff_transform(a: np.ndarray) -> np.ndarray:
     """In-place subset difference transform (Mobius over the subset lattice).
 
     After the call, a[T] = sum_{L subset of T} (-1)^(|T|-|L|) a_in[L].
     """
-    n = a.size.bit_length() - 1
-    for i in range(n):
-        half = 1 << i
-        blocks = a.reshape(-1, half << 1)
-        blocks[:, half:] -= blocks[:, :half]
+    for lower, upper in _levels(a):
+        upper -= lower
     return a
 
 
-def sum_transform_np(a: np.ndarray) -> np.ndarray:
+def sum_transform(a: np.ndarray) -> np.ndarray:
     """In-place subset sum (zeta) transform: a[S] = sum_{T subset of S} a_in[T]."""
-    n = a.size.bit_length() - 1
-    for i in range(n):
-        half = 1 << i
-        blocks = a.reshape(-1, half << 1)
-        blocks[:, half:] += blocks[:, :half]
+    for lower, upper in _levels(a):
+        upper += lower
     return a
-
-
-@maybe_njit
-def _diff_transform_nb(a):
-    n = 0
-    size = a.size
-    while (1 << n) < size:
-        n += 1
-    for i in range(n):
-        bit = 1 << i
-        for s in range(size):
-            if s & bit:
-                a[s] -= a[s ^ bit]
-    return a
-
-
-@maybe_njit
-def _sum_transform_nb(a):
-    n = 0
-    size = a.size
-    while (1 << n) < size:
-        n += 1
-    for i in range(n):
-        bit = 1 << i
-        for s in range(size):
-            if s & bit:
-                a[s] += a[s ^ bit]
-    return a
-
-
-if USE_NUMBA:
-    diff_transform = _diff_transform_nb
-    sum_transform = _sum_transform_nb
-else:
-    diff_transform = diff_transform_np
-    sum_transform = sum_transform_np

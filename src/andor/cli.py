@@ -2,8 +2,8 @@
 
 Every command is a pure function of its inputs and flags: outputs are
 byte-identical across re-runs with the same seed. Exit codes: 0 success,
-1 failed diagnose/axioms verdict, 2 I/O-level failure (missing or empty
-inputs, parse errors).
+1 failed diagnose/axioms/oracle-verify verdict, 2 I/O-level failure (missing
+or empty inputs, parse errors).
 """
 
 import argparse
@@ -52,8 +52,11 @@ def _load_dir(path, reader, suffix=".json"):
 def _parse_orders(text: str) -> dict[int, float]:
     out = {}
     for part in text.split(","):
-        k, w = part.split(":")
-        out[int(k)] = float(w)
+        try:
+            k, w = part.split(":")
+            out[int(k)] = float(w)
+        except ValueError as e:
+            raise CliError(f"--orders wants order:weight pairs, got {part!r}") from e
     return out
 
 
@@ -118,8 +121,7 @@ def cmd_extract(args) -> int:
         else:
             cfg = SparsifyConfig(max_iters=args.max_iters,
                                  zeta_fraction=args.zeta_fraction,
-                                 denoise=not args.no_denoise,
-                                 method=args.method)
+                                 denoise=not args.no_denoise)
             _, iset, hist = sparsify(v, cfg)
         if args.salient_only:
             iset = filter_salient(iset, tau)
@@ -162,12 +164,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
+def _read_inputs(table, interactions=None):
+    """Read a table and, if given, its interaction file; failures are CliErrors."""
     try:
-        v = aio.read_table(args.table)
-        iset = aio.read_interactions(args.interactions)
+        v = aio.read_table(table)
+        iset = None if interactions is None else aio.read_interactions(interactions)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         raise CliError(str(e)) from e
+    if iset is not None and iset.n != v.n:
+        raise CliError(f"{interactions} has n={iset.n}, the table has n={v.n}")
+    return v, iset
+
+
+def cmd_diagnose(args) -> int:
+    v, iset = _read_inputs(args.table, args.interactions)
     tau = args.tau_absolute if args.tau_absolute is not None else \
         args.tau_fraction * v.gap()
     diag = sparsity_diagnostics(v, iset, tau, args.max_order)
@@ -208,15 +218,16 @@ def cmd_axioms(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.action == "verify":
-        v = aio.read_table(args.table)
-        iset = aio.read_interactions(args.interactions)
+        if args.interactions is None:
+            raise CliError("oracle verify needs --interactions")
+        v, iset = _read_inputs(args.table, args.interactions)
         # delta = 0: callers verify un-denoised extractions against the raw table
         d = even_split_decomposition(v)
         err = verify_matching(v, d, iset)
         scale = max(1.0, float(np.max(np.abs(v.values))))
         sys.stdout.write(f"max_abs_error: {err!r}\n")
         return 0 if err <= 1e-8 * scale else 1
-    v = aio.read_table(args.table)
+    v, _ = _read_inputs(args.table)
     out = brute_and(v.values) if args.action == "and" else brute_or(v.values)
     sys.stdout.write(json.dumps([float(x) for x in out]) + "\n")
     return 0
@@ -255,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--out", required=True)
     ep.add_argument("--mode", choices=["sparsify", "all-and", "even-split"],
                     default="sparsify")
-    ep.add_argument("--method", choices=["smoothed", "subgradient"],
-                    default="smoothed")
     ep.add_argument("--max-iters", type=int, default=2000)
     ep.add_argument("--no-denoise", action="store_true")
     ep.add_argument("--zeta-fraction", type=float, default=DEFAULT_ZETA_FRACTION)

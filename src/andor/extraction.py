@@ -13,24 +13,25 @@ effects an affine *identity* in theta (the subset-sum and difference
 transforms are inverses). In the raw gamma coordinates the objective's
 curvature spans a factor exponential in n and first-order methods stall; in
 theta coordinates a smoothed-L1 (Huber) continuation converges in a few
-thousand quasi-Newton steps. A projected subgradient variant in raw
-coordinates is kept as ``method="subgradient"`` for comparison; it is known
-to stop early at kink-dense iterates.
+thousand quasi-Newton steps. In theta coordinates the subset sums also
+cancel against the Mobius transforms (see ``_theta_effects``), so each
+objective evaluation needs one superset sum and its adjoint, plus one batched
+difference transform each way when denoising.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .lattice import (mobius_and, mobius_and_transpose, mobius_or,
-                      order_counts, table_size, zeta_subsets)
+from .lattice import (mobius_and, mobius_or, order_counts, table_size,
+                      zeta_subsets, zeta_supersets)
 from .models import ValueTable
 
 SPARSIFY_MAX_N = 20
 DEFAULT_SALIENCE_FRACTION = 0.02
 DEFAULT_ZETA_FRACTION = 0.02
-_MAX_BACKTRACKS = 60
 
 
 class NumericalError(RuntimeError):
@@ -104,26 +105,19 @@ class InteractionSet:
 
 @dataclass
 class SparsifyConfig:
-    """Optimizer settings; max_iters is the per-stage quasi-Newton cap for the
-    smoothed method and the total step count for the subgradient method."""
+    """Optimizer settings; max_iters is the per-stage quasi-Newton cap."""
 
     max_iters: int = 2000
-    step_size: float = 0.25
     convergence_eps: float = 1e-9
     zeta_fraction: float = DEFAULT_ZETA_FRACTION
     rng_seed: int = 0
     denoise: bool = True
-    method: str = "smoothed"
     # Huber widths as fractions of the table's output span, largest first.
     smoothing_stages: tuple = (0.1, 0.01, 0.001)
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.zeta_fraction < 0:
             raise ValueError("zeta_fraction must be nonnegative")
-        if self.method not in ("smoothed", "subgradient"):
-            raise ValueError(f"unknown method {self.method!r}")
         if any(s <= 0 for s in self.smoothing_stages):
             raise ValueError("smoothing widths must be positive")
 
@@ -146,41 +140,72 @@ def extract(v: ValueTable, d: Decomposition) -> InteractionSet:
     return InteractionSet(n=v.n, i_and=i_and, i_or=i_or, bias=bias, label=v.label)
 
 
-def _effects(v_denoised: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half = 0.5 * v_denoised
-    i_and = mobius_and(half + gamma)
-    i_and[0] = 0.0
-    i_or = mobius_or(half - gamma)
-    i_or[0] = 0.0
-    return i_and, i_or
+@lru_cache(maxsize=None)
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^|S| per bitmask S, read-only."""
+    signs = 1.0 - 2.0 * (order_counts(n) & 1)
+    signs.flags.writeable = False
+    return signs
 
 
-def _l1_loss(v: np.ndarray, gamma: np.ndarray, delta: np.ndarray) -> float:
-    i_and, i_or = _effects(v - delta, gamma)
-    return float(np.abs(i_and).sum() + np.abs(i_or).sum())
+def _objective_base(values: np.ndarray) -> np.ndarray:
+    """Rows mobius_and(v/2) and mobius_or(v/2): the effects at theta = delta = 0."""
+    half = 0.5 * values
+    return np.stack([mobius_and(half), mobius_or(half)])
 
 
-def _subgradient(v: np.ndarray, gamma: np.ndarray,
-                 delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The loss is piecewise linear: both transforms are linear in (gamma,
-    # delta), so a subgradient is the adjoint transform of the sign vectors,
-    # with sign(0) = 0 at kinks.
-    i_and, i_or = _effects(v - delta, gamma)
-    s_and = np.sign(i_and)
-    s_or = np.sign(i_or)
-    g_u_and = mobius_and_transpose(s_and)
-    # I_or = -Mobius(complement-reindexed u_or); the reindex is self-adjoint.
-    g_u_or = -mobius_and(s_or[::-1])
-    g_gamma = g_u_and - g_u_or
-    g_delta = -0.5 * (g_u_and + g_u_or)
-    g_gamma[0] = 0.0
-    g_delta[0] = 0.0
-    return g_gamma, g_delta
+def _theta_effects(x: np.ndarray, base: np.ndarray, denoise: bool) -> np.ndarray:
+    """Rows (i_and, i_or) of the packed variables x, empty-set slots zeroed.
+
+    x holds theta[1:], then delta[1:] when denoising; gamma = zeta_subsets(theta)
+    and h = (v - delta)/2. The subset sums cancel against the Mobius transforms:
+        i_and = mobius_and(h) + theta
+        i_or  = mobius_or(h) + (-1)^|S| * sum_{T superset S} theta[T]
+    so v enters only through base, and theta[0] (which reaches only the
+    zeroed i_or[0]) can be left at 0.
+    """
+    size = base.shape[-1]
+    theta = np.zeros(size)
+    theta[1:] = x[:size - 1]
+    effects = base.copy()
+    effects[0] += theta
+    effects[1] += _parity_signs(size.bit_length() - 1) * zeta_supersets(theta)
+    if denoise:
+        half_delta = np.zeros(size)
+        half_delta[1:] = 0.5 * x[size - 1:]
+        # one batched call: rows mobius_and(delta/2) and -mobius_or(delta/2)
+        shifts = mobius_and(np.stack([half_delta, half_delta[::-1]]))
+        effects[0] -= shifts[0]
+        effects[1] += shifts[1]
+    effects[:, 0] = 0.0
+    return effects
 
 
-def _zeta_supersets(g: np.ndarray) -> np.ndarray:
-    """Adjoint of zeta_subsets: out[T] = sum_{S superset T} g[S]."""
-    return zeta_subsets(g[::-1])[::-1].copy()
+def _l1(x: np.ndarray, base: np.ndarray, denoise: bool) -> float:
+    return float(np.abs(_theta_effects(x, base, denoise)).sum())
+
+
+def _loss_grad(x: np.ndarray, mu: float, base: np.ndarray, denoise: bool
+               ) -> tuple[float, np.ndarray]:
+    """Huber-smoothed L1 (width mu) of _theta_effects(x) and its gradient in x.
+
+    The gradient applies the adjoints of _theta_effects to the clipped
+    effects p: p_and + (-1)^|S|-weighted subset sums of p_or for theta and,
+    when denoising, the adjoints of -mobius_and(./2) and -mobius_or(./2) for
+    delta in one batched call.
+    """
+    size = base.shape[-1]
+    effects = _theta_effects(x, base, denoise)
+    mag = np.abs(effects)
+    f = float(np.where(mag <= mu, mag * mag / (2 * mu), mag - mu / 2).sum())
+    p = np.clip(effects / mu, -1.0, 1.0)
+    g_theta = p[0] + zeta_subsets(_parity_signs(size.bit_length() - 1) * p[1])
+    if not denoise:
+        return f, g_theta[1:]
+    # rows mobius_and(reversed p_and) and mobius_and(reversed p_or)
+    back = mobius_and(p[:, ::-1])
+    g_delta = 0.5 * (back[1] - back[0][::-1])
+    return f, np.concatenate([g_theta[1:], g_delta[1:]])
 
 
 def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig
@@ -197,39 +222,15 @@ def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig
     zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
     scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
     theta_pin = 0.5 * values[0]
+    base = _objective_base(values)
 
-    def unpack(x):
+    def realize(x):
         theta = np.empty(size)
         theta[0] = theta_pin
         theta[1:] = x[:size - 1]
         delta = np.zeros(size)
         if cfg.denoise:
             delta[1:] = x[size - 1:]
-        return theta, delta
-
-    def loss_grad(x, mu):
-        theta, delta = unpack(x)
-        gamma = zeta_subsets(theta)
-        half = 0.5 * (values - delta)
-        i_and = mobius_and(half + gamma)
-        i_and[0] = 0.0
-        i_or = mobius_or(half - gamma)
-        i_or[0] = 0.0
-        a, b = np.abs(i_and), np.abs(i_or)
-        f = float(np.where(a <= mu, a * a / (2 * mu), a - mu / 2).sum()
-                  + np.where(b <= mu, b * b / (2 * mu), b - mu / 2).sum())
-        p_and = np.clip(i_and / mu, -1.0, 1.0)
-        p_or = np.clip(i_or / mu, -1.0, 1.0)
-        g_u_and = mobius_and_transpose(p_and)
-        g_u_or = -mobius_and(p_or[::-1])
-        g_theta = _zeta_supersets(g_u_and - g_u_or)
-        if cfg.denoise:
-            g_delta = -0.5 * (g_u_and + g_u_or)
-            return f, np.concatenate([g_theta[1:], g_delta[1:]])
-        return f, g_theta[1:]
-
-    def realize(x):
-        theta, delta = unpack(x)
         return zeta_subsets(theta), delta
 
     # even-split start: gamma zero beyond the pin
@@ -243,7 +244,7 @@ def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig
         bounds = [(None, None)] * (size - 1) + [(-zeta, zeta)] * (size - 1)
 
     best_gamma, best_delta = realize(x)
-    best = _l1_loss(values, best_gamma, best_delta)
+    best = _l1(x, base, cfg.denoise)
     if not np.isfinite(best):
         raise NumericalError("non-finite loss at initialization")
     history = [best]
@@ -251,73 +252,19 @@ def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig
         return best_gamma, best_delta, best, history
 
     for stage in cfg.smoothing_stages:
-        res = minimize(loss_grad, x, args=(stage * scale,), jac=True,
-                       method="L-BFGS-B", bounds=bounds,
+        res = minimize(_loss_grad, x, args=(stage * scale, base, cfg.denoise),
+                       jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": cfg.max_iters, "ftol": 1e-14,
                                 "gtol": 1e-12})
         x = res.x
-        gamma, delta = realize(x)
-        loss = _l1_loss(values, gamma, delta)
+        loss = _l1(x, base, cfg.denoise)
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss during continuation")
         if loss < best - cfg.convergence_eps * max(1.0, abs(best)):
-            best, best_gamma, best_delta = loss, gamma, delta
+            best = loss
+            best_gamma, best_delta = realize(x)
         history.append(best)
     return best_gamma, best_delta, best, history
-
-
-def _subgradient_sparsify(v: ValueTable, cfg: SparsifyConfig
-                          ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Projected subgradient descent in raw (gamma, delta) coordinates.
-
-    Normalized steps with halving on any loss increase (the recorded history
-    is therefore non-increasing); delta is projected onto [-zeta, zeta] and
-    the empty-set entries re-pinned after every step.
-    """
-    values = v.values
-    zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
-    gamma = np.zeros_like(values)
-    gamma[0] = 0.5 * values[0]
-    delta = np.zeros_like(values)
-
-    loss = _l1_loss(values, gamma, delta)
-    history = [loss]
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite loss at initialization")
-
-    scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
-    step = cfg.step_size * scale
-
-    for it in range(cfg.max_iters):
-        g_gamma, g_delta = _subgradient(values, gamma, delta)
-        if not cfg.denoise:
-            g_delta = np.zeros_like(g_delta)
-        norm = max(float(np.max(np.abs(g_gamma))), float(np.max(np.abs(g_delta))))
-        if norm == 0.0:
-            break
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand_gamma = gamma - (step / norm) * g_gamma
-            cand_gamma[0] = gamma[0]
-            cand_delta = np.clip(delta - (step / norm) * g_delta, -zeta, zeta)
-            cand_delta[0] = 0.0
-            cand_loss = _l1_loss(values, cand_gamma, cand_delta)
-            if not np.isfinite(cand_loss):
-                raise NumericalError(f"non-finite loss at iteration {it}")
-            if cand_loss <= loss:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        improvement = loss - cand_loss
-        gamma, delta, loss = cand_gamma, cand_delta, cand_loss
-        history.append(loss)
-        if improvement <= cfg.convergence_eps * max(1.0, abs(loss)):
-            break
-        step *= 1.3
-
-    return gamma, delta, loss, history
 
 
 def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
@@ -333,12 +280,11 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
 
-    run = _smoothed_sparsify if cfg.method == "smoothed" else _subgradient_sparsify
-    gamma, delta, loss, history = run(v, cfg)
+    gamma, delta, loss, history = _smoothed_sparsify(v, cfg)
 
     if cfg.max_iters > 0:
         alland = all_and_decomposition(v)
-        alland_loss = _l1_loss(v.values, alland.gamma, alland.delta)
+        alland_loss = extract(v, alland).total_l1()
         if alland_loss < loss:
             gamma, delta, loss = alland.gamma, alland.delta, alland_loss
             history.append(loss)

@@ -3,7 +3,8 @@
 Subsets of N = {1..n} are bitmasks: bit i-1 set <=> variable i in S, index 0
 is the empty set. A lattice vector is a float64 array of length 2**n indexed
 by bitmask. All transforms are pure: they copy their input and run the
-in-place kernel on the copy.
+in-place kernel on the copy. Each transform also takes a ``(k, 2**n)``
+stack of lattice vectors and transforms every row, in one kernel call.
 """
 
 import numpy as np
@@ -23,7 +24,10 @@ def table_size(n: int) -> int:
 
 def infer_n(values: np.ndarray) -> int:
     """Variable count of a lattice vector; rejects non-power-of-two lengths."""
-    size = len(values)
+    return _size_to_n(len(values))
+
+
+def _size_to_n(size: int) -> int:
     n = size.bit_length() - 1
     if size <= 0 or (1 << n) != size:
         raise LatticeSizeError(f"lattice vector length {size} is not a power of two")
@@ -40,6 +44,15 @@ def as_lattice(values) -> np.ndarray:
     return arr
 
 
+def _as_rows(values) -> np.ndarray:
+    """A lattice vector, or a (k, 2**n) stack of them, as float64."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise LatticeSizeError("expected a lattice vector or a (k, 2**n) stack")
+    _size_to_n(arr.shape[-1])
+    return arr
+
+
 def order_counts(n: int) -> np.ndarray:
     """Population count (subset order) per bitmask index, as uint8."""
     idx = np.arange(1 << n, dtype=np.uint32)
@@ -51,7 +64,7 @@ def mobius_and(u) -> np.ndarray:
 
     O(n * 2**n) dimension-by-dimension difference transform.
     """
-    out = as_lattice(u).copy()
+    out = _as_rows(u).copy()
     return diff_transform(out)
 
 
@@ -60,8 +73,7 @@ def mobius_or(u) -> np.ndarray:
 
     Complement reindexing is a reversal: (2**n - 1) ^ L == 2**n - 1 - L.
     """
-    arr = as_lattice(u)
-    out = arr[::-1].copy()
+    out = _as_rows(u)[..., ::-1].copy()
     diff_transform(out)
     np.negative(out, out=out)
     return out
@@ -69,8 +81,15 @@ def mobius_or(u) -> np.ndarray:
 
 def zeta_subsets(i) -> np.ndarray:
     """Subset aggregation: g[S] = sum_{T subset S} I[T]; inverse of mobius_and."""
-    out = as_lattice(i).copy()
+    out = _as_rows(i).copy()
     return sum_transform(out)
+
+
+def zeta_supersets(g) -> np.ndarray:
+    """Superset aggregation: out[T] = sum_{S superset T} g[S]; adjoint of zeta_subsets."""
+    out = _as_rows(g)[..., ::-1].copy()
+    sum_transform(out)
+    return out[..., ::-1].copy()
 
 
 def mobius_and_transpose(s) -> np.ndarray:
@@ -78,10 +97,9 @@ def mobius_and_transpose(s) -> np.ndarray:
 
     Realized as reverse -> difference transform -> reverse.
     """
-    arr = as_lattice(s)
-    out = arr[::-1].copy()
+    out = _as_rows(s)[..., ::-1].copy()
     diff_transform(out)
-    return out[::-1].copy()
+    return out[..., ::-1].copy()
 
 
 def permute_variables(values, perm) -> np.ndarray:

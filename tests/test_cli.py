@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import andor
 from andor.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -129,3 +133,33 @@ def test_oracle_verify_all_and_extraction(pipeline, capsys):
     _, tabs, isets = pipeline
     assert run("oracle", "verify", "--table", tabs / "table_0000.json",
                "--interactions", isets / "sample_0000.json") == 0
+
+
+def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
+    _, tabs, isets = pipeline
+    assert run("oracle", "verify", "--table", tabs / "table_0000.json",
+               "--interactions", isets / "sample_0001.json") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "verify", "--table", "{tabs}/table_0000.json"),
+    ("oracle", "verify", "--table", "{tabs}/missing.json",
+     "--interactions", "{isets}/sample_0000.json"),
+    ("oracle", "verify", "--table", "{wide}/table_0000.json",
+     "--interactions", "{isets}/sample_0000.json"),
+    ("synth", "--out", "{tabs}/more", "--orders", "2-1"),
+], ids=["verify-without-interactions", "verify-missing-table",
+        "verify-size-mismatch", "synth-bad-orders"])
+def test_malformed_input_exit_2_without_traceback(pipeline, argv):
+    tmp_path, tabs, isets = pipeline
+    wide = tmp_path / "wide"
+    assert run("synth", "--out", wide, "--n", "5", "--m", "2", "--orders", "2:1.0") == 0
+    args = [a.format(tabs=tabs, isets=isets, wide=wide) for a in argv]
+    src = str(Path(andor.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "andor.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from andor.extraction import (Decomposition, SparsifyConfig,
+from andor.extraction import (Decomposition, SparsifyConfig, _loss_grad,
+                              _objective_base, _theta_effects,
                               all_and_decomposition, even_split_decomposition,
                               extract, filter_salient, salience_threshold,
                               salient_counts, sparsify, split_components)
+from andor.lattice import (mobius_and, mobius_and_transpose, mobius_or,
+                           zeta_subsets)
 from andor.models import (ValueTable, interaction_function_table, realize_table,
                           sample_sparse_game)
+from andor.oracle import brute_and, brute_or
 
 
 @pytest.fixture
@@ -51,10 +55,8 @@ def test_interaction_set_rejects_nonzero_empty_slot():
 
 
 def test_sparsify_history_non_increasing(random_table):
-    for method in ("smoothed", "subgradient"):
-        _, _, hist = sparsify(random_table, SparsifyConfig(max_iters=50,
-                                                           method=method))
-        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+    _, _, hist = sparsify(random_table, SparsifyConfig(max_iters=50))
+    assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
 def test_sparsify_zero_iters_returns_even_split(random_table):
@@ -84,9 +86,89 @@ def test_sparsify_recovers_a_small_game():
     assert iset.support(tau) == game.support()
 
 
-def test_sparsify_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        SparsifyConfig(method="annealing")
+def _unpack(x, values, denoise):
+    size = values.size
+    theta = np.empty(size)
+    theta[0] = 0.5 * values[0]
+    theta[1:] = x[:size - 1]
+    delta = np.zeros(size)
+    if denoise:
+        delta[1:] = x[size - 1:]
+    return theta, delta
+
+
+def _six_transform_loss_grad(x, mu, values, denoise):
+    """The objective in (gamma, delta) form: six transforms per evaluation."""
+    theta, delta = _unpack(x, values, denoise)
+    gamma = zeta_subsets(theta)
+    half = 0.5 * (values - delta)
+    i_and = mobius_and(half + gamma)
+    i_and[0] = 0.0
+    i_or = mobius_or(half - gamma)
+    i_or[0] = 0.0
+    f = 0.0
+    for e in (i_and, i_or):
+        a = np.abs(e)
+        f += float(np.where(a <= mu, a * a / (2 * mu), a - mu / 2).sum())
+    p_and = np.clip(i_and / mu, -1.0, 1.0)
+    p_or = np.clip(i_or / mu, -1.0, 1.0)
+    g_u_and = mobius_and_transpose(p_and)
+    g_u_or = -mobius_and(p_or[::-1])
+    # adjoint of zeta_subsets: sums over supersets
+    g_theta = zeta_subsets((g_u_and - g_u_or)[::-1])[::-1]
+    if not denoise:
+        return f, g_theta[1:]
+    g_delta = -0.5 * (g_u_and + g_u_or)
+    return f, np.concatenate([g_theta[1:], g_delta[1:]])
+
+
+def _random_point(n, denoise, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=1 << n)
+    x = rng.normal(size=(2 if denoise else 1) * ((1 << n) - 1))
+    if denoise:
+        x[(1 << n) - 1:] *= 0.05
+    return values, x
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_loss_grad_matches_six_transform_reference(n, denoise):
+    values, x = _random_point(n, denoise, seed=n)
+    base = _objective_base(values)
+    for mu in (1e-3, 0.1, 10.0):
+        f, g = _loss_grad(x, mu, base, denoise)
+        f_ref, g_ref = _six_transform_loss_grad(x, mu, values, denoise)
+        assert f == pytest.approx(f_ref, rel=1e-12)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(g_ref)))
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+def test_loss_grad_finite_differences(denoise):
+    values, x = _random_point(5, denoise, seed=3)
+    base = _objective_base(values)
+    mu, h = 50.0, 1e-6      # a wide Huber width keeps every effect quadratic
+    _, g = _loss_grad(x, mu, base, denoise)
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = h
+        fd = (_loss_grad(x + step, mu, base, denoise)[0]
+              - _loss_grad(x - step, mu, base, denoise)[0]) / (2 * h)
+        assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+def test_theta_effects_match_the_oracle(denoise):
+    values, x = _random_point(6, denoise, seed=11)
+    effects = _theta_effects(x, _objective_base(values), denoise)
+    theta, delta = _unpack(x, values, denoise)
+    gamma = zeta_subsets(theta)
+    half = 0.5 * (values - delta)
+    i_and, i_or = brute_and(half + gamma), brute_or(half - gamma)
+    i_and[0] = i_or[0] = 0.0
+    np.testing.assert_allclose(effects[0], i_and, atol=1e-10)
+    np.testing.assert_allclose(effects[1], i_or, atol=1e-10)
 
 
 def test_sparsify_size_cap():

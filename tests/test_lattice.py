@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from andor._kernels import diff_transform, sum_transform
 from andor.lattice import (LatticeSizeError, infer_n, mobius_and,
                            mobius_and_transpose, mobius_or, order_counts,
-                           permute_variables, table_size, zeta_subsets)
+                           permute_variables, table_size, zeta_subsets,
+                           zeta_supersets)
+
+TRANSFORMS = (mobius_and, mobius_or, zeta_subsets, zeta_supersets,
+              mobius_and_transpose)
 
 lattice_vectors = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.lists(
@@ -66,6 +71,41 @@ def test_transpose_is_the_adjoint(u):
     lhs = float(mobius_and(u) @ s)
     rhs = float(u @ mobius_and_transpose(s))
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-6)
+
+
+@given(lattice_vectors)
+def test_zeta_supersets_is_the_adjoint(u):
+    n = infer_n(u)
+    s = np.arange(table_size(n), dtype=np.float64) - 3.0
+    lhs = float(zeta_subsets(u) @ s)
+    rhs = float(u @ zeta_supersets(s))
+    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 11])
+def test_kernel_rows_bit_identical_to_1d(n):
+    rows = np.random.default_rng(n).normal(size=(3, 1 << n))
+    for kernel in (diff_transform, sum_transform):
+        batched = kernel(rows.copy())
+        for row, out in zip(rows, batched):
+            assert np.array_equal(kernel(row.copy()), out)
+    for transform in TRANSFORMS:
+        batched = transform(rows)
+        assert batched.shape == rows.shape
+        for row, out in zip(rows, batched):
+            assert np.array_equal(transform(row), out)
+
+
+def test_kernels_reject_strided_input():
+    with pytest.raises(ValueError):
+        sum_transform(np.zeros((2, 8))[:, ::2])
+
+
+def test_transforms_reject_bad_stacks():
+    with pytest.raises(LatticeSizeError):
+        mobius_and(np.zeros((2, 6)))
+    with pytest.raises(LatticeSizeError):
+        zeta_subsets(np.zeros((2, 2, 4)))
 
 
 def test_permute_variables_roundtrip():
