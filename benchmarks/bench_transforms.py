@@ -1,4 +1,5 @@
-"""Time the subset-transform kernels and one sparsify objective evaluation.
+"""Time the subset-transform kernels, one sparsify objective evaluation, and
+one sparsify solve on each solver path.
 
 Run directly: python benchmarks/bench_transforms.py [max_n]
 
@@ -6,7 +7,14 @@ The kernels are timed on one lattice vector and on a (2, 2**n) stack, the
 shape of the batched calls inside the denoised objective. The objective
 rows time one value-plus-gradient evaluation of the smoothed L1 objective
 (``extraction._loss_grad``), with and without denoising, at n = 8, 10, 14.
-Each figure is the best of several repeats.
+Each of these figures is the best of several repeats.
+
+The solver rows time one solve per table on both paths of ``sparsify``, the
+LP and the Huber continuation, with and without denoising, on a random
+normal table and a net table at n = 8, 9 and 10, and print the L1 each
+reaches. ``extraction.LP_MAX_N`` is set from these rows: the largest n at
+which the LP is faster on every table. Set OPENBLAS_NUM_THREADS=1 to time
+the solvers on one BLAS thread. The n = 10 rows take about a minute.
 """
 
 import sys
@@ -15,7 +23,10 @@ import time
 import numpy as np
 
 from andor._kernels import diff_transform, sum_transform
-from andor.extraction import _loss_grad, _objective_base
+from andor.extraction import (LP_MAX_N, SparsifyConfig, _best_iterate,
+                              _loss_grad, _lp_matrix, _lp_sparsify,
+                              _objective_base, _smoothed_sparsify)
+from andor.models import MaskingScheme, TinyNet, ValueTable, net_value_table
 
 
 def best_time(fn, make_arg, repeats):
@@ -58,11 +69,36 @@ def objective(rng):
         print(f"{n:>4} " + " ".join(f"{t * 1e3:>10.3f}ms" for t in times))
 
 
+def solvers(rng):
+    print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N})")
+    print(f"{'n':>4} {'table':>7} {'denoise':>8} {'lp':>9} {'huber':>9} "
+          f"{'lp L1':>12} {'huber L1':>12}")
+    for n in (8, 9, 10):
+        net = TinyNet.random([n, 32, 32, 2], rng_seed=n)
+        tables = {
+            "random": ValueTable(n=n, values=rng.normal(size=1 << n)),
+            "net": net_value_table(net, MaskingScheme(rng.normal(size=n), np.zeros(n))),
+        }
+        for name, v in tables.items():
+            for denoise in (False, True):
+                cfg = SparsifyConfig(denoise=denoise)
+                _lp_matrix(n, denoise)           # built once per process
+                row = []
+                for solver in (_lp_sparsify, _smoothed_sparsify):
+                    t0 = time.perf_counter()
+                    loss = _best_iterate(v, cfg, solver)[2]
+                    row.append((time.perf_counter() - t0, loss))
+                (t_lp, l_lp), (t_hub, l_hub) = row
+                print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {t_hub:>8.3f}s "
+                      f"{l_lp:>12.4f} {l_hub:>12.4f}")
+
+
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     rng = np.random.default_rng(0)
     kernels(max_n, rng)
     objective(rng)
+    solvers(rng)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ or empty inputs, parse errors).
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,9 @@ from . import io as aio
 from .analysis import (axiom_suite, compare_models, default_theta, sample_report,
                        sparsity_diagnostics)
 from .extraction import (DEFAULT_SALIENCE_FRACTION, DEFAULT_ZETA_FRACTION,
-                         SparsifyConfig, all_and_decomposition,
+                         LP_MAX_N, SparsifyConfig, all_and_decomposition,
                          even_split_decomposition, extract, filter_salient,
-                         salience_threshold, sparsify)
+                         salience_threshold, sparsify, sparsify_solver)
 from .metrics import is_undefined, order_profile, per_order_jaccard
 from .models import (GroundTruthGame, inject_overfit, interaction_function_table,
                      realize_table, sample_sparse_game)
@@ -106,12 +107,17 @@ def _batch_tau(tables, args) -> float:
 
 def cmd_extract(args) -> int:
     tables = _load_dir(args.input, aio.read_table)
+    names = [v.label or "table" for v in tables]
+    duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
+    if duplicates:
+        raise CliError(f"tables in {args.input} share the labels {duplicates}; "
+                       "each label names one output file")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tau = _batch_tau(tables, args)
 
-    histories = {}
-    for v in tables:
+    histories, solvers = {}, {}
+    for v, name in zip(tables, names):
         if args.mode == "all-and":
             d = all_and_decomposition(v)
             iset, hist = extract(v, d), []
@@ -123,13 +129,15 @@ def cmd_extract(args) -> int:
                                  zeta_fraction=args.zeta_fraction,
                                  denoise=not args.no_denoise)
             _, iset, hist = sparsify(v, cfg)
+            solvers[v.label] = sparsify_solver(v.n)
         if args.salient_only:
             iset = filter_salient(iset, tau)
-        aio.write_interactions(iset, out / f"{v.label or 'table'}.json")
+        aio.write_interactions(iset, out / f"{name}.json")
         histories[v.label] = hist
     (out / "batch.json").write_text(json.dumps(
         {"tau": tau, "mode": args.mode, "n": tables[0].n,
-         "loss_history": histories}, sort_keys=True, indent=1) + "\n")
+         "loss_history": histories, "solver": solvers},
+        sort_keys=True, indent=1) + "\n")
     return 0
 
 
@@ -266,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--out", required=True)
     ep.add_argument("--mode", choices=["sparsify", "all-and", "even-split"],
                     default="sparsify")
-    ep.add_argument("--max-iters", type=int, default=2000)
+    ep.add_argument("--max-iters", type=int, default=2000,
+                    help="per-stage iteration cap of the Huber solver, which "
+                         f"sparsify runs for n > {LP_MAX_N} (smaller tables are "
+                         "solved exactly as an LP); 0 returns the even split "
+                         "on both paths")
     ep.add_argument("--no-denoise", action="store_true")
     ep.add_argument("--zeta-fraction", type=float, default=DEFAULT_ZETA_FRACTION)
     ep.add_argument("--tau-fraction", type=float, default=DEFAULT_SALIENCE_FRACTION)

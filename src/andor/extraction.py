@@ -7,29 +7,44 @@ gamma[0] = 0.5*v[0]) so the all-masked output is attributed to the AND side
 and the bias is identifiable. ``sparsify`` learns (gamma, delta) by
 minimizing the total effect magnitude.
 
-The default optimizer works in interaction-space coordinates: gamma is
-parametrized as the subset sum of a free vector theta, which makes the AND
-effects an affine *identity* in theta (the subset-sum and difference
-transforms are inverses). In the raw gamma coordinates the objective's
-curvature spans a factor exponential in n and first-order methods stall; in
-theta coordinates a smoothed-L1 (Huber) continuation converges in a few
-thousand quasi-Newton steps. In theta coordinates the subset sums also
-cancel against the Mobius transforms (see ``_theta_effects``), so each
-objective evaluation needs one superset sum and its adjoint, plus one batched
-difference transform each way when denoising.
+Both solvers work in interaction-space coordinates: gamma is parametrized as
+the subset sum of a free vector theta, which makes the AND effects an affine
+*identity* in theta (the subset-sum and difference transforms are inverses),
+and the subset sums cancel against the Mobius transforms (see
+``_theta_effects``). The problem is then a linear program, and ``sparsify``
+picks its solver from the table size n:
+
+- n <= LP_MAX_N: the exact L1 minimum, one HiGHS dual-simplex solve of that
+  LP (``_lp_sparsify``). Its equality matrix has about 3**n nonzeros.
+- n > LP_MAX_N: a smoothed-L1 (Huber) continuation with L-BFGS-B
+  (``_smoothed_sparsify``), which stops near the minimum. In the raw gamma
+  coordinates the objective's curvature spans a factor exponential in n and
+  first-order methods stall; in theta coordinates it converges in a few
+  thousand quasi-Newton steps, each evaluation needing one superset sum and
+  its adjoint, plus one batched difference transform each way when
+  denoising.
+
+The cutoff is where the solve times cross on random and net tables
+(``benchmarks/bench_transforms.py``, one solve each, one BLAS thread on a
+2-core VM): at n = 9 the LP took 0.2-0.8 s against 1.0-2.7 s for Huber; at
+n = 10 the LP was no longer faster on net tables (1.6 and 7.4 s against 1.5
+and 3.8 s). The LP's matrix grows as 3**n, the continuation's work per
+evaluation as n * 2**n.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
+import scipy.sparse as sp
+from scipy.optimize import linprog, minimize
 
 from .lattice import (mobius_and, mobius_or, order_counts, table_size,
                       zeta_subsets, zeta_supersets)
 from .models import ValueTable
 
 SPARSIFY_MAX_N = 20
+LP_MAX_N = 9
 DEFAULT_SALIENCE_FRACTION = 0.02
 DEFAULT_ZETA_FRACTION = 0.02
 
@@ -105,12 +120,15 @@ class InteractionSet:
 
 @dataclass
 class SparsifyConfig:
-    """Optimizer settings; max_iters is the per-stage quasi-Newton cap."""
+    """Optimizer settings.
+
+    max_iters is the Huber path's per-stage quasi-Newton cap (n > LP_MAX_N);
+    on either path, 0 returns the even-split start unsolved.
+    """
 
     max_iters: int = 2000
     convergence_eps: float = 1e-9
     zeta_fraction: float = DEFAULT_ZETA_FRACTION
-    rng_seed: int = 0
     denoise: bool = True
     # Huber widths as fractions of the table's output span, largest first.
     smoothing_stages: tuple = (0.1, 0.01, 0.001)
@@ -208,30 +226,93 @@ def _loss_grad(x: np.ndarray, mu: float, base: np.ndarray, denoise: bool
     return f, np.concatenate([g_theta[1:], g_delta[1:]])
 
 
-def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig
-                       ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Huber-smoothed L1 continuation in interaction-space coordinates.
+def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
+                       zeta: float, x: np.ndarray):
+    """Huber-smoothed L1 continuation from x; yields the iterate of each stage.
 
     Variables are theta (gamma = zeta_subsets(theta), so the AND effects are
     base + theta exactly) and, when denoising, delta with box bounds. Each
-    stage shrinks the Huber width; the best iterate by true L1 loss is kept,
-    making the recorded history non-increasing.
+    stage shrinks the Huber width.
+    """
+    scale = max(v.gap(), float(np.max(np.abs(v.values))), 1e-12)
+    m = v.values.size - 1
+    bounds = [(None, None)] * m + [(-zeta, zeta)] * m if cfg.denoise else None
+    for stage in cfg.smoothing_stages:
+        res = minimize(_loss_grad, x, args=(stage * scale, base, cfg.denoise),
+                       jac=True, method="L-BFGS-B", bounds=bounds,
+                       options={"maxiter": cfg.max_iters, "ftol": 1e-14,
+                                "gtol": 1e-12})
+        x = res.x
+        yield x
+
+
+@lru_cache(maxsize=None)
+def _lp_matrix(n: int, denoise: bool):
+    """Equality matrix [S, -S, -I, I] (then K when denoising) of _lp_sparsify.
+
+    Rows and columns run over the nonempty subsets. S = kron^n [[1,1],[0,-1]]
+    is (-1)^|S| times the superset sums and K = kron^n [[0,1],[1,-1]] equals
+    S @ M_and = -M_or, so each block has 3**n nonzeros (fewer for I).
+    Cached per (n, denoise), read-only.
+    """
+    s = k = sp.csr_array(np.ones((1, 1)))
+    for _ in range(n):
+        s = sp.kron(s, sp.csr_array([[1.0, 1.0], [0.0, -1.0]]), format="csr")
+        k = sp.kron(k, sp.csr_array([[0.0, 1.0], [1.0, -1.0]]), format="csr")
+    s = s[1:, 1:]
+    eye = sp.eye_array(s.shape[0], format="csr")
+    matrix = sp.hstack([s, -s, -eye, eye] + ([k[1:, 1:]] if denoise else []), format="csc")
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.flags.writeable = False
+    return matrix
+
+
+def _lp_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
+                 zeta: float, x: np.ndarray):
+    """The exact L1 minimum as one linear program; yields its one iterate.
+
+    With p = i_and and q = i_or (each split into nonnegative parts) and
+    a, b = base[:, 1:], the effects of _theta_effects satisfy
+        S p - q + K delta = S a - b,   theta = p - a + mobius_and(delta/2),
+    over the nonempty subsets, so minimizing sum p+- + q+- over that one
+    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem. The
+    start x is not needed: the dual simplex starts from its own basis.
+    """
+    a, b = base[:, 1:]
+    m = a.size
+    matrix = _lp_matrix(v.n, cfg.denoise)
+    cost = np.zeros(matrix.shape[1])
+    cost[:4 * m] = 1.0
+    bounds = np.zeros((matrix.shape[1], 2))
+    bounds[:4 * m, 1] = np.inf
+    bounds[4 * m:] = (-zeta, zeta)
+    res = linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a - b, bounds=bounds,
+                  method="highs-ds", options={"presolve": False})
+    if res.status != 0:
+        raise NumericalError(f"LP solve failed: {res.message}")
+    delta = np.zeros(m + 1)
+    if cfg.denoise:
+        # basic variables can overshoot their bounds by the solver's tolerance
+        delta[1:] = np.clip(res.x[4 * m:], -zeta, zeta)
+    theta = res.x[:m] - res.x[m:2 * m] - a + 0.5 * mobius_and(delta)[1:]
+    yield np.concatenate([theta, delta[1:]]) if cfg.denoise else theta
+
+
+def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver
+                  ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Run a solver from the even-split start and keep its best iterate.
+
+    ``solver(v, cfg, base, zeta, x)`` yields packed variables (theta[1:],
+    then delta[1:] when denoising). An iterate replaces the best one only if
+    its true L1 loss is lower by more than convergence_eps (relative), which
+    makes the recorded history non-increasing. With max_iters = 0 the start
+    is returned unsolved.
     """
     values = v.values
     size = values.size
     zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
-    scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
     theta_pin = 0.5 * values[0]
     base = _objective_base(values)
-
-    def realize(x):
-        theta = np.empty(size)
-        theta[0] = theta_pin
-        theta[1:] = x[:size - 1]
-        delta = np.zeros(size)
-        if cfg.denoise:
-            delta[1:] = x[size - 1:]
-        return zeta_subsets(theta), delta
 
     # even-split start: gamma zero beyond the pin
     pin_only = np.zeros(size)
@@ -239,48 +320,52 @@ def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig
     x = mobius_and(pin_only)[1:]
     if cfg.denoise:
         x = np.concatenate([x, np.zeros(size - 1)])
-    bounds = None
-    if cfg.denoise:
-        bounds = [(None, None)] * (size - 1) + [(-zeta, zeta)] * (size - 1)
 
-    best_gamma, best_delta = realize(x)
+    best_x = x
     best = _l1(x, base, cfg.denoise)
     if not np.isfinite(best):
         raise NumericalError("non-finite loss at initialization")
     history = [best]
-    if cfg.max_iters <= 0:
-        return best_gamma, best_delta, best, history
+    if cfg.max_iters > 0:
+        for x in solver(v, cfg, base, zeta, x):
+            loss = _l1(x, base, cfg.denoise)
+            if not np.isfinite(loss):
+                raise NumericalError("non-finite loss during continuation")
+            if loss < best - cfg.convergence_eps * max(1.0, abs(best)):
+                best, best_x = loss, x
+            history.append(best)
 
-    for stage in cfg.smoothing_stages:
-        res = minimize(_loss_grad, x, args=(stage * scale, base, cfg.denoise),
-                       jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": cfg.max_iters, "ftol": 1e-14,
-                                "gtol": 1e-12})
-        x = res.x
-        loss = _l1(x, base, cfg.denoise)
-        if not np.isfinite(loss):
-            raise NumericalError("non-finite loss during continuation")
-        if loss < best - cfg.convergence_eps * max(1.0, abs(best)):
-            best = loss
-            best_gamma, best_delta = realize(x)
-        history.append(best)
-    return best_gamma, best_delta, best, history
+    theta = np.empty(size)
+    theta[0] = theta_pin
+    theta[1:] = best_x[:size - 1]
+    delta = np.zeros(size)
+    if cfg.denoise:
+        delta[1:] = best_x[size - 1:]
+    return zeta_subsets(theta), delta, best, history
+
+
+def sparsify_solver(n: int) -> str:
+    """The solver ``sparsify`` runs on n variables: "lp" or "huber"."""
+    return "lp" if n <= LP_MAX_N else "huber"
 
 
 def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
              ) -> tuple[Decomposition, InteractionSet, list[float]]:
     """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
 
-    Starts from the even split. With max_iters = 0 the even-split start and
-    its loss are returned unchanged. Otherwise, if the all-AND closed form
-    (always feasible) ends up below the final iterate, it is returned instead.
+    Solves the LP for n <= LP_MAX_N and runs the Huber continuation above
+    (``sparsify_solver``), starting from the even split. With max_iters = 0
+    the even-split start and its loss are returned unchanged. Otherwise, if
+    the all-AND closed form (always feasible) ends up below the final
+    iterate, it is returned instead.
     """
     if cfg is None:
         cfg = SparsifyConfig()
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
 
-    gamma, delta, loss, history = _smoothed_sparsify(v, cfg)
+    solver = _lp_sparsify if sparsify_solver(v.n) == "lp" else _smoothed_sparsify
+    gamma, delta, loss, history = _best_iterate(v, cfg, solver)
 
     if cfg.max_iters > 0:
         alland = all_and_decomposition(v)

@@ -148,13 +148,18 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     ("oracle", "verify", "--table", "{wide}/table_0000.json",
      "--interactions", "{isets}/sample_0000.json"),
     ("synth", "--out", "{tabs}/more", "--orders", "2-1"),
+    ("extract", "--in", "{dup}", "--out", "{dup}/out"),
 ], ids=["verify-without-interactions", "verify-missing-table",
-        "verify-size-mismatch", "synth-bad-orders"])
+        "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels"])
 def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     tmp_path, tabs, isets = pipeline
     wide = tmp_path / "wide"
     assert run("synth", "--out", wide, "--n", "5", "--m", "2", "--orders", "2:1.0") == 0
-    args = [a.format(tabs=tabs, isets=isets, wide=wide) for a in argv]
+    dup = tmp_path / "dup"      # two tables that share the label sample_0000
+    dup.mkdir()
+    for name in ("a.json", "b.json"):
+        (dup / name).write_bytes((tabs / "table_0000.json").read_bytes())
+    args = [a.format(tabs=tabs, isets=isets, wide=wide, dup=dup) for a in argv]
     src = str(Path(andor.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -163,3 +168,14 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, solver", [(9, "lp"), (10, "huber")])
+def test_extract_records_the_solver(tmp_path, n, solver):
+    tabs, isets = tmp_path / "tabs", tmp_path / "isets"
+    assert run("synth", "--out", tabs, "--n", n, "--m", "3", "--orders", "2:1.0") == 0
+    assert run("extract", "--in", tabs, "--out", isets, "--no-denoise",
+               "--max-iters", "5") == 0
+    batch = json.loads((isets / "batch.json").read_text())
+    assert batch["solver"] == {"sample_0000": solver}
+    assert set(batch["loss_history"]) == set(batch["solver"])

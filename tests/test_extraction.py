@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from andor.extraction import (Decomposition, SparsifyConfig, _loss_grad,
-                              _objective_base, _theta_effects,
-                              all_and_decomposition, even_split_decomposition,
-                              extract, filter_salient, salience_threshold,
-                              salient_counts, sparsify, split_components)
+from andor.extraction import (Decomposition, SparsifyConfig, _best_iterate,
+                              _loss_grad, _lp_matrix, _lp_sparsify,
+                              _objective_base, _smoothed_sparsify,
+                              _theta_effects, all_and_decomposition,
+                              even_split_decomposition, extract, filter_salient,
+                              salience_threshold, salient_counts, sparsify,
+                              split_components)
 from andor.lattice import (mobius_and, mobius_and_transpose, mobius_or,
                            zeta_subsets)
 from andor.models import (ValueTable, interaction_function_table, realize_table,
@@ -17,6 +19,13 @@ from andor.oracle import brute_and, brute_or
 def random_table():
     rng = np.random.default_rng(7)
     return ValueTable(n=6, values=rng.normal(size=64))
+
+
+@pytest.fixture
+def both_paths(random_table):
+    """The n=6 table (solved as an LP) and an n=10 one (Huber continuation)."""
+    rng = np.random.default_rng(8)
+    return [random_table, ValueTable(n=10, values=rng.normal(size=1 << 10))]
 
 
 def test_split_components_sum(random_table):
@@ -54,16 +63,18 @@ def test_interaction_set_rejects_nonzero_empty_slot():
         InteractionSet(n=3, i_and=bad, i_or=np.zeros(8), bias=0.0)
 
 
-def test_sparsify_history_non_increasing(random_table):
-    _, _, hist = sparsify(random_table, SparsifyConfig(max_iters=50))
-    assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+def test_sparsify_history_non_increasing(both_paths):
+    for v in both_paths:
+        _, _, hist = sparsify(v, SparsifyConfig(max_iters=50))
+        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
-def test_sparsify_zero_iters_returns_even_split(random_table):
-    d, iset, hist = sparsify(random_table, SparsifyConfig(max_iters=0))
-    ref = even_split_decomposition(random_table)
-    np.testing.assert_allclose(d.gamma, ref.gamma)
-    assert len(hist) == 1
+def test_sparsify_zero_iters_returns_even_split(both_paths):
+    for v in both_paths:
+        d, iset, hist = sparsify(v, SparsifyConfig(max_iters=0))
+        ref = even_split_decomposition(v)
+        np.testing.assert_allclose(d.gamma, ref.gamma)
+        assert len(hist) == 1
 
 
 def test_sparsify_beats_all_and(random_table):
@@ -169,6 +180,43 @@ def test_theta_effects_match_the_oracle(denoise):
     i_and[0] = i_or[0] = 0.0
     np.testing.assert_allclose(effects[0], i_and, atol=1e-10)
     np.testing.assert_allclose(effects[1], i_or, atol=1e-10)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lp_matrix_matches_theta_effects(n, denoise):
+    """The LP's rows hold for the effects of any (theta, delta), and theta is
+    recovered from them: this checks S, K and the recovery formula."""
+    values, x = _random_point(n, denoise, seed=20 + n)
+    base = _objective_base(values)
+    p, q = _theta_effects(x, base, denoise)[:, 1:]
+    a, b = base[:, 1:]
+    m = a.size
+    delta = np.zeros(m + 1)
+    if denoise:
+        delta[1:] = x[m:]
+    matrix = _lp_matrix(n, denoise)
+    z = np.concatenate([np.maximum(p, 0), np.maximum(-p, 0),
+                        np.maximum(q, 0), np.maximum(-q, 0), delta[1:] if denoise else []])
+    np.testing.assert_allclose(matrix @ z, matrix[:, :m] @ a - b, atol=1e-10)
+    theta = p - a + 0.5 * mobius_and(delta)[1:]
+    np.testing.assert_allclose(theta, x[:m], atol=1e-10)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(4, 8))
+def test_lp_reaches_at_most_the_huber_loss(n, denoise):
+    rng = np.random.default_rng(30 + n)
+    v = ValueTable(n=n, values=rng.normal(size=1 << n))
+    cfg = SparsifyConfig(denoise=denoise)
+    gamma, delta, loss, hist = _best_iterate(v, cfg, _lp_sparsify)
+    huber_loss = _best_iterate(v, cfg, _smoothed_sparsify)[2]
+    assert loss <= huber_loss * (1 + 1e-12)
+    assert loss < hist[0]
+    zeta = cfg.zeta_fraction * v.gap() if denoise else 0.0
+    d = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta)
+    d.validate(v)
+    assert extract(v, d).total_l1() == pytest.approx(loss, rel=1e-12)
 
 
 def test_sparsify_size_cap():
