@@ -9,12 +9,20 @@ rows time one value-plus-gradient evaluation of the smoothed L1 objective
 (``extraction._loss_grad``), with and without denoising, at n = 8, 10, 14.
 Each of these figures is the best of several repeats.
 
-The solver rows time one solve per table on both paths of ``sparsify``, the
-LP and the Huber continuation, with and without denoising, on a random
-normal table and a net table at n = 8, 9 and 10, and print the L1 each
-reaches. ``extraction.LP_MAX_N`` is set from these rows: the largest n at
-which the LP is faster on every table. Set OPENBLAS_NUM_THREADS=1 to time
-the solvers on one BLAS thread. The n = 10 rows take about a minute.
+The solver rows time one solve per table, with and without denoising, on a
+random normal table, a net table and a sparse game of the criterion-4 kind
+(15 order-3 effects on an antichain) at n = 8, 9 and 10. Each row times the
+LP without a pivot budget and prints how many pivots it needed, times the
+Huber continuation, and times ``sparsify`` itself and names the path that
+finished it ("lp", or "huber" when the LP exhausted its budget), with the L1
+of the LP and of Huber. ``extraction.LP_MAX_N`` and the 2**(n-1) pivot
+budget from ``LP_BUDGET_MIN_N`` on are set from these rows: at n = 10 the
+sparse games needed a few hundred pivots and the LP beat Huber on them,
+while the dense tables needed thousands and their LP was no faster on most
+of them. At n = 11 (measured once, not a row here: one net table, no
+denoising) the LP needed 10176 pivots and 7.5 s against 1.0 s for Huber.
+Set OPENBLAS_NUM_THREADS=1 to time the solvers on one BLAS thread. The
+n = 10 rows take about half a minute.
 """
 
 import sys
@@ -23,10 +31,11 @@ import time
 import numpy as np
 
 from andor._kernels import diff_transform, sum_transform
-from andor.extraction import (LP_MAX_N, SparsifyConfig, _best_iterate,
-                              _loss_grad, _lp_matrix, _lp_sparsify,
-                              _objective_base, _smoothed_sparsify)
-from andor.models import MaskingScheme, TinyNet, ValueTable, net_value_table
+from andor.extraction import (LP_BUDGET_MIN_N, LP_MAX_N, SparsifyConfig,
+                              _best_iterate, _loss_grad, _lp_matrix, _lp_solve,
+                              _objective_base, _smoothed_sparsify, sparsify)
+from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
+                          realize_table, sample_sparse_game)
 
 
 def best_time(fn, make_arg, repeats):
@@ -69,28 +78,39 @@ def objective(rng):
         print(f"{n:>4} " + " ".join(f"{t * 1e3:>10.3f}ms" for t in times))
 
 
+def timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
 def solvers(rng):
-    print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N})")
-    print(f"{'n':>4} {'table':>7} {'denoise':>8} {'lp':>9} {'huber':>9} "
-          f"{'lp L1':>12} {'huber L1':>12}")
+    print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N}, "
+          f"2**(n-1) pivots from n = {LP_BUDGET_MIN_N})")
+    print(f"{'n':>4} {'table':>7} {'denoise':>8} {'lp':>9} {'pivots':>7} {'huber':>9} "
+          f"{'sparsify':>9} {'path':>6} {'lp L1':>12} {'huber L1':>12}")
     for n in (8, 9, 10):
         net = TinyNet.random([n, 32, 32, 2], rng_seed=n)
+        game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
+                                  magnitude_floor=3.2, antichain=True)
         tables = {
             "random": ValueTable(n=n, values=rng.normal(size=1 << n)),
             "net": net_value_table(net, MaskingScheme(rng.normal(size=n), np.zeros(n))),
+            "sparse": realize_table(game),
         }
         for name, v in tables.items():
             for denoise in (False, True):
                 cfg = SparsifyConfig(denoise=denoise)
                 _lp_matrix(n, denoise)           # built once per process
-                row = []
-                for solver in (_lp_sparsify, _smoothed_sparsify):
-                    t0 = time.perf_counter()
-                    loss = _best_iterate(v, cfg, solver)[2]
-                    row.append((time.perf_counter() - t0, loss))
-                (t_lp, l_lp), (t_hub, l_hub) = row
-                print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {t_hub:>8.3f}s "
-                      f"{l_lp:>12.4f} {l_hub:>12.4f}")
+                zeta = cfg.zeta_fraction * v.gap() if denoise else 0.0
+                base = _objective_base(v.values)
+                t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
+                t_hub, (_, _, l_hub, _) = timed(
+                    lambda: _best_iterate(v, cfg, _smoothed_sparsify))
+                t_sp, (d, _, _) = timed(lambda: sparsify(v, cfg))
+                print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.nit:>7} "
+                      f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {res.fun:>12.4f} "
+                      f"{l_hub:>12.4f}")
 
 
 def main():

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .extraction import InteractionSet, all_and_decomposition, extract, filter_salient
 from .lattice import mobius_and, order_counts, permute_variables, table_size
@@ -66,6 +65,30 @@ class PairComparison:
     overlap: float
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied entries share the mean of their ranks."""
+    order = np.argsort(x, kind="mergesort")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
+def _spearman(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Spearman rank correlation: Pearson's r of the average-tie ranks.
+
+    The centred ranks are half-integers, so the three sums are exact and
+    identical or reversed rankings give exactly +1 or -1.
+    """
+    dx = _average_ranks(xs)
+    dy = _average_ranks(ys)
+    dx -= dx.mean()
+    dy -= dy.mean()
+    return float(dx @ dy / np.sqrt((dx @ dx) * (dy @ dy)))
+
+
 def compare_models(reports_a: list[SampleReport],
                    reports_b: list[SampleReport]) -> PairComparison:
     """Pair reports by label; Spearman rank correlation and diagonal gap of
@@ -91,7 +114,7 @@ def compare_models(reports_a: list[SampleReport],
             # vectors count as perfect agreement.
             corr = 1.0 if np.array_equal(xs, ys) else UNDEFINED
         else:
-            corr = float(spearmanr(xs, ys).statistic)
+            corr = _spearman(xs, ys)
         gap = float(np.mean(np.abs(xs - ys)))
     else:
         corr, gap = UNDEFINED, UNDEFINED

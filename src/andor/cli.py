@@ -18,15 +18,17 @@ from . import io as aio
 from .analysis import (axiom_suite, compare_models, default_theta, sample_report,
                        sparsity_diagnostics)
 from .extraction import (DEFAULT_SALIENCE_FRACTION, DEFAULT_ZETA_FRACTION,
-                         LP_MAX_N, SparsifyConfig, all_and_decomposition,
-                         even_split_decomposition, extract, filter_salient,
-                         salience_threshold, sparsify, sparsify_solver)
+                         LP_BUDGET_MIN_N, LP_MAX_N, SparsifyConfig,
+                         all_and_decomposition, even_split_decomposition,
+                         extract, filter_salient, salience_threshold, sparsify)
 from .metrics import is_undefined, order_profile, per_order_jaccard
 from .models import (GroundTruthGame, inject_overfit, interaction_function_table,
                      realize_table, sample_sparse_game)
 from .oracle import brute_and, brute_or, verify_matching
 
 IO_ERROR = 2
+# Output names that are not samples' effect files.
+RESERVED_NAMES = ("batch", "ground_truth")
 
 
 class CliError(Exception):
@@ -37,7 +39,7 @@ def _load_dir(path, reader, suffix=".json"):
     d = Path(path)
     if not d.is_dir():
         raise CliError(f"not a directory: {d}")
-    reserved = {"ground_truth.json", "batch.json"}
+    reserved = {f"{name}.json" for name in RESERVED_NAMES}
     files = sorted(f for f in d.glob(f"*{suffix}") if f.name not in reserved)
     if not files:
         raise CliError(f"no {suffix} files in {d}")
@@ -112,6 +114,11 @@ def cmd_extract(args) -> int:
     if duplicates:
         raise CliError(f"tables in {args.input} share the labels {duplicates}; "
                        "each label names one output file")
+    unsafe = sorted(name for name in set(names) if name in RESERVED_NAMES
+                    or any(part in name for part in ("/", "\\", "..")))
+    if unsafe:
+        raise CliError(f"tables in {args.input} have the labels {unsafe}, which "
+                       "name reserved files or leave the output directory")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tau = _batch_tau(tables, args)
@@ -128,8 +135,8 @@ def cmd_extract(args) -> int:
             cfg = SparsifyConfig(max_iters=args.max_iters,
                                  zeta_fraction=args.zeta_fraction,
                                  denoise=not args.no_denoise)
-            _, iset, hist = sparsify(v, cfg)
-            solvers[v.label] = sparsify_solver(v.n)
+            d, iset, hist = sparsify(v, cfg)
+            solvers[v.label] = d.solver
         if args.salient_only:
             iset = filter_salient(iset, tau)
         aio.write_interactions(iset, out / f"{name}.json")
@@ -276,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default="sparsify")
     ep.add_argument("--max-iters", type=int, default=2000,
                     help="per-stage iteration cap of the Huber solver, which "
-                         f"sparsify runs for n > {LP_MAX_N} (smaller tables are "
-                         "solved exactly as an LP); 0 returns the even split "
-                         "on both paths")
+                         f"sparsify runs for n > {LP_MAX_N} and for n >= "
+                         f"{LP_BUDGET_MIN_N} tables whose LP needs more than "
+                         "2**(n-1) pivots (other tables are solved exactly as "
+                         "an LP); 0 returns the even split on both paths")
     ep.add_argument("--no-denoise", action="store_true")
     ep.add_argument("--zeta-fraction", type=float, default=DEFAULT_ZETA_FRACTION)
     ep.add_argument("--tau-fraction", type=float, default=DEFAULT_SALIENCE_FRACTION)

@@ -15,7 +15,10 @@ and the subset sums cancel against the Mobius transforms (see
 picks its solver from the table size n:
 
 - n <= LP_MAX_N: the exact L1 minimum, one HiGHS dual-simplex solve of that
-  LP (``_lp_sparsify``). Its equality matrix has about 3**n nonzeros.
+  LP (``_lp_sparsify``). Its equality matrix has about 3**n nonzeros. From
+  n = LP_BUDGET_MIN_N on, the simplex gets 2**(n-1) pivots; a table whose LP
+  needs more goes to the Huber continuation below, from the same start, and
+  comes out exactly as it would without the LP attempt.
 - n > LP_MAX_N: a smoothed-L1 (Huber) continuation with L-BFGS-B
   (``_smoothed_sparsify``), which stops near the minimum. In the raw gamma
   coordinates the objective's curvature spans a factor exponential in n and
@@ -24,12 +27,17 @@ picks its solver from the table size n:
   its adjoint, plus one batched difference transform each way when
   denoising.
 
-The cutoff is where the solve times cross on random and net tables
-(``benchmarks/bench_transforms.py``, one solve each, one BLAS thread on a
-2-core VM): at n = 9 the LP took 0.2-0.8 s against 1.0-2.7 s for Huber; at
-n = 10 the LP was no longer faster on net tables (1.6 and 7.4 s against 1.5
-and 3.8 s). The LP's matrix grows as 3**n, the continuation's work per
-evaluation as n * 2**n.
+The cutoff and the budget were measured on one BLAS thread on a 2-core VM
+(``benchmarks/bench_transforms.py`` prints pivots and times per table). Up to
+n = 9 the LP was faster on every table (0.02-0.45 s against 0.2-1.5 s at
+n = 9). At n = 10 it depends on how many pivots the table's LP needs: 160
+sparse criterion-4 games needed 166-365 and solved in about 0.04 s against
+0.38 s for Huber, which stopped 2.7-7.8% above their minimum; dense random
+and net tables needed 3457-10980, and their uncapped LP took 0.9-4.2 s
+against 0.8-2.5 s for Huber. The 2**(n-1) = 512-pivot budget separates the
+two and costs a dense table about 0.1 s before its Huber solve. At n = 11
+the LP took 7.5 s on a dense net table against 1.0 s for Huber. The LP's
+matrix grows as 3**n, the continuation's work per evaluation as n * 2**n.
 """
 
 from dataclasses import dataclass
@@ -44,13 +52,19 @@ from .lattice import (mobius_and, mobius_or, order_counts, table_size,
 from .models import ValueTable
 
 SPARSIFY_MAX_N = 20
-LP_MAX_N = 9
+LP_MAX_N = 10
+# From this n on, the LP's dual simplex stops after 2**(n-1) pivots.
+LP_BUDGET_MIN_N = 10
 DEFAULT_SALIENCE_FRACTION = 0.02
 DEFAULT_ZETA_FRACTION = 0.02
 
 
 class NumericalError(RuntimeError):
     pass
+
+
+class _PivotBudgetExhausted(Exception):
+    """The LP needed more pivots than its budget; sparsify falls back to Huber."""
 
 
 @dataclass
@@ -60,6 +74,8 @@ class Decomposition:
     gamma: np.ndarray
     delta: np.ndarray
     zeta_bound: float = 0.0
+    # The sparsify solver that ran, "lp" or "huber"; empty for closed forms.
+    solver: str = ""
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
@@ -122,8 +138,10 @@ class InteractionSet:
 class SparsifyConfig:
     """Optimizer settings.
 
-    max_iters is the Huber path's per-stage quasi-Newton cap (n > LP_MAX_N);
-    on either path, 0 returns the even-split start unsolved.
+    max_iters is the Huber path's per-stage quasi-Newton cap (n > LP_MAX_N,
+    and n >= LP_BUDGET_MIN_N tables whose LP exhausts its pivot budget); it
+    does not bound the LP. On either path, 0 returns the even-split start
+    unsolved.
     """
 
     max_iters: int = 2000
@@ -267,34 +285,51 @@ def _lp_matrix(n: int, denoise: bool):
     return matrix
 
 
-def _lp_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
-                 zeta: float, x: np.ndarray):
-    """The exact L1 minimum as one linear program; yields its one iterate.
+def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None = None):
+    """One HiGHS dual-simplex solve of the L1 LP of _lp_sparsify.
 
     With p = i_and and q = i_or (each split into nonnegative parts) and
     a, b = base[:, 1:], the effects of _theta_effects satisfy
         S p - q + K delta = S a - b,   theta = p - a + mobius_and(delta/2),
     over the nonempty subsets, so minimizing sum p+- + q+- over that one
-    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem. The
-    start x is not needed: the dual simplex starts from its own basis.
+    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem.
+    Returns linprog's result; maxiter caps the pivots (status 1 when hit).
     """
     a, b = base[:, 1:]
     m = a.size
-    matrix = _lp_matrix(v.n, cfg.denoise)
+    matrix = _lp_matrix(m.bit_length(), denoise)
     cost = np.zeros(matrix.shape[1])
     cost[:4 * m] = 1.0
     bounds = np.zeros((matrix.shape[1], 2))
     bounds[:4 * m, 1] = np.inf
     bounds[4 * m:] = (-zeta, zeta)
-    res = linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a - b, bounds=bounds,
-                  method="highs-ds", options={"presolve": False})
+    options = {"presolve": False}
+    if maxiter is not None:
+        options["maxiter"] = maxiter
+    return linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a - b, bounds=bounds,
+                   method="highs-ds", options=options)
+
+
+def _lp_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
+                 zeta: float, x: np.ndarray):
+    """The exact L1 minimum as one linear program; yields its one iterate.
+
+    From n = LP_BUDGET_MIN_N on the solve gets 2**(n-1) pivots and raises
+    _PivotBudgetExhausted when it needs more. The start x is not needed: the
+    dual simplex starts from its own basis.
+    """
+    budget = 2 ** (v.n - 1) if v.n >= LP_BUDGET_MIN_N else None
+    res = _lp_solve(base, zeta, cfg.denoise, budget)
+    if res.status == 1:
+        raise _PivotBudgetExhausted
     if res.status != 0:
         raise NumericalError(f"LP solve failed: {res.message}")
+    m = base.shape[-1] - 1
     delta = np.zeros(m + 1)
     if cfg.denoise:
         # basic variables can overshoot their bounds by the solver's tolerance
         delta[1:] = np.clip(res.x[4 * m:], -zeta, zeta)
-    theta = res.x[:m] - res.x[m:2 * m] - a + 0.5 * mobius_and(delta)[1:]
+    theta = res.x[:m] - res.x[m:2 * m] - base[0, 1:] + 0.5 * mobius_and(delta)[1:]
     yield np.concatenate([theta, delta[1:]]) if cfg.denoise else theta
 
 
@@ -344,17 +379,13 @@ def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver
     return zeta_subsets(theta), delta, best, history
 
 
-def sparsify_solver(n: int) -> str:
-    """The solver ``sparsify`` runs on n variables: "lp" or "huber"."""
-    return "lp" if n <= LP_MAX_N else "huber"
-
-
 def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
              ) -> tuple[Decomposition, InteractionSet, list[float]]:
     """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
 
-    Solves the LP for n <= LP_MAX_N and runs the Huber continuation above
-    (``sparsify_solver``), starting from the even split. With max_iters = 0
+    Solves the LP for n <= LP_MAX_N and runs the Huber continuation above,
+    or when the LP exhausts its pivot budget, starting from the even split;
+    the decomposition's ``solver`` names the one that ran. With max_iters = 0
     the even-split start and its loss are returned unchanged. Otherwise, if
     the all-AND closed form (always feasible) ends up below the final
     iterate, it is returned instead.
@@ -364,8 +395,14 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
 
-    solver = _lp_sparsify if sparsify_solver(v.n) == "lp" else _smoothed_sparsify
-    gamma, delta, loss, history = _best_iterate(v, cfg, solver)
+    solver = "lp" if v.n <= LP_MAX_N else "huber"
+    if solver == "lp":
+        try:
+            gamma, delta, loss, history = _best_iterate(v, cfg, _lp_sparsify)
+        except _PivotBudgetExhausted:
+            solver = "huber"
+    if solver == "huber":
+        gamma, delta, loss, history = _best_iterate(v, cfg, _smoothed_sparsify)
 
     if cfg.max_iters > 0:
         alland = all_and_decomposition(v)
@@ -375,7 +412,8 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
             history.append(loss)
 
     zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
-    decomposition = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta)
+    decomposition = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta,
+                                  solver=solver)
     return decomposition, extract(v, decomposition), history
 
 

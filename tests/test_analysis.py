@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from andor.analysis import (INFEASIBLE, axiom_suite, compare_models, default_theta,
-                            kappa_fit, sample_report, sparsity_diagnostics)
+from andor.analysis import (INFEASIBLE, _average_ranks, _spearman, axiom_suite,
+                            compare_models, default_theta, kappa_fit,
+                            sample_report, sparsity_diagnostics)
 from andor.extraction import InteractionSet, all_and_decomposition, extract
 from andor.lattice import order_counts, table_size
 from andor.metrics import is_undefined
@@ -54,6 +55,27 @@ def test_compare_models_anti_ranking():
                                0.1, 9.0))
     cmp = compare_models(a, b)
     assert cmp.rank_correlation == pytest.approx(-1.0)
+
+
+def test_spearman_with_ties():
+    ranks = _average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(ranks, [4.0, 1.0, 4.0, 2.0, 4.0])
+    # ranks (1, 2.5, 2.5, 4) and (1, 3, 2, 4): r = 4.5 / sqrt(4.5 * 5)
+    r = _spearman(np.array([1.0, 2.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0, 4.0]))
+    assert r == pytest.approx(np.sqrt(0.9), rel=1e-15)
+    # ranks (1.5, 1.5, 3.5, 3.5) and (1, 2.5, 2.5, 4): r = 3 / sqrt(4 * 4.5)
+    r = _spearman(np.array([0.0, 0.0, 1.0, 1.0]), np.array([5.0, 6.0, 6.0, 7.0]))
+    assert r == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+
+def test_spearman_is_exactly_one_on_identical_and_reversed_rankings():
+    rng = np.random.default_rng(5)
+    for k in range(2, 60):
+        xs = rng.integers(0, 7, size=k) * 0.37
+        if np.all(xs == xs[0]):
+            continue
+        assert _spearman(xs, xs) == 1.0
+        assert _spearman(xs, -xs) == -1.0
 
 
 def test_compare_models_requires_common_labels():

@@ -4,12 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import andor
+from andor import io as aio
 from andor.cli import main
+from andor.models import ValueTable
 
 GOLDEN = Path(__file__).parent / "golden"
+# Labels extract must refuse, by test id: reserved output names, or paths.
+BAD_LABELS = {"batch": "batch", "ground_truth": "ground_truth", "slash": "a/b",
+              "backslash": "a\\b", "dotdot": ".."}
 
 
 def run(*argv):
@@ -149,8 +155,11 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
      "--interactions", "{isets}/sample_0000.json"),
     ("synth", "--out", "{tabs}/more", "--orders", "2-1"),
     ("extract", "--in", "{dup}", "--out", "{dup}/out"),
+    *(("extract", "--in", f"{{labelled}}/{name}", "--out", f"{{labelled}}/{name}/out")
+      for name in BAD_LABELS),
 ], ids=["verify-without-interactions", "verify-missing-table",
-        "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels"])
+        "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
+        *(f"extract-label-{name}" for name in BAD_LABELS)])
 def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     tmp_path, tabs, isets = pipeline
     wide = tmp_path / "wide"
@@ -159,7 +168,13 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     dup.mkdir()
     for name in ("a.json", "b.json"):
         (dup / name).write_bytes((tabs / "table_0000.json").read_bytes())
-    args = [a.format(tabs=tabs, isets=isets, wide=wide, dup=dup) for a in argv]
+    labelled = tmp_path / "labelled"    # one table per reserved or unsafe label
+    table = json.loads((tabs / "table_0000.json").read_text())
+    for name, label in BAD_LABELS.items():
+        (labelled / name).mkdir(parents=True)
+        (labelled / name / "table.json").write_text(json.dumps({**table, "label": label}))
+    args = [a.format(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled)
+            for a in argv]
     src = str(Path(andor.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -168,14 +183,36 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not any(labelled.glob("*/out"))      # rejected before writing
 
 
-@pytest.mark.parametrize("n, solver", [(9, "lp"), (10, "huber")])
-def test_extract_records_the_solver(tmp_path, n, solver):
+def _dense_table(directory, n):
+    rng = np.random.default_rng(n)
+    directory.mkdir()
+    aio.write_table(ValueTable(n=n, values=rng.normal(size=1 << n), label="sample_0000"),
+                    directory / "table_0000.json")
+
+
+@pytest.mark.parametrize("n, table, solver", [
+    (9, "sparse", "lp"), (10, "sparse", "lp"), (11, "sparse", "huber"),
+    (10, "dense", "huber")])
+def test_extract_records_the_solver(tmp_path, n, table, solver):
+    """The solver that ran: a dense n=10 table exhausts the LP's pivot budget."""
     tabs, isets = tmp_path / "tabs", tmp_path / "isets"
-    assert run("synth", "--out", tabs, "--n", n, "--m", "3", "--orders", "2:1.0") == 0
+    if table == "dense":
+        _dense_table(tabs, n)
+    else:
+        assert run("synth", "--out", tabs, "--n", n, "--m", "3", "--orders", "2:1.0") == 0
     assert run("extract", "--in", tabs, "--out", isets, "--no-denoise",
                "--max-iters", "5") == 0
     batch = json.loads((isets / "batch.json").read_text())
     assert batch["solver"] == {"sample_0000": solver}
     assert set(batch["loss_history"]) == set(batch["solver"])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(andor.__file__).resolve().parents[1])
+    code = "import sys, andor.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"

@@ -13,6 +13,7 @@ from andor.lattice import (mobius_and, mobius_and_transpose, mobius_or,
 from andor.models import (ValueTable, interaction_function_table, realize_table,
                           sample_sparse_game)
 from andor.oracle import brute_and, brute_or
+from test_acceptance import recovery_game
 
 
 @pytest.fixture
@@ -23,7 +24,8 @@ def random_table():
 
 @pytest.fixture
 def both_paths(random_table):
-    """The n=6 table (solved as an LP) and an n=10 one (Huber continuation)."""
+    """The n=6 table (solved as an LP) and a dense n=10 one, whose LP exhausts
+    its pivot budget, so the Huber continuation solves it."""
     rng = np.random.default_rng(8)
     return [random_table, ValueTable(n=10, values=rng.normal(size=1 << 10))]
 
@@ -217,6 +219,28 @@ def test_lp_reaches_at_most_the_huber_loss(n, denoise):
     d = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta)
     d.validate(v)
     assert extract(v, d).total_l1() == pytest.approx(loss, rel=1e-12)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+def test_dense_n10_falls_back_to_huber_bit_identically(denoise):
+    rng = np.random.default_rng(40)
+    v = ValueTable(n=10, values=rng.normal(size=1 << 10))
+    cfg = SparsifyConfig(max_iters=50, denoise=denoise)
+    d, _, hist = sparsify(v, cfg)
+    gamma, delta, _, huber_hist = _best_iterate(v, cfg, _smoothed_sparsify)
+    assert d.solver == "huber"
+    np.testing.assert_array_equal(d.gamma, gamma)
+    np.testing.assert_array_equal(d.delta, delta)
+    assert hist == huber_hist
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criterion_4_games_solve_exactly_on_the_lp(seed):
+    _, v, _ = recovery_game(seed)
+    cfg = SparsifyConfig(denoise=False)
+    d, iset, _ = sparsify(v, cfg)
+    assert d.solver == "lp"
+    assert iset.total_l1() <= _best_iterate(v, cfg, _smoothed_sparsify)[2] * (1 + 1e-12)
 
 
 def test_sparsify_size_cap():
