@@ -16,7 +16,7 @@ LP without a pivot budget and prints how many pivots it needed, times the
 Huber continuation, and times ``sparsify`` itself and names the path that
 finished it ("lp", or "huber" when the LP exhausted its budget), with the L1
 of the LP and of Huber. ``extraction.LP_MAX_N`` and the 2**(n-1) pivot
-budget from ``LP_BUDGET_MIN_N`` on are set from these rows: at n = 10 the
+budget at n = ``LP_MAX_N`` are set from these rows: at n = 10 the
 sparse games needed a few hundred pivots and the LP beat Huber on them,
 while the dense tables needed thousands and their LP was no faster on most
 of them. At n = 11 (measured once, not a row here: one net table, no
@@ -31,8 +31,8 @@ import time
 import numpy as np
 
 from andor._kernels import diff_transform, sum_transform
-from andor.extraction import (LP_BUDGET_MIN_N, LP_MAX_N, SparsifyConfig,
-                              _best_iterate, _loss_grad, _lp_matrix, _lp_solve,
+from andor.extraction import (LP_MAX_N, SparsifyConfig, _best_iterate,
+                              _loss_grad, _lp_matrix, _lp_solve,
                               _objective_base, _smoothed_sparsify, sparsify)
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
@@ -86,7 +86,7 @@ def timed(fn):
 
 def solvers(rng):
     print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N}, "
-          f"2**(n-1) pivots from n = {LP_BUDGET_MIN_N})")
+          f"2**(n-1) pivots at n = {LP_MAX_N})")
     print(f"{'n':>4} {'table':>7} {'denoise':>8} {'lp':>9} {'pivots':>7} {'huber':>9} "
           f"{'sparsify':>9} {'path':>6} {'lp L1':>12} {'huber L1':>12}")
     for n in (8, 9, 10):

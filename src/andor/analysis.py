@@ -7,11 +7,11 @@ AND effect transform.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import InteractionSet, all_and_decomposition, extract, filter_salient
+from .extraction import InteractionSet
 from .lattice import mobius_and, order_counts, permute_variables, table_size
 from .metrics import UNDEFINED, OrderProfile, average_order, is_undefined, order_profile
 from .models import ValueTable, interaction_function_table
@@ -190,12 +190,11 @@ def sparsity_diagnostics(v: ValueTable, iset: InteractionSet, tau: float,
                          max_order: int) -> SparsityDiagnostic:
     if max_order > v.n:
         raise ValueError(f"max_order {max_order} exceeds n={v.n}")
-    orders = order_counts(v.n)
-    salient = (np.abs(iset.i_and) > tau) | (np.abs(iset.i_or) > tau)
-    salient[0] = False
-    count = int((np.abs(iset.i_and) > tau)[1:].sum()
-                + (np.abs(iset.i_or) > tau)[1:].sum())
-    max_sal = int(orders[salient].max()) if salient.any() else 0
+    salient = np.abs(np.stack([iset.i_and, iset.i_or])) > tau
+    salient[:, 0] = False
+    count = int(salient.sum())
+    salient_orders = order_counts(v.n)[salient.any(axis=0)]
+    max_sal = int(salient_orders.max()) if salient_orders.size else 0
 
     u_bar = _mean_gain_by_order(v)
     violation = None
@@ -224,127 +223,102 @@ class AxiomResult:
     counterexample: np.ndarray | None = None
 
 
-def _and_effects(values: np.ndarray) -> np.ndarray:
-    return mobius_and(values)
-
-
 def _random_table(rng, n: int) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=table_size(n))
 
 
-def _check(results: list, name: str, errs: list[float], tables: list[np.ndarray]):
-    worst = int(np.argmax(errs))
-    passed = errs[worst] <= AXIOM_TOL
-    results.append(AxiomResult(
-        name=name, passed=passed, trials=len(errs), max_error=float(errs[worst]),
-        counterexample=None if passed else tables[worst]))
+# Each trial draws from rng and returns (error, the table it checked).
+
+def _efficiency(rng, n: int):
+    """Effects over all T sum to v(x_N)."""
+    v = _random_table(rng, n)
+    return abs(mobius_and(v).sum() - v[-1]), v
+
+
+def _linearity(rng, n: int):
+    """Effects of v + w equal effects of v plus effects of w."""
+    v, w = _random_table(rng, n), _random_table(rng, n)
+    return float(np.max(np.abs(mobius_and(v + w) - mobius_and(v) - mobius_and(w)))), v
+
+
+def _dummy(rng, n: int):
+    """v(x_{S+i}) = v(x_S) + v(x_i) for a planted additive variable i: it has
+    no joint effects."""
+    bit = 1 << int(rng.integers(n))
+    v = _random_table(rng, n)
+    idx = np.arange(v.size)
+    base = v[idx & ~bit]
+    v = np.where(idx & bit, base + v[bit] - v[0], base)
+    joint = mobius_and(v)[(idx & bit).astype(bool) & (idx != bit)]
+    return float(np.max(np.abs(joint))), v
+
+
+def _symmetry(rng, n: int):
+    """v invariant under swapping i and j gives effects invariant too."""
+    i, j = rng.choice(n, size=2, replace=False)
+    perm = list(range(n))
+    perm[i], perm[j] = perm[j], perm[i]
+    v = _random_table(rng, n)
+    v = 0.5 * (v + permute_variables(v, perm))
+    effects = mobius_and(v)
+    return float(np.max(np.abs(effects - permute_variables(effects, perm)))), v
+
+
+def _anonymity(rng, n: int):
+    """Effects of a relabeled table are the relabeled effects."""
+    perm = rng.permutation(n)
+    v = _random_table(rng, n)
+    lhs = mobius_and(permute_variables(v, perm))
+    return float(np.max(np.abs(lhs - permute_variables(mobius_and(v), perm)))), v
+
+
+def _recursive(rng, n: int):
+    """I[T + i] = (I[T] with i conditioned present) - I[T], at 8 random (T, i)."""
+    v = _random_table(rng, n)
+    table = ValueTable(n=n, values=v)
+    effects = mobius_and(v)
+    worst = 0.0
+    for _ in range(8):
+        i = int(rng.integers(n))
+        bit = 1 << i
+        t = int(rng.integers(v.size)) & ~bit
+        rhs = conditioned_and(table, t, i + 1) - effects[t]
+        worst = max(worst, abs(effects[t | bit] - rhs))
+    return worst, v
+
+
+def _interaction_distribution(rng, n: int):
+    """The pure AND indicator table yields a single effect c at T."""
+    size = table_size(n)
+    t = int(rng.integers(1, size))
+    c = float(rng.uniform(-5.0, 5.0))
+    v = interaction_function_table(t, c, "and", n).values
+    expected = np.zeros(size)
+    expected[t] = c
+    return float(np.max(np.abs(mobius_and(v) - expected))), v
+
+
+AXIOMS = (("efficiency", _efficiency), ("linearity", _linearity),
+          ("dummy", _dummy), ("symmetry", _symmetry), ("anonymity", _anonymity),
+          ("recursive", _recursive),
+          ("interaction_distribution", _interaction_distribution))
 
 
 def axiom_suite(n: int, trials: int, rng_seed: int) -> list[AxiomResult]:
-    """Randomized verification of the seven AND-effect axioms at tolerance 1e-8.
-
-    efficiency: effects over all T sum to v(x_N).
-    linearity:  effects of v + w equal effects of v plus effects of w.
-    dummy:      a variable acting additively has no joint effects.
-    symmetry:   interchangeable variables receive equal effects.
-    anonymity:  relabeling variables relabels effects accordingly.
-    recursive:  effect of T + {i} = (effect of T with i present) - (effect of T).
-    distribution: the pure AND indicator table yields a single effect c at T.
-    """
+    """Randomized verification of the seven AND-effect axioms of AXIOMS at
+    tolerance AXIOM_TOL; the axioms run in order, each for all its trials,
+    on one generator seeded with rng_seed."""
     if n > AXIOM_MAX_N:
         raise ValueError(f"axiom suite is capped at n <= {AXIOM_MAX_N}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    size = table_size(n)
-    full = size - 1
-    results: list[AxiomResult] = []
-
-    # efficiency
-    errs, tabs = [], []
-    for _ in range(trials):
-        v = _random_table(rng, n)
-        errs.append(abs(_and_effects(v).sum() - v[full]))
-        tabs.append(v)
-    _check(results, "efficiency", errs, tabs)
-
-    # linearity
-    errs, tabs = [], []
-    for _ in range(trials):
-        v, w = _random_table(rng, n), _random_table(rng, n)
-        err = np.max(np.abs(_and_effects(v + w) - _and_effects(v) - _and_effects(w)))
-        errs.append(float(err))
-        tabs.append(v)
-    _check(results, "linearity", errs, tabs)
-
-    # dummy: v(x_{S+i}) = v(x_S) + v(x_i) for a planted additive variable i
-    errs, tabs = [], []
-    for _ in range(trials):
-        i = int(rng.integers(n))
-        bit = 1 << i
-        v = _random_table(rng, n)
-        idx = np.arange(size)
-        base = v[idx & ~bit]
-        v = np.where(idx & bit, base + v[bit] - v[0], base)
-        effects = _and_effects(v)
-        joint = effects[(idx & bit).astype(bool) & (idx != bit)]
-        errs.append(float(np.max(np.abs(joint))))
-        tabs.append(v)
-    _check(results, "dummy", errs, tabs)
-
-    # symmetry: v invariant under swapping i and j => effects invariant too
-    errs, tabs = [], []
-    for _ in range(trials):
-        i, j = rng.choice(n, size=2, replace=False)
-        perm = list(range(n))
-        perm[i], perm[j] = perm[j], perm[i]
-        v = _random_table(rng, n)
-        v = 0.5 * (v + permute_variables(v, perm))
-        effects = _and_effects(v)
-        errs.append(float(np.max(np.abs(effects - permute_variables(effects, perm)))))
-        tabs.append(v)
-    _check(results, "symmetry", errs, tabs)
-
-    # anonymity: effects of a relabeled table are the relabeled effects
-    errs, tabs = [], []
-    for _ in range(trials):
-        perm = rng.permutation(n)
-        v = _random_table(rng, n)
-        lhs = _and_effects(permute_variables(v, perm))
-        rhs = permute_variables(_and_effects(v), perm)
-        errs.append(float(np.max(np.abs(lhs - rhs))))
-        tabs.append(v)
-    _check(results, "anonymity", errs, tabs)
-
-    # recursive: I[T + i] = (I[T] with i conditioned present) - I[T]
-    errs, tabs = [], []
-    for _ in range(trials):
-        v = _random_table(rng, n)
-        table = ValueTable(n=n, values=v)
-        effects = _and_effects(v)
-        worst = 0.0
-        for _ in range(8):
-            i = int(rng.integers(n))
-            bit = 1 << i
-            t = int(rng.integers(size)) & ~bit
-            lhs = effects[t | bit]
-            rhs = conditioned_and(table, t, i + 1) - effects[t]
-            worst = max(worst, abs(lhs - rhs))
-        errs.append(worst)
-        tabs.append(v)
-    _check(results, "recursive", errs, tabs)
-
-    # interaction distribution: the pure AND indicator has one effect c at T
-    errs, tabs = [], []
-    for _ in range(trials):
-        t = int(rng.integers(1, size))
-        c = float(rng.uniform(-5.0, 5.0))
-        v = interaction_function_table(t, c, "and", n).values
-        effects = _and_effects(v)
-        expected = np.zeros(size)
-        expected[t] = c
-        errs.append(float(np.max(np.abs(effects - expected))))
-        tabs.append(v)
-    _check(results, "interaction_distribution", errs, tabs)
-
+    results = []
+    for name, trial in AXIOMS:
+        errs, tables = zip(*(trial(rng, n) for _ in range(trials)))
+        worst = int(np.argmax(errs))
+        passed = errs[worst] <= AXIOM_TOL
+        results.append(AxiomResult(
+            name=name, passed=passed, trials=trials, max_error=float(errs[worst]),
+            counterexample=None if passed else tables[worst]))
     return results

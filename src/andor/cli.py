@@ -17,16 +17,17 @@ import numpy as np
 from . import io as aio
 from .analysis import (axiom_suite, compare_models, default_theta, sample_report,
                        sparsity_diagnostics)
-from .extraction import (DEFAULT_SALIENCE_FRACTION, DEFAULT_ZETA_FRACTION,
-                         LP_BUDGET_MIN_N, LP_MAX_N, SparsifyConfig,
-                         all_and_decomposition, even_split_decomposition,
-                         extract, filter_salient, salience_threshold, sparsify)
+from .extraction import (DEFAULT_SALIENCE_FRACTION, DEFAULT_ZETA_FRACTION, LP_MAX_N,
+                         SparsifyConfig, all_and_decomposition,
+                         even_split_decomposition, extract, filter_salient,
+                         salience_threshold, sparsify)
 from .metrics import is_undefined, order_profile, per_order_jaccard
 from .models import (GroundTruthGame, inject_overfit, interaction_function_table,
                      realize_table, sample_sparse_game)
 from .oracle import brute_and, brute_or, verify_matching
 
 IO_ERROR = 2
+TAU_HELP = "count only effects with |effect| > tau (default 0: every nonzero one)"
 # Output names that are not samples' effect files.
 RESERVED_NAMES = ("batch", "ground_truth")
 
@@ -164,10 +165,8 @@ def cmd_similarity(args) -> int:
 
 
 def _reports(sets, tau, theta):
-    n = sets[0].n
-    th = theta if theta is not None else default_theta(n)
-    t = tau if tau is not None else 0.0
-    return [sample_report(s, t, th) for s in sets]
+    th = theta if theta is not None else default_theta(sets[0].n)
+    return [sample_report(s, tau, th) for s in sets]
 
 
 def cmd_compare(args) -> int:
@@ -283,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="sparsify")
     ep.add_argument("--max-iters", type=int, default=2000,
                     help="per-stage iteration cap of the Huber solver, which "
-                         f"sparsify runs for n > {LP_MAX_N} and for n >= "
-                         f"{LP_BUDGET_MIN_N} tables whose LP needs more than "
+                         f"sparsify runs for n > {LP_MAX_N} and for n = "
+                         f"{LP_MAX_N} tables whose LP needs more than "
                          "2**(n-1) pivots (other tables are solved exactly as "
                          "an LP); 0 returns the even split on both paths")
     ep.add_argument("--no-denoise", action="store_true")
@@ -298,21 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("profile", help="order profiles of interaction files")
     pp.add_argument("--in", dest="input", required=True)
     pp.add_argument("--out", required=True)
-    pp.add_argument("--tau-absolute", type=float, default=None)
+    pp.add_argument("--tau-absolute", type=float, default=0.0, help=TAU_HELP)
     pp.set_defaults(func=cmd_profile)
 
     yp = sub.add_parser("similarity", help="per-order Jaccard between two sets")
     yp.add_argument("--train", required=True)
     yp.add_argument("--test", required=True)
     yp.add_argument("--out", required=True)
-    yp.add_argument("--tau-absolute", type=float, default=None)
+    yp.add_argument("--tau-absolute", type=float, default=0.0, help=TAU_HELP)
     yp.set_defaults(func=cmd_similarity)
 
     cp = sub.add_parser("compare", help="compare two models' sample complexities")
     cp.add_argument("--a", required=True)
     cp.add_argument("--b", required=True)
     cp.add_argument("--out", required=True)
-    cp.add_argument("--tau-absolute", type=float, default=None)
+    cp.add_argument("--tau-absolute", type=float, default=0.0, help=TAU_HELP)
     cp.add_argument("--theta", type=float, default=None)
     cp.set_defaults(func=cmd_compare)
 

@@ -15,10 +15,10 @@ and the subset sums cancel against the Mobius transforms (see
 picks its solver from the table size n:
 
 - n <= LP_MAX_N: the exact L1 minimum, one HiGHS dual-simplex solve of that
-  LP (``_lp_sparsify``). Its equality matrix has about 3**n nonzeros. From
-  n = LP_BUDGET_MIN_N on, the simplex gets 2**(n-1) pivots; a table whose LP
-  needs more goes to the Huber continuation below, from the same start, and
-  comes out exactly as it would without the LP attempt.
+  LP (``_lp_sparsify``). Its equality matrix has about 3**n nonzeros. At
+  n = LP_MAX_N the simplex gets 2**(n-1) pivots; a table whose LP needs more
+  goes to the Huber continuation below, from the same start, and comes out
+  exactly as it would without the LP attempt.
 - n > LP_MAX_N: a smoothed-L1 (Huber) continuation with L-BFGS-B
   (``_smoothed_sparsify``), which stops near the minimum. In the raw gamma
   coordinates the objective's curvature spans a factor exponential in n and
@@ -52,9 +52,12 @@ from .lattice import (mobius_and, mobius_or, order_counts, table_size,
 from .models import ValueTable
 
 SPARSIFY_MAX_N = 20
+# The LP solves n <= LP_MAX_N; at n = LP_MAX_N its dual simplex stops after
+# 2**(n-1) pivots.
 LP_MAX_N = 10
-# From this n on, the LP's dual simplex stops after 2**(n-1) pivots.
-LP_BUDGET_MIN_N = 10
+# An iterate replaces the best one only if its L1 is lower by this much,
+# relative.
+CONVERGENCE_EPS = 1e-9
 DEFAULT_SALIENCE_FRACTION = 0.02
 DEFAULT_ZETA_FRACTION = 0.02
 
@@ -139,13 +142,11 @@ class SparsifyConfig:
     """Optimizer settings.
 
     max_iters is the Huber path's per-stage quasi-Newton cap (n > LP_MAX_N,
-    and n >= LP_BUDGET_MIN_N tables whose LP exhausts its pivot budget); it
-    does not bound the LP. On either path, 0 returns the even-split start
-    unsolved.
+    and n = LP_MAX_N tables whose LP exhausts its pivot budget); it does not
+    bound the LP. On either path, 0 returns the even-split start unsolved.
     """
 
     max_iters: int = 2000
-    convergence_eps: float = 1e-9
     zeta_fraction: float = DEFAULT_ZETA_FRACTION
     denoise: bool = True
     # Huber widths as fractions of the table's output span, largest first.
@@ -314,11 +315,11 @@ def _lp_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
                  zeta: float, x: np.ndarray):
     """The exact L1 minimum as one linear program; yields its one iterate.
 
-    From n = LP_BUDGET_MIN_N on the solve gets 2**(n-1) pivots and raises
+    At n = LP_MAX_N the solve gets 2**(n-1) pivots and raises
     _PivotBudgetExhausted when it needs more. The start x is not needed: the
     dual simplex starts from its own basis.
     """
-    budget = 2 ** (v.n - 1) if v.n >= LP_BUDGET_MIN_N else None
+    budget = 2 ** (v.n - 1) if v.n == LP_MAX_N else None
     res = _lp_solve(base, zeta, cfg.denoise, budget)
     if res.status == 1:
         raise _PivotBudgetExhausted
@@ -339,7 +340,7 @@ def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver
 
     ``solver(v, cfg, base, zeta, x)`` yields packed variables (theta[1:],
     then delta[1:] when denoising). An iterate replaces the best one only if
-    its true L1 loss is lower by more than convergence_eps (relative), which
+    its true L1 loss is lower by more than CONVERGENCE_EPS (relative), which
     makes the recorded history non-increasing. With max_iters = 0 the start
     is returned unsolved.
     """
@@ -366,7 +367,7 @@ def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver
             loss = _l1(x, base, cfg.denoise)
             if not np.isfinite(loss):
                 raise NumericalError("non-finite loss during continuation")
-            if loss < best - cfg.convergence_eps * max(1.0, abs(best)):
+            if loss < best - CONVERGENCE_EPS * max(1.0, abs(best)):
                 best, best_x = loss, x
             history.append(best)
 
@@ -434,12 +435,3 @@ def filter_salient(iset: InteractionSet, tau: float) -> InteractionSet:
     return InteractionSet(n=iset.n, i_and=i_and, i_or=i_or, bias=iset.bias,
                           label=iset.label)
 
-
-def salient_counts(iset: InteractionSet, tau: float) -> dict[str, dict[int, int]]:
-    """Survivor counts per kind and order under the strict threshold."""
-    orders = order_counts(iset.n)
-    out: dict[str, dict[int, int]] = {}
-    for kind, effects in (("and", iset.i_and), ("or", iset.i_or)):
-        ks = orders[np.abs(effects) > tau]
-        out[kind] = {int(k): int(c) for k, c in zip(*np.unique(ks, return_counts=True))}
-    return out

@@ -39,11 +39,11 @@ def read_table(path) -> ValueTable:
                       label=str(doc.get("label", "")), meta=str(doc.get("meta", "")))
 
 
-def write_interactions(iset: InteractionSet, path, dense: bool = False) -> None:
-    """Sparse (mask, value) lists by default; dense keeps explicit zeros."""
+def write_interactions(iset: InteractionSet, path) -> None:
+    """Sparse (mask, value) lists of the nonzero effects."""
     def entries(effects):
-        masks = range(1, len(effects)) if dense else np.flatnonzero(effects)
-        return [{"mask": int(m), "value": float(effects[m])} for m in masks if m != 0]
+        return [{"mask": int(m), "value": float(effects[m])}
+                for m in np.flatnonzero(effects) if m != 0]
 
     _dump_json({
         "n": iset.n,
@@ -98,18 +98,6 @@ def write_similarity(report: SimilarityReport, path) -> None:
         w.writerow([0, _fmt(report.sim_global)])
         for k in range(1, report.n + 1):
             w.writerow([k, _fmt(report.sim_per_order[k - 1])])
-
-
-REPORT_HEADER = ["sample_label", "eta_avg", "salient_count", "total_l1", "confusing"]
-
-
-def write_sample_reports(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(REPORT_HEADER)
-        for r in reports:
-            w.writerow([r.label, _fmt(r.eta_avg), r.salient_count,
-                        _fmt(r.total_l1), int(r.confusing)])
 
 
 COMPARE_HEADER = ["sample_label", "eta_a", "eta_b"]

@@ -1,13 +1,16 @@
 """Complexity and generalization metrics over extracted interaction sets.
 
-An order profile sums positive and negative effect strengths per interaction
+Effects are read as the (2, 2**n) AND/OR rows of an InteractionSet, and an
+effect is salient when |effect| > tau (tau = 0 keeps every nonzero effect).
+An order profile sums positive and negative salient strengths per interaction
 order k; its strength-weighted mean is the average order eta_avg used to score
 sample complexity. Populations of samples are compared by the Jaccard
-similarity of their mean effect distributions, optionally restricted per order.
+similarity of their mean rows, each split into max(m, 0) and max(-m, 0) mass,
+globally and per order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +34,6 @@ class OrderProfile:
     j_pos: np.ndarray
     j_neg: np.ndarray
     salient_count: int = 0
-    source_salient: bool = False
 
     def __post_init__(self):
         self.j_pos = np.asarray(self.j_pos, dtype=np.float64)
@@ -49,26 +51,26 @@ class OrderProfile:
         return np.minimum(self.j_pos, self.j_neg)
 
 
-def order_profile(iset: InteractionSet, tau: float | None = None) -> OrderProfile:
+def order_profile(iset: InteractionSet, tau: float = 0.0) -> OrderProfile:
     """Sum positive effects into j_pos[k] and |negative| into j_neg[k].
 
-    With tau given, only salient effects (|effect| > tau, strict) are counted.
-    The empty set is excluded throughout: the bias is not an interaction.
+    Only salient effects (|effect| > tau, strict; at tau = 0 every nonzero
+    one) are counted. The empty set is excluded: the bias is not an
+    interaction.
     """
     orders = order_counts(iset.n)
     j_pos = np.zeros(iset.n)
     j_neg = np.zeros(iset.n)
     count = 0
     for effects in (iset.i_and, iset.i_or):
-        keep = np.abs(effects) > tau if tau is not None else effects != 0.0
+        keep = np.abs(effects) > tau
         keep[0] = False
         count += int(keep.sum())
         k = orders[keep].astype(np.int64)
         vals = effects[keep]
         np.add.at(j_pos, k - 1, np.maximum(vals, 0.0))
         np.add.at(j_neg, k - 1, np.maximum(-vals, 0.0))
-    return OrderProfile(n=iset.n, j_pos=j_pos, j_neg=j_neg, salient_count=count,
-                        source_salient=tau is not None)
+    return OrderProfile(n=iset.n, j_pos=j_pos, j_neg=j_neg, salient_count=count)
 
 
 def average_order(p: OrderProfile) -> float:
@@ -81,72 +83,40 @@ def average_order(p: OrderProfile) -> float:
     return float((ks * weights).sum() / total)
 
 
-@dataclass
-class InteractionDistribution:
-    """Non-negative mean-effect mass per (kind, mask, sign) slot.
-
-    pos[kind][mask] holds max(mean effect, 0), neg[kind][mask] holds
-    max(-mean effect, 0); at most one of the two is nonzero per slot. Stored
-    sparse as dicts keyed by bitmask.
-    """
-
-    n: int
-    pos: dict = field(default_factory=lambda: {"and": {}, "or": {}})
-    neg: dict = field(default_factory=lambda: {"and": {}, "or": {}})
-
-    def l1(self) -> float:
-        return sum(sum(d.values()) for part in (self.pos, self.neg)
-                   for d in part.values())
-
-    def slots(self) -> set:
-        out = set()
-        for part in (self.pos, self.neg):
-            for kind, d in part.items():
-                out |= {(kind, m) for m in d}
-        return out
-
-
-def mean_distribution(sets: list[InteractionSet]) -> InteractionDistribution:
-    """Elementwise mean over samples, then positive/negative split."""
+def mean_distribution(sets: list[InteractionSet]) -> np.ndarray:
+    """Elementwise mean over samples of the (2, 2**n) AND/OR effect rows."""
     if not sets:
         raise ValueError("mean_distribution needs at least one interaction set")
     n = sets[0].n
     if any(s.n != n for s in sets):
         raise ValueError("all interaction sets must share n")
-    mean_and = np.mean([s.i_and for s in sets], axis=0)
-    mean_or = np.mean([s.i_or for s in sets], axis=0)
-    dist = InteractionDistribution(n=n)
-    for kind, mean in (("and", mean_and), ("or", mean_or)):
-        for m in np.flatnonzero(mean):
-            v = float(mean[m])
-            (dist.pos if v > 0 else dist.neg)[kind][int(m)] = abs(v)
-    return dist
+    return np.mean([(s.i_and, s.i_or) for s in sets], axis=0)
 
 
-def _min_max_l1(d1: InteractionDistribution, d2: InteractionDistribution,
-                slot_filter=None) -> tuple[float, float]:
-    lo = hi = 0.0
-    for part in ("pos", "neg"):
-        for kind in ("and", "or"):
-            a = getattr(d1, part)[kind]
-            b = getattr(d2, part)[kind]
-            for m in set(a) | set(b):
-                if slot_filter is not None and not slot_filter(m):
-                    continue
-                x, y = a.get(m, 0.0), b.get(m, 0.0)
-                lo += min(x, y)
-                hi += max(x, y)
-    return lo, hi
+def _min_max(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise min and max of the masses max(m, 0), max(-m, 0) of two mean
+    distributions, flattened in (sign, kind, mask) order."""
+    a = np.stack([np.maximum(m1, 0.0), np.maximum(-m1, 0.0)])
+    b = np.stack([np.maximum(m2, 0.0), np.maximum(-m2, 0.0)])
+    return np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
 
 
-def jaccard(d1: InteractionDistribution, d2: InteractionDistribution) -> float:
-    """||min(d1, d2)||_1 / ||max(d1, d2)||_1; UNDEFINED when both are zero."""
-    if d1.n != d2.n:
+def _ratio(lo: float, hi: float) -> float:
+    return float(lo / hi) if hi > 0.0 else UNDEFINED
+
+
+def _sum_ratio(lo: np.ndarray, hi: np.ndarray) -> float:
+    """sum(lo) / sum(hi), each summed left to right as np.bincount sums."""
+    return _ratio(np.cumsum(lo)[-1], np.cumsum(hi)[-1])
+
+
+def jaccard(m1: np.ndarray, m2: np.ndarray) -> float:
+    """||min(a, b)||_1 / ||max(a, b)||_1, where a and b are the mean rows m1
+    and m2 split into positive and negative mass; UNDEFINED when both are
+    zero."""
+    if m1.shape != m2.shape:
         raise ValueError("distributions must share n")
-    lo, hi = _min_max_l1(d1, d2)
-    if hi == 0.0:
-        return UNDEFINED
-    return lo / hi
+    return _sum_ratio(*_min_max(m1, m2))
 
 
 @dataclass
@@ -163,22 +133,20 @@ class SimilarityReport:
 
 
 def per_order_jaccard(sets_a: list[InteractionSet], sets_b: list[InteractionSet],
-                      tau: float | None = None) -> SimilarityReport:
+                      tau: float = 0.0) -> SimilarityReport:
     """Jaccard of the two mean distributions, globally and per order |T| = k.
 
-    With tau given, each sample is salience-filtered before averaging, so the
+    Each sample is salience-filtered (|effect| > tau) before averaging, so the
     distributions carry exactly the slots that survive in either collection.
     """
-    if tau is not None:
-        sets_a = [filter_salient(s, tau) for s in sets_a]
-        sets_b = [filter_salient(s, tau) for s in sets_b]
-    da = mean_distribution(sets_a)
-    db = mean_distribution(sets_b)
-    if da.n != db.n:
+    da = mean_distribution([filter_salient(s, tau) for s in sets_a])
+    db = mean_distribution([filter_salient(s, tau) for s in sets_b])
+    if da.shape != db.shape:
         raise ValueError("the two collections must share n")
-    n = da.n
-    sims = np.empty(n)
-    for k in range(1, n + 1):
-        lo, hi = _min_max_l1(da, db, slot_filter=lambda m: int(m).bit_count() == k)
-        sims[k - 1] = lo / hi if hi > 0.0 else UNDEFINED
-    return SimilarityReport(n=n, sim_global=jaccard(da, db), sim_per_order=sims)
+    n = sets_a[0].n
+    lo, hi = _min_max(da, db)
+    orders = np.tile(order_counts(n), 4)
+    lo_k = np.bincount(orders, weights=lo, minlength=n + 1)
+    hi_k = np.bincount(orders, weights=hi, minlength=n + 1)
+    sims = np.array([_ratio(lo_k[k], hi_k[k]) for k in range(1, n + 1)])
+    return SimilarityReport(n=n, sim_global=_sum_ratio(lo, hi), sim_per_order=sims)

@@ -9,7 +9,8 @@ import pytest
 
 import andor
 from andor import io as aio
-from andor.cli import main
+from andor.cli import build_parser, main
+from andor.metrics import order_profile
 from andor.models import ValueTable
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +116,34 @@ def test_compare_identity_statistics(pipeline, tmp_path, capsys):
     assert rows[-3].startswith("#rank_correlation,1.0")
     assert rows[-2].startswith("#mean_abs_diagonal_gap,0.0")
     assert rows[-1].startswith("#overlap,1.0")
+
+
+def test_default_tau_counts_tiny_effects_and_skips_exact_zeros(tmp_path):
+    # tiny: one order-3 AND effect of 1e-300; zeros: explicit 0.0 entries only
+    isets = tmp_path / "isets"
+    isets.mkdir()
+    for label, value in (("tiny", 1e-300), ("zeros", 0.0)):
+        entries = [{"mask": m, "value": value if m == 0b0111 else 0.0}
+                   for m in (0b0001, 0b0111)]
+        (isets / f"{label}.json").write_text(json.dumps(
+            {"n": 4, "label": label, "bias": 0.0, "and": entries, "or": []}))
+    prof = tmp_path / "profile.csv"
+    cmp_ = tmp_path / "compare.csv"
+    assert run("profile", "--in", isets, "--out", prof) == 0
+    assert run("compare", "--a", isets, "--b", isets, "--out", cmp_) == 0
+    rows = prof.read_text().splitlines()
+    assert rows[3] == "tiny,3,1e-300,0.0,0.0"
+    assert all(r.endswith(",0.0,0.0,0.0") for r in rows[1:] if r != rows[3])
+    # the tiny sample has eta 3; the all-zero one has no defined eta
+    assert cmp_.read_text().splitlines()[1:2] == ["tiny,3.0,3.0"]
+    assert not any(r.startswith("zeros") for r in cmp_.read_text().splitlines())
+    # the salient counts behind both commands, at their default tau
+    for argv in (["profile", "--in", isets, "--out", prof],
+                 ["compare", "--a", isets, "--b", isets, "--out", cmp_]):
+        tau = build_parser().parse_args([str(a) for a in argv]).tau_absolute
+        counts = [order_profile(aio.read_interactions(isets / f"{label}.json"),
+                                tau).salient_count for label in ("tiny", "zeros")]
+        assert counts == [1, 0]
 
 
 def test_diagnose_exit_codes(pipeline, tmp_path):

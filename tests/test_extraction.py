@@ -6,8 +6,7 @@ from andor.extraction import (Decomposition, SparsifyConfig, _best_iterate,
                               _objective_base, _smoothed_sparsify,
                               _theta_effects, all_and_decomposition,
                               even_split_decomposition, extract, filter_salient,
-                              salience_threshold, salient_counts, sparsify,
-                              split_components)
+                              salience_threshold, sparsify, split_components)
 from andor.lattice import (mobius_and, mobius_and_transpose, mobius_or,
                            zeta_subsets)
 from andor.models import (ValueTable, interaction_function_table, realize_table,
@@ -266,14 +265,3 @@ def test_filter_salient_strict_threshold():
     kept = filter_salient(iset, 0.5)
     assert kept.i_and[1] == 0.0          # equal to tau: dropped
     assert kept.i_and[2] != 0.0
-
-
-def test_salient_counts_by_order():
-    from andor.extraction import InteractionSet
-    i_and = np.zeros(8)
-    i_and[0b011] = 2.0
-    i_or = np.zeros(8)
-    i_or[0b001] = -1.0
-    iset = InteractionSet(n=3, i_and=i_and, i_or=i_or, bias=0.0)
-    counts = salient_counts(iset, 0.5)
-    assert counts == {"and": {2: 1}, "or": {1: 1}}

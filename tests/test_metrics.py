@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from andor.extraction import InteractionSet
-from andor.metrics import (InteractionDistribution, average_order, is_undefined,
-                           jaccard, mean_distribution, order_profile,
-                           per_order_jaccard)
+from andor.metrics import (average_order, is_undefined, jaccard,
+                           mean_distribution, order_profile, per_order_jaccard)
 
 
 def iset(n, and_effects=None, or_effects=None, label=""):
@@ -34,7 +33,6 @@ def test_order_profile_salience_filter():
     p = order_profile(iset(5, {0b00011: 2.0, 0b00101: 0.1}), tau=0.5)
     assert p.salient_count == 1
     assert p.total_strength() == pytest.approx(2.0)
-    assert p.source_salient
 
 
 def test_profile_total_equals_l1():
@@ -65,21 +63,27 @@ def test_average_order_scale_invariant():
     assert average_order(a) == pytest.approx(average_order(b))
 
 
+def nonzero(row):
+    return {int(m): float(row[m]) for m in np.flatnonzero(row)}
+
+
 def test_mean_distribution_single_sample():
     d = mean_distribution([iset(4, {0b0011: 2.0}, {0b0100: -1.0})])
-    assert d.pos["and"] == {0b0011: 2.0}
-    assert d.neg["or"] == {0b0100: 1.0}
+    assert d.shape == (2, 16)
+    assert nonzero(d[0]) == {0b0011: 2.0}
+    assert nonzero(d[1]) == {0b0100: -1.0}
 
 
 def test_mean_distribution_cancellation():
     d = mean_distribution([iset(4, {0b0011: 2.0}), iset(4, {0b0011: -2.0})])
-    assert d.l1() == 0.0
+    assert np.abs(d).sum() == 0.0
 
 
 def test_mean_distribution_disjoint_union():
     sets = [iset(4, {0b0001: 3.0}), iset(4, {0b0010: 3.0}), iset(4, {0b0100: 3.0})]
     d = mean_distribution(sets)
-    assert d.pos["and"] == {1: 1.0, 2: 1.0, 4: 1.0}
+    assert nonzero(d[0]) == {1: 1.0, 2: 1.0, 4: 1.0}
+    assert not d[1].any()
 
 
 def test_mean_distribution_rejects_mixed_n():
@@ -110,7 +114,7 @@ def test_jaccard_scale_covariance():
 
 
 def test_jaccard_undefined_both_zero():
-    z = InteractionDistribution(n=4)
+    z = mean_distribution([iset(4)])
     assert is_undefined(jaccard(z, z))
 
 
@@ -136,3 +140,57 @@ def test_per_order_jaccard_salience_filter():
     b = [iset(4, {0b0011: 2.0})]
     rep = per_order_jaccard(a, b, tau=0.1)
     assert rep.sim_per_order[1] == 1.0
+
+
+def reference_jaccard(sets_a, sets_b, tau):
+    """Per-slot double loop: mean over samples of each salient effect, split
+    into positive and negative mass, then min/max sums per order."""
+    n = sets_a[0].n
+    lo = [0.0] * (n + 1)
+    hi = [0.0] * (n + 1)
+    for kind in ("i_and", "i_or"):
+        for m in range(1, 1 << n):
+            means = []
+            for sets in (sets_a, sets_b):
+                vals = [getattr(s, kind)[m] for s in sets]
+                means.append(sum(x if abs(x) > tau else 0.0 for x in vals) / len(vals))
+            for sign in (1.0, -1.0):
+                x, y = max(sign * means[0], 0.0), max(sign * means[1], 0.0)
+                lo[m.bit_count()] += min(x, y)
+                hi[m.bit_count()] += max(x, y)
+    ratio = [lo[k] / hi[k] if hi[k] > 0.0 else None for k in range(n + 1)]
+    return sum(lo) / sum(hi), ratio[1:]
+
+
+def random_sets(rng, count, n=5):
+    out = []
+    for _ in range(count):
+        s = iset(n)
+        for row in (s.i_and, s.i_or):
+            support = rng.random(1 << n) < 0.3
+            row[support] = rng.normal(size=int(support.sum()))
+            row[0] = 0.0
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_jaccard_matches_per_slot_reference(tau):
+    rng = np.random.default_rng(17)
+    sets_a = random_sets(rng, 3)
+    sets_b = random_sets(rng, 5)
+    # order 5 has one AND and one OR slot; left empty, it must stay undefined
+    for s in sets_a + sets_b:
+        s.i_and[-1] = s.i_or[-1] = 0.0
+    sim_global, sim_per_order = reference_jaccard(sets_a, sets_b, tau)
+    rep = per_order_jaccard(sets_a, sets_b, tau=tau)
+    assert rep.sim_global == pytest.approx(sim_global, rel=1e-12)
+    assert sim_per_order[-1] is None
+    for k, want in enumerate(sim_per_order, start=1):
+        if want is None:
+            assert is_undefined(rep.sim_per_order[k - 1])
+        else:
+            assert rep.sim_per_order[k - 1] == pytest.approx(want, rel=1e-12)
+    if tau == 0.0:
+        assert jaccard(mean_distribution(sets_a), mean_distribution(sets_b)) == \
+            pytest.approx(sim_global, rel=1e-12)
