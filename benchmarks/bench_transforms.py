@@ -105,7 +105,7 @@ def solvers(rng):
                 zeta = cfg.zeta_fraction * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
                 t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
-                t_hub, (_, _, l_hub, _) = timed(
+                t_hub, (_, _, l_hub, _, _) = timed(
                     lambda: _best_iterate(v, cfg, _smoothed_sparsify))
                 t_sp, (d, _, _) = timed(lambda: sparsify(v, cfg))
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.nit:>7} "

@@ -3,7 +3,7 @@
 Every command is a pure function of its inputs and flags: outputs are
 byte-identical across re-runs with the same seed. Exit codes: 0 success,
 1 failed diagnose/axioms/oracle-verify verdict, 2 I/O-level failure (missing
-or empty inputs, parse errors).
+or empty inputs, parse errors, wrong JSON types, files of different n).
 """
 
 import argparse
@@ -36,6 +36,16 @@ class CliError(Exception):
     """I/O-level failure; maps to exit code 2."""
 
 
+def _read(reader, path):
+    """``reader(path)``; an unreadable or malformed file is a CliError."""
+    try:
+        return reader(path)
+    except KeyError as e:
+        raise CliError(f"cannot read {path}: missing key {e}") from e
+    except (OSError, ValueError, OverflowError) as e:
+        raise CliError(f"cannot read {path}: {e}") from e
+
+
 def _load_dir(path, reader, suffix=".json"):
     d = Path(path)
     if not d.is_dir():
@@ -44,13 +54,17 @@ def _load_dir(path, reader, suffix=".json"):
     files = sorted(f for f in d.glob(f"*{suffix}") if f.name not in reserved)
     if not files:
         raise CliError(f"no {suffix} files in {d}")
-    out = []
-    for f in files:
-        try:
-            out.append(reader(f))
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
-            raise CliError(f"cannot parse {f}: {e}") from e
-    return out
+    return [_read(reader, f) for f in files]
+
+
+def _load_dirs(reader, *paths):
+    """One list of parsed files per directory; all of them must share one n."""
+    loaded = [_load_dir(path, reader) for path in paths]
+    ns = sorted({x.n for files in loaded for x in files})
+    if len(ns) > 1:
+        raise CliError(f"the files in {' and '.join(map(str, dict.fromkeys(paths)))} "
+                       f"mix n = {', '.join(map(str, ns))}")
+    return loaded
 
 
 def _parse_orders(text: str) -> dict[int, float]:
@@ -109,7 +123,7 @@ def _batch_tau(tables, args) -> float:
 
 
 def cmd_extract(args) -> int:
-    tables = _load_dir(args.input, aio.read_table)
+    tables, = _load_dirs(aio.read_table, args.input)
     names = [v.label or "table" for v in tables]
     duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
     if duplicates:
@@ -150,15 +164,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    sets = _load_dir(args.input, aio.read_interactions)
+    sets, = _load_dirs(aio.read_interactions, args.input)
     rows = [(s.label, order_profile(s, args.tau_absolute)) for s in sets]
     aio.write_profiles(rows, args.out)
     return 0
 
 
 def cmd_similarity(args) -> int:
-    train = _load_dir(args.train, aio.read_interactions)
-    test = _load_dir(args.test, aio.read_interactions)
+    train, test = _load_dirs(aio.read_interactions, args.train, args.test)
     report = per_order_jaccard(train, test, tau=args.tau_absolute)
     aio.write_similarity(report, args.out)
     return 0
@@ -170,8 +183,9 @@ def _reports(sets, tau, theta):
 
 
 def cmd_compare(args) -> int:
-    sets_a = _load_dir(args.a, aio.read_interactions)
-    sets_b = _load_dir(args.b, aio.read_interactions)
+    sets_a, sets_b = _load_dirs(aio.read_interactions, args.a, args.b)
+    if not {s.label for s in sets_a} & {s.label for s in sets_b}:
+        raise CliError(f"{args.a} and {args.b} share no sample label")
     cmp = compare_models(_reports(sets_a, args.tau_absolute, args.theta),
                          _reports(sets_b, args.tau_absolute, args.theta))
     aio.write_comparison(cmp, args.out)
@@ -180,11 +194,8 @@ def cmd_compare(args) -> int:
 
 def _read_inputs(table, interactions=None):
     """Read a table and, if given, its interaction file; failures are CliErrors."""
-    try:
-        v = aio.read_table(table)
-        iset = None if interactions is None else aio.read_interactions(interactions)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise CliError(str(e)) from e
+    v = _read(aio.read_table, table)
+    iset = None if interactions is None else _read(aio.read_interactions, interactions)
     if iset is not None and iset.n != v.n:
         raise CliError(f"{interactions} has n={iset.n}, the table has n={v.n}")
     return v, iset

@@ -27,6 +27,17 @@ picks its solver from the table size n:
   its adjoint, plus one batched difference transform each way when
   denoising.
 
+On the LP path the written effects are those of ``extract`` on the solved
+(gamma, delta), except that every effect the LP's vertex holds at exactly
+zero is an exact 0.0. Recomputing the effects through gamma and two Mobius
+transforms leaves rounding dust of 1e-16 to 2e-11 in those slots, and masking
+them keeps an effect file to the LP's support (31-264 of 2046 entries on
+eight sparse n = 10 games, against 1124-1789 with the dust). The Huber path has no exact zeros to carry, and its
+effects, like those of the closed forms, are ``extract``'s unmasked.
+
+scipy is imported on the first solve, not with the module: only ``sparsify``
+needs it. ``minimize`` stays a module attribute (see ``__getattr__``).
+
 The cutoff and the budget were measured on one BLAS thread on a 2-core VM
 (``benchmarks/bench_transforms.py`` prints pivots and times per table). Up to
 n = 9 the LP was faster on every table (0.02-0.45 s against 0.2-1.5 s at
@@ -40,12 +51,11 @@ the LP took 7.5 s on a dense net table against 1.0 s for Huber. The LP's
 matrix grows as 3**n, the continuation's work per evaluation as n * 2**n.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog, minimize
 
 from .lattice import (mobius_and, mobius_or, order_counts, table_size,
                       zeta_subsets, zeta_supersets)
@@ -60,6 +70,20 @@ LP_MAX_N = 10
 CONVERGENCE_EPS = 1e-9
 DEFAULT_SALIENCE_FRACTION = 0.02
 DEFAULT_ZETA_FRACTION = 0.02
+
+
+def __getattr__(name):
+    """Bind scipy's ``minimize`` as a module attribute on first access.
+
+    The Huber stage calls whatever the attribute is bound to, so a caller
+    may rebind it (to wrap or count the solver) without scipy loading at
+    import time.
+    """
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+    globals()["minimize"] = minimize
+    return minimize
 
 
 class NumericalError(RuntimeError):
@@ -251,8 +275,10 @@ def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
 
     Variables are theta (gamma = zeta_subsets(theta), so the AND effects are
     base + theta exactly) and, when denoising, delta with box bounds. Each
-    stage shrinks the Huber width.
+    stage shrinks the Huber width. Yields (x, None): a smoothed iterate holds
+    no effect at an exact zero.
     """
+    minimize = sys.modules[__name__].minimize
     scale = max(v.gap(), float(np.max(np.abs(v.values))), 1e-12)
     m = v.values.size - 1
     bounds = [(None, None)] * m + [(-zeta, zeta)] * m if cfg.denoise else None
@@ -262,7 +288,7 @@ def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
                        options={"maxiter": cfg.max_iters, "ftol": 1e-14,
                                 "gtol": 1e-12})
         x = res.x
-        yield x
+        yield x, None
 
 
 @lru_cache(maxsize=None)
@@ -274,6 +300,7 @@ def _lp_matrix(n: int, denoise: bool):
     S @ M_and = -M_or, so each block has 3**n nonzeros (fewer for I).
     Cached per (n, denoise), read-only.
     """
+    import scipy.sparse as sp
     s = k = sp.csr_array(np.ones((1, 1)))
     for _ in range(n):
         s = sp.kron(s, sp.csr_array([[1.0, 1.0], [0.0, -1.0]]), format="csr")
@@ -296,6 +323,7 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
     block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem.
     Returns linprog's result; maxiter caps the pivots (status 1 when hit).
     """
+    from scipy.optimize import linprog
     a, b = base[:, 1:]
     m = a.size
     matrix = _lp_matrix(m.bit_length(), denoise)
@@ -315,9 +343,11 @@ def _lp_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
                  zeta: float, x: np.ndarray):
     """The exact L1 minimum as one linear program; yields its one iterate.
 
-    At n = LP_MAX_N the solve gets 2**(n-1) pivots and raises
-    _PivotBudgetExhausted when it needs more. The start x is not needed: the
-    dual simplex starts from its own basis.
+    The iterate comes with its support: a (2, 2**n) bool array, True where
+    the vertex's effect p = p+ - p- (AND row) or q = q+ - q- (OR row) is
+    nonzero; the empty-set slots are False. At n = LP_MAX_N the solve gets
+    2**(n-1) pivots and raises _PivotBudgetExhausted when it needs more. The
+    start x is not needed: the dual simplex starts from its own basis.
     """
     budget = 2 ** (v.n - 1) if v.n == LP_MAX_N else None
     res = _lp_solve(base, zeta, cfg.denoise, budget)
@@ -331,18 +361,22 @@ def _lp_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
         # basic variables can overshoot their bounds by the solver's tolerance
         delta[1:] = np.clip(res.x[4 * m:], -zeta, zeta)
     theta = res.x[:m] - res.x[m:2 * m] - base[0, 1:] + 0.5 * mobius_and(delta)[1:]
-    yield np.concatenate([theta, delta[1:]]) if cfg.denoise else theta
+    support = np.zeros((2, m + 1), dtype=bool)
+    p_q = res.x[:4 * m].reshape(2, 2, m)      # rows (p+, p-), (q+, q-)
+    support[:, 1:] = p_q[:, 0] != p_q[:, 1]
+    yield np.concatenate([theta, delta[1:]]) if cfg.denoise else theta, support
 
 
-def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver
-                  ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver):
     """Run a solver from the even-split start and keep its best iterate.
 
-    ``solver(v, cfg, base, zeta, x)`` yields packed variables (theta[1:],
-    then delta[1:] when denoising). An iterate replaces the best one only if
-    its true L1 loss is lower by more than CONVERGENCE_EPS (relative), which
-    makes the recorded history non-increasing. With max_iters = 0 the start
-    is returned unsolved.
+    ``solver(v, cfg, base, zeta, x)`` yields (x, support): packed variables
+    (theta[1:], then delta[1:] when denoising) and the iterate's effect
+    support, or None when it has none. An iterate replaces the best one only
+    if its true L1 loss is lower by more than CONVERGENCE_EPS (relative),
+    which makes the recorded history non-increasing. With max_iters = 0 the
+    start is returned unsolved. Returns (gamma, delta, loss, history,
+    support), the support being the best iterate's (None for the start).
     """
     values = v.values
     size = values.size
@@ -357,18 +391,18 @@ def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver
     if cfg.denoise:
         x = np.concatenate([x, np.zeros(size - 1)])
 
-    best_x = x
+    best_x, best_support = x, None
     best = _l1(x, base, cfg.denoise)
     if not np.isfinite(best):
         raise NumericalError("non-finite loss at initialization")
     history = [best]
     if cfg.max_iters > 0:
-        for x in solver(v, cfg, base, zeta, x):
+        for x, support in solver(v, cfg, base, zeta, x):
             loss = _l1(x, base, cfg.denoise)
             if not np.isfinite(loss):
                 raise NumericalError("non-finite loss during continuation")
             if loss < best - CONVERGENCE_EPS * max(1.0, abs(best)):
-                best, best_x = loss, x
+                best, best_x, best_support = loss, x, support
             history.append(best)
 
     theta = np.empty(size)
@@ -377,7 +411,7 @@ def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver
     delta = np.zeros(size)
     if cfg.denoise:
         delta[1:] = best_x[size - 1:]
-    return zeta_subsets(theta), delta, best, history
+    return zeta_subsets(theta), delta, best, history, best_support
 
 
 def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
@@ -390,6 +424,13 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
     the even-split start and its loss are returned unchanged. Otherwise, if
     the all-AND closed form (always feasible) ends up below the final
     iterate, it is returned instead.
+
+    The effects are ``extract(v, decomposition)``. When the LP's vertex is
+    returned, every effect it holds at exactly zero is set to 0.0, which
+    drops the transforms' rounding dust there; the effects on its support
+    keep extract's values, consistent with the clipped delta. Huber, even-
+    split and all-AND results are not masked. The loss history is the
+    unmasked L1.
     """
     if cfg is None:
         cfg = SparsifyConfig()
@@ -399,23 +440,27 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
     solver = "lp" if v.n <= LP_MAX_N else "huber"
     if solver == "lp":
         try:
-            gamma, delta, loss, history = _best_iterate(v, cfg, _lp_sparsify)
+            gamma, delta, loss, history, support = _best_iterate(v, cfg, _lp_sparsify)
         except _PivotBudgetExhausted:
             solver = "huber"
     if solver == "huber":
-        gamma, delta, loss, history = _best_iterate(v, cfg, _smoothed_sparsify)
+        gamma, delta, loss, history, support = _best_iterate(v, cfg, _smoothed_sparsify)
 
     if cfg.max_iters > 0:
         alland = all_and_decomposition(v)
         alland_loss = extract(v, alland).total_l1()
         if alland_loss < loss:
-            gamma, delta, loss = alland.gamma, alland.delta, alland_loss
+            gamma, delta, loss, support = alland.gamma, alland.delta, alland_loss, None
             history.append(loss)
 
     zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
     decomposition = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta,
                                   solver=solver)
-    return decomposition, extract(v, decomposition), history
+    iset = extract(v, decomposition)
+    if support is not None:
+        iset.i_and[~support[0]] = 0.0
+        iset.i_or[~support[1]] = 0.0
+    return decomposition, iset, history
 
 
 def salience_threshold(tables, fraction: float = DEFAULT_SALIENCE_FRACTION) -> float:

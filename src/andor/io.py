@@ -2,7 +2,9 @@
 
 All numbers are serialized with repr (full-precision decimal, locale
 independent) and all JSON keys are sorted, so writing the same object twice
-produces byte-identical files.
+produces byte-identical files. The readers check every field's JSON type
+(a boolean is no number) and raise ValueError or KeyError on a malformed
+document, or OverflowError on an integer beyond the float range.
 """
 
 import csv
@@ -12,11 +14,31 @@ from pathlib import Path
 import numpy as np
 
 from .extraction import InteractionSet
+from .lattice import MAX_N
 from .metrics import OrderProfile, SimilarityReport, is_undefined
 from .models import ValueTable
 
 # CSV value used where a metric is mathematically undefined (0/0 ratios).
 UNDEFINED_FIELD = "undefined"
+# The Python types of the JSON values a field may hold.
+INTEGER, NUMBER, STRING, LIST = (int,), (int, float), (str,), (list,)
+
+
+def _only(items, types, what: str) -> list:
+    """``items``, whose elements must all have one of the exact ``types``."""
+    if not set(map(type, items)) <= set(types):
+        raise ValueError(f"{what} holds a value of the wrong JSON type")
+    return items
+
+
+def _get(doc, key: str, types, default=None):
+    """``doc[key]``, of one of the exact ``types``; a missing key gives
+    ``default`` when one is given and raises KeyError otherwise."""
+    if type(doc) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    if default is not None and key not in doc:
+        return default
+    return _only([doc[key]], types, repr(key))[0]
 
 
 def _dump_json(doc: dict, path: Path) -> None:
@@ -35,8 +57,9 @@ def write_table(v: ValueTable, path) -> None:
 
 def read_table(path) -> ValueTable:
     doc = json.loads(Path(path).read_text())
-    return ValueTable(n=int(doc["n"]), values=np.array(doc["values"], dtype=np.float64),
-                      label=str(doc.get("label", "")), meta=str(doc.get("meta", "")))
+    values = _only(_get(doc, "values", LIST), NUMBER, "'values'")
+    return ValueTable(n=_get(doc, "n", INTEGER), values=np.array(values, dtype=np.float64),
+                      label=_get(doc, "label", STRING, ""), meta=_get(doc, "meta", STRING, ""))
 
 
 def write_interactions(iset: InteractionSet, path) -> None:
@@ -56,14 +79,19 @@ def write_interactions(iset: InteractionSet, path) -> None:
 
 def read_interactions(path) -> InteractionSet:
     doc = json.loads(Path(path).read_text())
-    n = int(doc["n"])
-    i_and = np.zeros(1 << n)
-    i_or = np.zeros(1 << n)
-    for arr, key in ((i_and, "and"), (i_or, "or")):
-        for entry in doc[key]:
-            arr[int(entry["mask"])] = float(entry["value"])
-    return InteractionSet(n=n, i_and=i_and, i_or=i_or, bias=float(doc["bias"]),
-                          label=str(doc.get("label", "")))
+    n = _get(doc, "n", INTEGER)
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n={n} is outside 0..{MAX_N}")
+    effects = np.zeros((2, 1 << n))
+    for row, key in zip(effects, ("and", "or")):
+        entries = _only(_get(doc, key, LIST), (dict,), repr(key))
+        masks = _only([e["mask"] for e in entries], INTEGER, f"{key!r} masks")
+        if masks and not 0 <= min(masks) <= max(masks) < row.size:
+            raise ValueError(f"{key!r} has a mask outside 0..{row.size - 1}")
+        row[masks] = _only([e["value"] for e in entries], NUMBER, f"{key!r} values")
+    return InteractionSet(n=n, i_and=effects[0], i_or=effects[1],
+                          bias=float(_get(doc, "bias", NUMBER)),
+                          label=_get(doc, "label", STRING, ""))
 
 
 def _fmt(x: float) -> str:

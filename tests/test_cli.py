@@ -1,17 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import andor
 from andor import io as aio
 from andor.cli import build_parser, main
+from andor.extraction import SparsifyConfig, _best_iterate, _lp_sparsify
 from andor.metrics import order_profile
-from andor.models import ValueTable
+from andor.models import MaskingScheme, TinyNet, ValueTable, net_value_table
+from test_acceptance import recovery_game
 
 GOLDEN = Path(__file__).parent / "golden"
 # Labels extract must refuse, by test id: reserved output names, or paths.
@@ -186,13 +193,32 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     ("extract", "--in", "{dup}", "--out", "{dup}/out"),
     *(("extract", "--in", f"{{labelled}}/{name}", "--out", f"{{labelled}}/{name}/out")
       for name in BAD_LABELS),
+    ("extract", "--in", "{mixed}/tabs", "--out", "{mixed}/out"),
+    ("profile", "--in", "{mixed}/isets", "--out", "{mixed}/p.csv"),
+    ("similarity", "--train", "{isets}", "--test", "{wide}/isets", "--out", "{mixed}/s.csv"),
+    ("compare", "--a", "{isets}", "--b", "{mixed}/isets", "--out", "{mixed}/c.csv"),
+    ("compare", "--a", "{isets}", "--b", "{wide}/isets", "--out", "{mixed}/c.csv"),
+    ("compare", "--a", "{isets}", "--b", "{mixed}/other", "--out", "{mixed}/c.csv"),
 ], ids=["verify-without-interactions", "verify-missing-table",
         "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
-        *(f"extract-label-{name}" for name in BAD_LABELS)])
+        *(f"extract-label-{name}" for name in BAD_LABELS),
+        "extract-mixed-n", "profile-mixed-n", "similarity-mixed-n", "compare-mixed-n-dir",
+        "compare-mixed-n-across", "compare-no-shared-label"])
 def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     tmp_path, tabs, isets = pipeline
     wide = tmp_path / "wide"
     assert run("synth", "--out", wide, "--n", "5", "--m", "2", "--orders", "2:1.0") == 0
+    assert run("extract", "--in", wide, "--out", wide / "isets", "--mode", "all-and") == 0
+    mixed = tmp_path / "mixed"   # n = 4 and n = 5 files side by side
+    for kind, name, narrow, broad in (("tabs", "table_0000.json", tabs, wide),
+                                      ("isets", "sample_0000.json", isets, wide / "isets")):
+        (mixed / kind).mkdir(parents=True)
+        (mixed / kind / "a.json").write_bytes((narrow / name).read_bytes())
+        doc = json.loads((broad / name).read_text())
+        (mixed / kind / "b.json").write_text(json.dumps({**doc, "label": "wide"}))
+    (mixed / "other").mkdir()    # an n = 4 effect file under a label isets lacks
+    effects = json.loads((isets / "sample_0000.json").read_text())
+    (mixed / "other" / "x.json").write_text(json.dumps({**effects, "label": "other"}))
     dup = tmp_path / "dup"      # two tables that share the label sample_0000
     dup.mkdir()
     for name in ("a.json", "b.json"):
@@ -202,8 +228,8 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     for name, label in BAD_LABELS.items():
         (labelled / name).mkdir(parents=True)
         (labelled / name / "table.json").write_text(json.dumps({**table, "label": label}))
-    args = [a.format(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled)
-            for a in argv]
+    args = [a.format(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled,
+                     mixed=mixed) for a in argv]
     src = str(Path(andor.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -239,9 +265,197 @@ def test_extract_records_the_solver(tmp_path, n, table, solver):
     assert set(batch["loss_history"]) == set(batch["solver"])
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_cli_import_leaves_out_scipy_stats(pipeline):
+    """No scipy module loads with the CLI, nor in the commands that do not solve."""
+    tmp_path, tabs, isets = pipeline
+    table, effects = tabs / "table_0000.json", isets / "sample_0000.json"
+    commands = [
+        ["profile", "--in", isets, "--out", tmp_path / "p.csv"],
+        ["similarity", "--train", isets, "--test", isets, "--out", tmp_path / "s.csv"],
+        ["compare", "--a", isets, "--b", isets, "--out", tmp_path / "c.csv"],
+        ["oracle", "verify", "--table", table, "--interactions", effects],
+        ["diagnose", "--table", table, "--interactions", effects, "--out", tmp_path / "d.txt"],
+    ]
+    code = "\n".join([
+        "import sys, andor.cli",
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(scipy())",
+        f"for argv in {[[str(a) for a in c] for c in commands]!r}:",
+        "    assert andor.cli.main(argv) in (0, 1), argv",
+        "print(scipy())"])
     src = str(Path(andor.__file__).resolve().parents[1])
-    code = "import sys, andor.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout == "False\n"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
+def test_huber_stage_calls_the_bound_minimize(monkeypatch):
+    """extraction.minimize loads scipy's on first access, and the Huber stage
+    calls whatever the attribute is bound to, as a tracer rebinds it."""
+    import andor.extraction as extraction
+    from scipy.optimize import minimize
+    assert extraction.minimize is minimize
+    calls = []
+    monkeypatch.setattr(extraction, "minimize",
+                        lambda *a, **k: calls.append(1) or minimize(*a, **k))
+    v = ValueTable(n=11, values=np.random.default_rng(3).normal(size=1 << 11))
+    cfg = extraction.SparsifyConfig(max_iters=3, denoise=False)
+    assert extraction.sparsify(v, cfg)[0].solver == "huber"
+    assert len(calls) == len(cfg.smoothing_stages)
+    with pytest.raises(AttributeError):
+        extraction.linprog
+
+
+# Each property-test case: the file it breaks and the command line, where
+# {bad} is the broken file, {bad_dir} a directory holding it beside an
+# intact file of its kind, and {table}, {effects}, {isets} intact inputs.
+BROKEN_INPUT_COMMANDS = {
+    "extract": ("table", ["extract", "--in", "{bad_dir}", "--out", "{out}"]),
+    "diagnose-table": ("table", ["diagnose", "--table", "{bad}", "--interactions", "{effects}"]),
+    "verify-table": ("table", ["oracle", "verify", "--table", "{bad}",
+                               "--interactions", "{effects}"]),
+    "profile": ("effects", ["profile", "--in", "{bad_dir}", "--out", "{out}.csv"]),
+    "similarity": ("effects", ["similarity", "--train", "{isets}", "--test", "{bad_dir}",
+                               "--out", "{out}.csv"]),
+    "compare": ("effects", ["compare", "--a", "{bad_dir}", "--b", "{isets}",
+                            "--out", "{out}.csv"]),
+    "diagnose-effects": ("effects", ["diagnose", "--table", "{table}",
+                                     "--interactions", "{bad}"]),
+    "verify-effects": ("effects", ["oracle", "verify", "--table", "{table}",
+                                   "--interactions", "{bad}"]),
+}
+# The JSON types each field must have (a bool is no number); the fields a
+# document cannot do without.
+FIELD_TYPES = {"n": (int,), "values": (list,), "bias": (int, float), "and": (list,),
+               "or": (list,), "label": (str,), "mask": (int,), "value": (int, float)}
+REQUIRED = {"table": ("n", "values"), "effects": ("n", "bias", "and", "or")}
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.lists(st.integers(), max_size=2), st.just({}))
+
+
+@st.composite
+def broken_document(draw, kind, doc):
+    """The text of ``doc`` truncated, with a required key deleted, or with
+    one field (or one list element) of the wrong JSON type."""
+    how = draw(st.sampled_from(["truncate", "delete", "retype"]))
+    if how == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(json.dumps(doc))
+    lists = ["values"] if kind == "table" else ["and", "or"]
+    if how == "delete":
+        # a required key, or the mask or value of one effect entry
+        target = draw(st.sampled_from(
+            [None, *(k for k in lists if kind == "effects" and doc[k])]))
+        if target is None:
+            del doc[draw(st.sampled_from(REQUIRED[kind]))]
+        else:
+            del doc[target][draw(st.integers(0, len(doc[target]) - 1))][
+                draw(st.sampled_from(["mask", "value"]))]
+        return json.dumps(doc)
+    key = draw(st.sampled_from([*REQUIRED[kind], "label"]))
+    if key in lists and doc[key] and draw(st.booleans()):
+        # one element of the list: a number, or an entry's mask or value
+        j = draw(st.integers(0, len(doc[key]) - 1))
+        holder, key = (doc[key], j) if kind == "table" else \
+            (doc[key][j], draw(st.sampled_from(["mask", "value"])))
+        allowed = FIELD_TYPES["value" if kind == "table" else key]
+    else:
+        holder, allowed = doc, FIELD_TYPES[key]
+    holder[key] = draw(JSON_VALUES.filter(lambda x: type(x) not in allowed))
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def intact_inputs(tmp_path_factory):
+    """Two n = 3 tables and their all-AND effect files."""
+    root = tmp_path_factory.mktemp("intact")
+    assert run("synth", "--out", root / "tabs", "--n", "3", "--samples", "2", "--m", "3",
+               "--orders", "2:1.0", "--seed", "4") == 0
+    assert run("extract", "--in", root / "tabs", "--out", root / "isets",
+               "--mode", "all-and") == 0
+    return root
+
+
+@pytest.mark.parametrize("case", BROKEN_INPUT_COMMANDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_broken_files_exit_2_with_one_error_line(intact_inputs, case, data):
+    kind, argv = BROKEN_INPUT_COMMANDS[case]
+    root = intact_inputs
+    intact = {"table": root / "tabs" / "table_0000.json",
+              "effects": root / "isets" / "sample_0000.json"}
+    text = data.draw(broken_document(kind, json.loads(intact[kind].read_text())))
+    with tempfile.TemporaryDirectory(dir=root) as scratch:
+        bad_dir = Path(scratch) / "bad"
+        bad_dir.mkdir()
+        (bad_dir / "a.json").write_bytes(intact[kind].read_bytes())
+        (bad_dir / "b.json").write_text(text)
+        args = [a.format(bad=bad_dir / "b.json", bad_dir=bad_dir, out=Path(scratch) / "out",
+                         table=intact["table"], effects=intact["effects"],
+                         isets=root / "isets") for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(args)
+    assert rc == 2, text
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _two_nets_tables(root, seed, samples=4, n=8):
+    """Tables of the paper's experiment under root/a and root/b: a TinyNet and
+    a copy whose first-layer weights are drawn afresh, scoring the same
+    ``samples`` inputs drawn from ``seed`` against a zero baseline."""
+    widths = [n, 32, 32, 2]
+    net_a = TinyNet.random(widths, rng_seed=2502)
+    first = TinyNet.random(widths, rng_seed=2503).weights[0]
+    net_b = TinyNet([first, *net_a.weights[1:]], list(net_a.biases))
+    x = np.random.default_rng(seed).normal(size=(samples, n))
+    for pop, net in (("a", net_a), ("b", net_b)):
+        (root / pop).mkdir(parents=True)
+        for i in range(samples):
+            v = net_value_table(net, MaskingScheme(x[i], np.zeros(n)), label=f"sample_{i:04d}")
+            aio.write_table(v, root / pop / f"table_{i:04d}.json")
+
+
+@pytest.mark.parametrize("table", ["game_0", "game_1", "game_2", "net_denoised"])
+def test_sparsify_files_hold_only_the_lp_support(tmp_path, table):
+    """Criterion-4 games (n = 10, no denoising) and a denoised n = 8 net table:
+    every written effect lies on the LP vertex's support."""
+    tabs = tmp_path / "tabs"
+    if table == "net_denoised":
+        _two_nets_tables(tmp_path / "nets", seed=3, samples=1)
+        tabs = tmp_path / "nets" / "a"
+        v = aio.read_table(tabs / "table_0000.json")
+    else:
+        v = recovery_game(int(table[-1]))[1]
+        tabs.mkdir()
+        aio.write_table(v, tabs / "table_0000.json")
+    denoise = table == "net_denoised"
+    isets = tmp_path / "isets"
+    assert run("extract", "--in", tabs, "--out", isets,
+               *([] if denoise else ["--no-denoise"])) == 0
+    assert json.loads((isets / "batch.json").read_text())["solver"] == {v.label: "lp"}
+    doc = json.loads((isets / f"{v.label}.json").read_text())
+    support = _best_iterate(v, SparsifyConfig(denoise=denoise), _lp_sparsify)[4]
+    written = [{e["mask"] for e in doc[key]} for key in ("and", "or")]
+    assert all(w <= set(np.flatnonzero(row)) for w, row in zip(written, support))
+    assert 0 < sum(map(len, written)) <= support.sum() < 300
+    if not denoise:
+        assert run("oracle", "verify", "--table", tabs / "table_0000.json",
+                   "--interactions", isets / f"{v.label}.json") == 0
+
+
+def test_cross_net_similarity_is_zero_where_only_dust_overlapped(tmp_path):
+    """Seed 3 of the two-nets experiment: no order-7 effect of net a meets one
+    of net b. Rounding dust in the written effects made order 7 read 1.86e-14."""
+    _two_nets_tables(tmp_path, seed=3)
+    for pop in ("a", "b"):
+        assert run("extract", "--in", tmp_path / pop, "--out", tmp_path / f"isets_{pop}") == 0
+    out = tmp_path / "similarity.csv"
+    assert run("similarity", "--train", tmp_path / "isets_a", "--test", tmp_path / "isets_b",
+               "--out", out) == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert rows["7"] == "0.0"
+    assert 0.0 < float(rows["0"]) < 1.0

@@ -210,7 +210,7 @@ def test_lp_reaches_at_most_the_huber_loss(n, denoise):
     rng = np.random.default_rng(30 + n)
     v = ValueTable(n=n, values=rng.normal(size=1 << n))
     cfg = SparsifyConfig(denoise=denoise)
-    gamma, delta, loss, hist = _best_iterate(v, cfg, _lp_sparsify)
+    gamma, delta, loss, hist, _ = _best_iterate(v, cfg, _lp_sparsify)
     huber_loss = _best_iterate(v, cfg, _smoothed_sparsify)[2]
     assert loss <= huber_loss * (1 + 1e-12)
     assert loss < hist[0]
@@ -225,12 +225,29 @@ def test_dense_n10_falls_back_to_huber_bit_identically(denoise):
     rng = np.random.default_rng(40)
     v = ValueTable(n=10, values=rng.normal(size=1 << 10))
     cfg = SparsifyConfig(max_iters=50, denoise=denoise)
-    d, _, hist = sparsify(v, cfg)
-    gamma, delta, _, huber_hist = _best_iterate(v, cfg, _smoothed_sparsify)
+    d, iset, hist = sparsify(v, cfg)
+    gamma, delta, _, huber_hist, support = _best_iterate(v, cfg, _smoothed_sparsify)
     assert d.solver == "huber"
     np.testing.assert_array_equal(d.gamma, gamma)
     np.testing.assert_array_equal(d.delta, delta)
     assert hist == huber_hist
+    # the Huber effects are extract's, unmasked
+    assert support is None
+    ref = extract(v, d)
+    np.testing.assert_array_equal(iset.i_and, ref.i_and)
+    np.testing.assert_array_equal(iset.i_or, ref.i_or)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+def test_lp_effects_are_extract_on_the_support_and_zero_off_it(random_table, denoise):
+    cfg = SparsifyConfig(denoise=denoise)
+    d, iset, _ = sparsify(random_table, cfg)
+    support = _best_iterate(random_table, cfg, _lp_sparsify)[4]
+    assert d.solver == "lp" and not support[:, 0].any()
+    ref = extract(random_table, d)
+    np.testing.assert_array_equal(np.stack([iset.i_and, iset.i_or]),
+                                  np.where(support, np.stack([ref.i_and, ref.i_or]), 0.0))
+    assert iset.bias == ref.bias
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
