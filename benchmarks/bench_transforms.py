@@ -12,17 +12,20 @@ Each of these figures is the best of several repeats.
 The solver rows time one solve per table, with and without denoising, on a
 random normal table, a net table and a sparse game of the criterion-4 kind
 (15 order-3 effects on an antichain) at n = 8, 9 and 10. Each row times the
-LP without a pivot budget and prints how many pivots it needed, times the
-Huber continuation, and times ``sparsify`` itself and names the path that
-finished it ("lp", or "huber" when the LP exhausted its budget), with the L1
-of the LP and of Huber. ``extraction.LP_MAX_N`` and the 2**(n-1) pivot
+LP without a pivot budget and prints how many pivots it needed, times
+``sparsify`` on the Huber path (as it runs above ``LP_MAX_N``), and times
+``sparsify`` itself and names the path that finished it ("lp", or "huber"
+when the LP exhausted its budget), with the L1 of the LP and of the Huber
+path. ``extraction.LP_MAX_N`` and the 2**(n-1) pivot
 budget at n = ``LP_MAX_N`` are set from these rows: at n = 10 the
 sparse games needed a few hundred pivots and the LP beat Huber on them,
 while the dense tables needed thousands and their LP was no faster on most
 of them. At n = 11 (measured once, not a row here: one net table, no
 denoising) the LP needed 10176 pivots and 7.5 s against 1.0 s for Huber.
 Set OPENBLAS_NUM_THREADS=1 to time the solvers on one BLAS thread. The
-n = 10 rows take about half a minute.
+n = 10 rows take about half a minute. ``tests/test_bench_transforms.py``
+runs the kernel and objective rows as a smoke test; the solver rows are
+run by hand.
 """
 
 import sys
@@ -30,10 +33,10 @@ import time
 
 import numpy as np
 
-from andor._kernels import diff_transform, sum_transform
-from andor.extraction import (LP_MAX_N, SparsifyConfig, _best_iterate,
-                              _loss_grad, _lp_matrix, _lp_solve,
-                              _objective_base, _smoothed_sparsify, sparsify)
+from andor import extraction
+from andor.extraction import (LP_MAX_N, SparsifyConfig, _loss_grad, _lp_matrix,
+                              _lp_solve, _objective_base, sparsify)
+from andor.lattice import _diff_transform, _sum_transform
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
 
@@ -54,7 +57,7 @@ def repeats_for(n):
 
 def kernels(max_n, rng):
     columns = [(f"{name}/{shape}", kernel, rows)
-               for name, kernel in (("diff", diff_transform), ("sum", sum_transform))
+               for name, kernel in (("diff", _diff_transform), ("sum", _sum_transform))
                for shape, rows in (("1d", None), ("2xN", 2))]
     print(f"{'n':>4} " + " ".join(f"{name:>12}" for name, _, _ in columns))
     for n in range(10, max_n + 1, 2):
@@ -84,6 +87,15 @@ def timed(fn):
     return time.perf_counter() - t0, out
 
 
+def huber_sparsify(v, cfg):
+    """sparsify on the Huber path, as it runs for tables above LP_MAX_N."""
+    saved, extraction.LP_MAX_N = extraction.LP_MAX_N, v.n - 1
+    try:
+        return sparsify(v, cfg)
+    finally:
+        extraction.LP_MAX_N = saved
+
+
 def solvers(rng):
     print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N}, "
           f"2**(n-1) pivots at n = {LP_MAX_N})")
@@ -105,12 +117,11 @@ def solvers(rng):
                 zeta = cfg.zeta_fraction * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
                 t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
-                t_hub, (_, _, l_hub, _, _) = timed(
-                    lambda: _best_iterate(v, cfg, _smoothed_sparsify))
+                t_hub, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, cfg))
                 t_sp, (d, _, _) = timed(lambda: sparsify(v, cfg))
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.nit:>7} "
                       f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {res.fun:>12.4f} "
-                      f"{l_hub:>12.4f}")
+                      f"{hub_hist[-1]:>12.4f}")
 
 
 def main():

@@ -2,8 +2,9 @@
 
 Every command is a pure function of its inputs and flags: outputs are
 byte-identical across re-runs with the same seed. Exit codes: 0 success,
-1 failed diagnose/axioms/oracle-verify verdict, 2 I/O-level failure (missing
-or empty inputs, parse errors, wrong JSON types, files of different n).
+1 failed diagnose/axioms/oracle-verify verdict, 2 input error (missing or
+empty inputs, parse errors, wrong JSON types, files of different n, or a
+flag value out of range: the library's ValueError, reported as one line).
 """
 
 import argparse
@@ -355,7 +356,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, ValueError) as e:
+        # a ValueError here is the library rejecting a flag's value
         sys.stderr.write(f"error: {e}\n")
         return IO_ERROR
 

@@ -27,13 +27,20 @@ picks its solver from the table size n:
   its adjoint, plus one batched difference transform each way when
   denoising.
 
+``sparsify`` runs the whole solve in one place: the even-split start, the
+solver choice, the best-iterate rule and its loss history, the all-AND
+fallback and the support mask (its docstring lists the steps). The solvers
+only return iterates: the LP its vertex, or None when the pivot budget runs
+out; the continuation one iterate per stage.
+
 On the LP path the written effects are those of ``extract`` on the solved
 (gamma, delta), except that every effect the LP's vertex holds at exactly
 zero is an exact 0.0. Recomputing the effects through gamma and two Mobius
 transforms leaves rounding dust of 1e-16 to 2e-11 in those slots, and masking
 them keeps an effect file to the LP's support (31-264 of 2046 entries on
-eight sparse n = 10 games, against 1124-1789 with the dust). The Huber path has no exact zeros to carry, and its
-effects, like those of the closed forms, are ``extract``'s unmasked.
+eight sparse n = 10 games, against 1124-1789 with the dust). The Huber path
+has no exact zeros to carry, and its effects, like those of the closed
+forms, are ``extract``'s unmasked.
 
 scipy is imported on the first solve, not with the module: only ``sparsify``
 needs it. ``minimize`` stays a module attribute (see ``__getattr__``).
@@ -68,6 +75,9 @@ LP_MAX_N = 10
 # An iterate replaces the best one only if its L1 is lower by this much,
 # relative.
 CONVERGENCE_EPS = 1e-9
+# Huber widths of the continuation's stages, as fractions of the table's
+# output scale, largest first.
+SMOOTHING_STAGES = (0.1, 0.01, 0.001)
 DEFAULT_SALIENCE_FRACTION = 0.02
 DEFAULT_ZETA_FRACTION = 0.02
 
@@ -88,10 +98,6 @@ def __getattr__(name):
 
 class NumericalError(RuntimeError):
     pass
-
-
-class _PivotBudgetExhausted(Exception):
-    """The LP needed more pivots than its budget; sparsify falls back to Huber."""
 
 
 @dataclass
@@ -173,14 +179,12 @@ class SparsifyConfig:
     max_iters: int = 2000
     zeta_fraction: float = DEFAULT_ZETA_FRACTION
     denoise: bool = True
-    # Huber widths as fractions of the table's output span, largest first.
-    smoothing_stages: tuple = (0.1, 0.01, 0.001)
 
     def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         if self.zeta_fraction < 0:
             raise ValueError("zeta_fraction must be nonnegative")
-        if any(s <= 0 for s in self.smoothing_stages):
-            raise ValueError("smoothing widths must be positive")
 
 
 def split_components(v: ValueTable, d: Decomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -270,25 +274,27 @@ def _loss_grad(x: np.ndarray, mu: float, base: np.ndarray, denoise: bool
 
 
 def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
-                       zeta: float, x: np.ndarray):
-    """Huber-smoothed L1 continuation from x; yields the iterate of each stage.
+                       zeta: float, x: np.ndarray) -> list[np.ndarray]:
+    """Huber-smoothed L1 continuation from x; returns the iterate of each stage.
 
     Variables are theta (gamma = zeta_subsets(theta), so the AND effects are
     base + theta exactly) and, when denoising, delta with box bounds. Each
-    stage shrinks the Huber width. Yields (x, None): a smoothed iterate holds
-    no effect at an exact zero.
+    stage of SMOOTHING_STAGES shrinks the Huber width and starts from the
+    previous stage's iterate.
     """
     minimize = sys.modules[__name__].minimize
     scale = max(v.gap(), float(np.max(np.abs(v.values))), 1e-12)
     m = v.values.size - 1
     bounds = [(None, None)] * m + [(-zeta, zeta)] * m if cfg.denoise else None
-    for stage in cfg.smoothing_stages:
+    iterates = []
+    for stage in SMOOTHING_STAGES:
         res = minimize(_loss_grad, x, args=(stage * scale, base, cfg.denoise),
                        jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": cfg.max_iters, "ftol": 1e-14,
                                 "gtol": 1e-12})
         x = res.x
-        yield x, None
+        iterates.append(x)
+    return iterates
 
 
 @lru_cache(maxsize=None)
@@ -339,121 +345,108 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
                    method="highs-ds", options=options)
 
 
-def _lp_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
-                 zeta: float, x: np.ndarray):
-    """The exact L1 minimum as one linear program; yields its one iterate.
+def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
+    """The exact L1 minimum as one linear program.
 
-    The iterate comes with its support: a (2, 2**n) bool array, True where
-    the vertex's effect p = p+ - p- (AND row) or q = q+ - q- (OR row) is
-    nonzero; the empty-set slots are False. At n = LP_MAX_N the solve gets
-    2**(n-1) pivots and raises _PivotBudgetExhausted when it needs more. The
-    start x is not needed: the dual simplex starts from its own basis.
+    Returns the vertex as (x, support): x packs theta[1:], then delta[1:]
+    when denoising; support is a (2, 2**n) bool array, True where the
+    vertex's effect p = p+ - p- (AND row) or q = q+ - q- (OR row) is nonzero,
+    with the empty-set slots False. At n = LP_MAX_N the dual simplex gets
+    2**(n-1) pivots, and None is returned when it needs more.
     """
-    budget = 2 ** (v.n - 1) if v.n == LP_MAX_N else None
-    res = _lp_solve(base, zeta, cfg.denoise, budget)
+    m = base.shape[-1] - 1
+    n = m.bit_length()
+    res = _lp_solve(base, zeta, denoise, 2 ** (n - 1) if n == LP_MAX_N else None)
     if res.status == 1:
-        raise _PivotBudgetExhausted
+        return None
     if res.status != 0:
         raise NumericalError(f"LP solve failed: {res.message}")
-    m = base.shape[-1] - 1
     delta = np.zeros(m + 1)
-    if cfg.denoise:
+    if denoise:
         # basic variables can overshoot their bounds by the solver's tolerance
         delta[1:] = np.clip(res.x[4 * m:], -zeta, zeta)
     theta = res.x[:m] - res.x[m:2 * m] - base[0, 1:] + 0.5 * mobius_and(delta)[1:]
     support = np.zeros((2, m + 1), dtype=bool)
     p_q = res.x[:4 * m].reshape(2, 2, m)      # rows (p+, p-), (q+, q-)
     support[:, 1:] = p_q[:, 0] != p_q[:, 1]
-    yield np.concatenate([theta, delta[1:]]) if cfg.denoise else theta, support
-
-
-def _best_iterate(v: ValueTable, cfg: SparsifyConfig, solver):
-    """Run a solver from the even-split start and keep its best iterate.
-
-    ``solver(v, cfg, base, zeta, x)`` yields (x, support): packed variables
-    (theta[1:], then delta[1:] when denoising) and the iterate's effect
-    support, or None when it has none. An iterate replaces the best one only
-    if its true L1 loss is lower by more than CONVERGENCE_EPS (relative),
-    which makes the recorded history non-increasing. With max_iters = 0 the
-    start is returned unsolved. Returns (gamma, delta, loss, history,
-    support), the support being the best iterate's (None for the start).
-    """
-    values = v.values
-    size = values.size
-    zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
-    theta_pin = 0.5 * values[0]
-    base = _objective_base(values)
-
-    # even-split start: gamma zero beyond the pin
-    pin_only = np.zeros(size)
-    pin_only[0] = theta_pin
-    x = mobius_and(pin_only)[1:]
-    if cfg.denoise:
-        x = np.concatenate([x, np.zeros(size - 1)])
-
-    best_x, best_support = x, None
-    best = _l1(x, base, cfg.denoise)
-    if not np.isfinite(best):
-        raise NumericalError("non-finite loss at initialization")
-    history = [best]
-    if cfg.max_iters > 0:
-        for x, support in solver(v, cfg, base, zeta, x):
-            loss = _l1(x, base, cfg.denoise)
-            if not np.isfinite(loss):
-                raise NumericalError("non-finite loss during continuation")
-            if loss < best - CONVERGENCE_EPS * max(1.0, abs(best)):
-                best, best_x, best_support = loss, x, support
-            history.append(best)
-
-    theta = np.empty(size)
-    theta[0] = theta_pin
-    theta[1:] = best_x[:size - 1]
-    delta = np.zeros(size)
-    if cfg.denoise:
-        delta[1:] = best_x[size - 1:]
-    return zeta_subsets(theta), delta, best, history, best_support
+    return np.concatenate([theta, delta[1:]]) if denoise else theta, support
 
 
 def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
              ) -> tuple[Decomposition, InteractionSet, list[float]]:
     """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
 
-    Solves the LP for n <= LP_MAX_N and runs the Huber continuation above,
-    or when the LP exhausts its pivot budget, starting from the even split;
-    the decomposition's ``solver`` names the one that ran. With max_iters = 0
-    the even-split start and its loss are returned unchanged. Otherwise, if
-    the all-AND closed form (always feasible) ends up below the final
-    iterate, it is returned instead.
+    The solve, in order:
 
-    The effects are ``extract(v, decomposition)``. When the LP's vertex is
-    returned, every effect it holds at exactly zero is set to 0.0, which
-    drops the transforms' rounding dust there; the effects on its support
-    keep extract's values, consistent with the clipped delta. Huber, even-
-    split and all-AND results are not masked. The loss history is the
-    unmasked L1.
+    1. Start from the even split (gamma zero beyond the empty-set pin,
+       delta = 0); its L1 opens the loss history. With max_iters = 0 the
+       start is returned unsolved.
+    2. For n <= LP_MAX_N, solve the LP; its vertex is the one iterate. For
+       n > LP_MAX_N, or when the LP exhausts its pivot budget, run the Huber
+       continuation from the start; each stage gives one iterate. The
+       decomposition's ``solver`` names the path, "lp" or "huber".
+    3. An iterate replaces the best one so far only if its L1 is lower by
+       more than CONVERGENCE_EPS (relative); the history records the best
+       L1 after each iterate, so it never increases.
+    4. If the all-AND closed form (always feasible) is below the best
+       iterate, it is returned instead and its L1 ends the history.
+    5. The effects are ``extract(v, decomposition)``. When the LP's vertex
+       is returned, every effect it holds at exactly zero is set to 0.0,
+       which drops the transforms' rounding dust there; the effects on its
+       support keep extract's values, consistent with the clipped delta.
+       Huber, even-split and all-AND results are not masked. The loss
+       history is the unmasked L1.
     """
     if cfg is None:
         cfg = SparsifyConfig()
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
+    values = v.values
+    size = values.size
+    zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
+    base = _objective_base(values)
+
+    # even-split start: gamma zero beyond the pin; x packs theta[1:], delta[1:]
+    pin_only = np.zeros(size)
+    pin_only[0] = 0.5 * values[0]
+    x = mobius_and(pin_only)[1:]
+    if cfg.denoise:
+        x = np.concatenate([x, np.zeros(size - 1)])
+    loss = _l1(x, base, cfg.denoise)
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite loss at initialization")
+    history, support = [loss], None
 
     solver = "lp" if v.n <= LP_MAX_N else "huber"
-    if solver == "lp":
-        try:
-            gamma, delta, loss, history, support = _best_iterate(v, cfg, _lp_sparsify)
-        except _PivotBudgetExhausted:
+    if cfg.max_iters > 0:
+        vertex = _lp_sparsify(base, zeta, cfg.denoise) if solver == "lp" else None
+        if vertex is None:
             solver = "huber"
-    if solver == "huber":
-        gamma, delta, loss, history, support = _best_iterate(v, cfg, _smoothed_sparsify)
+            iterates = [(it, None) for it in _smoothed_sparsify(v, cfg, base, zeta, x)]
+        else:
+            iterates = [vertex]
+        for it, it_support in iterates:
+            it_loss = _l1(it, base, cfg.denoise)
+            if not np.isfinite(it_loss):
+                raise NumericalError("non-finite loss during continuation")
+            if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
+                loss, x, support = it_loss, it, it_support
+            history.append(loss)
 
+    theta = np.empty(size)
+    theta[0] = pin_only[0]
+    theta[1:] = x[:size - 1]
+    gamma = zeta_subsets(theta)
+    delta = np.zeros(size)
+    if cfg.denoise:
+        delta[1:] = x[size - 1:]
     if cfg.max_iters > 0:
         alland = all_and_decomposition(v)
         alland_loss = extract(v, alland).total_l1()
         if alland_loss < loss:
-            gamma, delta, loss, support = alland.gamma, alland.delta, alland_loss, None
-            history.append(loss)
+            gamma, delta, support = alland.gamma, alland.delta, None
+            history.append(alland_loss)
 
-    zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
     decomposition = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta,
                                   solver=solver)
     iset = extract(v, decomposition)

@@ -2,14 +2,15 @@
 
 Subsets of N = {1..n} are bitmasks: bit i-1 set <=> variable i in S, index 0
 is the empty set. A lattice vector is a float64 array of length 2**n indexed
-by bitmask. All transforms are pure: they copy their input and run the
-in-place kernel on the copy. Each transform also takes a ``(k, 2**n)``
-stack of lattice vectors and transforms every row, in one kernel call.
+by bitmask. All transforms are pure: they copy their input and run an
+in-place butterfly kernel (``_diff_transform`` or ``_sum_transform``) on the
+copy. Each transform also takes a ``(k, 2**n)`` stack of lattice vectors and
+transforms every row in one kernel call; every row gets the same operations
+in the same order as a 1-D call, so batched rows are bit-identical to
+transforming each row alone.
 """
 
 import numpy as np
-
-from ._kernels import diff_transform, sum_transform
 
 MAX_N = 24
 
@@ -19,6 +20,9 @@ class LatticeSizeError(ValueError):
 
 
 def table_size(n: int) -> int:
+    """2**n, for 0 <= n <= MAX_N; checked before anything allocates a table."""
+    if not 0 <= n <= MAX_N:
+        raise LatticeSizeError(f"n={n} is outside 0..{MAX_N}")
     return 1 << n
 
 
@@ -55,8 +59,33 @@ def _as_rows(values) -> np.ndarray:
 
 def order_counts(n: int) -> np.ndarray:
     """Population count (subset order) per bitmask index, as uint8."""
-    idx = np.arange(1 << n, dtype=np.uint32)
+    idx = np.arange(table_size(n), dtype=np.uint32)
     return np.bitwise_count(idx).astype(np.uint8)
+
+
+def _levels(a: np.ndarray):
+    """Yield the (lower, upper) half-block views of each butterfly level."""
+    if not a.flags.c_contiguous:
+        raise ValueError("subset kernels need a C-contiguous array")
+    n = a.shape[-1].bit_length() - 1
+    for i in range(n):
+        half = 1 << i
+        blocks = a.reshape(-1, half << 1)
+        yield blocks[:, :half], blocks[:, half:]
+
+
+def _diff_transform(a: np.ndarray) -> np.ndarray:
+    """In place: a[T] = sum_{L subset of T} (-1)^(|T|-|L|) a_in[L]."""
+    for lower, upper in _levels(a):
+        upper -= lower
+    return a
+
+
+def _sum_transform(a: np.ndarray) -> np.ndarray:
+    """In place: a[S] = sum_{T subset of S} a_in[T]."""
+    for lower, upper in _levels(a):
+        upper += lower
+    return a
 
 
 def mobius_and(u) -> np.ndarray:
@@ -65,7 +94,7 @@ def mobius_and(u) -> np.ndarray:
     O(n * 2**n) dimension-by-dimension difference transform.
     """
     out = _as_rows(u).copy()
-    return diff_transform(out)
+    return _diff_transform(out)
 
 
 def mobius_or(u) -> np.ndarray:
@@ -74,7 +103,7 @@ def mobius_or(u) -> np.ndarray:
     Complement reindexing is a reversal: (2**n - 1) ^ L == 2**n - 1 - L.
     """
     out = _as_rows(u)[..., ::-1].copy()
-    diff_transform(out)
+    _diff_transform(out)
     np.negative(out, out=out)
     return out
 
@@ -82,13 +111,13 @@ def mobius_or(u) -> np.ndarray:
 def zeta_subsets(i) -> np.ndarray:
     """Subset aggregation: g[S] = sum_{T subset S} I[T]; inverse of mobius_and."""
     out = _as_rows(i).copy()
-    return sum_transform(out)
+    return _sum_transform(out)
 
 
 def zeta_supersets(g) -> np.ndarray:
     """Superset aggregation: out[T] = sum_{S superset T} g[S]; adjoint of zeta_subsets."""
     out = _as_rows(g)[..., ::-1].copy()
-    sum_transform(out)
+    _sum_transform(out)
     return out[..., ::-1].copy()
 
 
@@ -98,7 +127,7 @@ def mobius_and_transpose(s) -> np.ndarray:
     Realized as reverse -> difference transform -> reverse.
     """
     out = _as_rows(s)[..., ::-1].copy()
-    diff_transform(out)
+    _diff_transform(out)
     return out[..., ::-1].copy()
 
 

@@ -58,6 +58,8 @@ def order_profile(iset: InteractionSet, tau: float = 0.0) -> OrderProfile:
     one) are counted. The empty set is excluded: the bias is not an
     interaction.
     """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
     orders = order_counts(iset.n)
     j_pos = np.zeros(iset.n)
     j_neg = np.zeros(iset.n)

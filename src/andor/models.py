@@ -90,14 +90,6 @@ class MaskingScheme:
         return keep * self.sample[None, :] + (1.0 - keep) * self.baseline[None, :]
 
 
-def mean_baseline(samples) -> np.ndarray:
-    """Per-variable mean over samples, the usual baseline choice."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("samples must be a 2-d array (sample, variable)")
-    return arr.mean(axis=0)
-
-
 @dataclass
 class TinyNet:
     """Minimal dense feed-forward net with ReLU hidden layers and a 2-class head."""

@@ -26,7 +26,7 @@ from andor.oracle import brute_and, brute_or, verify_matching
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warmup_kernels():
+def warmup():
     """Run each timed code path once, warming per-n caches, before any timed region."""
     u = np.arange(16, dtype=np.float64)
     brute_and(u)
@@ -74,8 +74,7 @@ def test_criterion_1_universal_matching():
             decs = [all_and_decomposition(v), even_split_decomposition(v)]
             if i < 5:  # sparsified modes, with and without denoising
                 for denoise in (True, False):
-                    cfg = SparsifyConfig(max_iters=20, smoothing_stages=(0.1,),
-                                         denoise=denoise)
+                    cfg = SparsifyConfig(max_iters=7, denoise=denoise)
                     d, _, _ = sparsify(v, cfg)
                     decs.append(d)
             for d in decs:

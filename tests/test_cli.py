@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import andor
 from andor import io as aio
 from andor.cli import build_parser, main
-from andor.extraction import SparsifyConfig, _best_iterate, _lp_sparsify
 from andor.metrics import order_profile
 from andor.models import MaskingScheme, TinyNet, ValueTable, net_value_table
 from test_acceptance import recovery_game
+from test_extraction import lp_vertex
 
 GOLDEN = Path(__file__).parent / "golden"
 # Labels extract must refuse, by test id: reserved output names, or paths.
@@ -199,11 +199,32 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     ("compare", "--a", "{isets}", "--b", "{mixed}/isets", "--out", "{mixed}/c.csv"),
     ("compare", "--a", "{isets}", "--b", "{wide}/isets", "--out", "{mixed}/c.csv"),
     ("compare", "--a", "{isets}", "--b", "{mixed}/other", "--out", "{mixed}/c.csv"),
+    # flag values the library rejects
+    ("diagnose", "--table", "{tabs}/table_0000.json",
+     "--interactions", "{isets}/sample_0000.json", "--max-order", "9"),
+    ("extract", "--in", "{tabs}", "--out", "{mixed}/out", "--zeta-fraction", "-1"),
+    ("extract", "--in", "{tabs}", "--out", "{mixed}/out", "--max-iters", "-1"),
+    ("profile", "--in", "{isets}", "--out", "{mixed}/p.csv", "--tau-absolute", "-1"),
+    ("similarity", "--train", "{isets}", "--test", "{isets}", "--out", "{mixed}/s.csv",
+     "--tau-absolute", "-1"),
+    ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{mixed}/c.csv",
+     "--tau-absolute", "-1"),
+    ("axioms", "--n", "9"),
+    ("axioms", "--trials", "0"),
+    *(("synth", "--out", "{mixed}/synth", "--n", n, *flags) for n, flags in (
+        ("4", ("--m", "500")), ("4", ("--orders", "7:1")),
+        ("4", ("--interaction", "and", "--mask", "99")), ("4", ("--effect-range", "-1")),
+        ("4", ("--overfit-fraction", "2")), ("25", ()), ("25", ("--interaction", "or")))),
 ], ids=["verify-without-interactions", "verify-missing-table",
         "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
         *(f"extract-label-{name}" for name in BAD_LABELS),
         "extract-mixed-n", "profile-mixed-n", "similarity-mixed-n", "compare-mixed-n-dir",
-        "compare-mixed-n-across", "compare-no-shared-label"])
+        "compare-mixed-n-across", "compare-no-shared-label",
+        "diagnose-max-order", "extract-zeta-fraction", "extract-max-iters",
+        "profile-negative-tau", "similarity-negative-tau", "compare-negative-tau",
+        "axioms-n", "axioms-trials", "synth-m", "synth-orders", "synth-mask",
+        "synth-effect-range", "synth-overfit-fraction", "synth-n-above-max",
+        "synth-interaction-n-above-max"])
 def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     tmp_path, tabs, isets = pipeline
     wide = tmp_path / "wide"
@@ -302,7 +323,7 @@ def test_huber_stage_calls_the_bound_minimize(monkeypatch):
     v = ValueTable(n=11, values=np.random.default_rng(3).normal(size=1 << 11))
     cfg = extraction.SparsifyConfig(max_iters=3, denoise=False)
     assert extraction.sparsify(v, cfg)[0].solver == "huber"
-    assert len(calls) == len(cfg.smoothing_stages)
+    assert len(calls) == len(extraction.SMOOTHING_STAGES)
     with pytest.raises(AttributeError):
         extraction.linprog
 
@@ -438,7 +459,7 @@ def test_sparsify_files_hold_only_the_lp_support(tmp_path, table):
                *([] if denoise else ["--no-denoise"])) == 0
     assert json.loads((isets / "batch.json").read_text())["solver"] == {v.label: "lp"}
     doc = json.loads((isets / f"{v.label}.json").read_text())
-    support = _best_iterate(v, SparsifyConfig(denoise=denoise), _lp_sparsify)[4]
+    support = lp_vertex(v, denoise)[1]
     written = [{e["mask"] for e in doc[key]} for key in ("and", "or")]
     assert all(w <= set(np.flatnonzero(row)) for w, row in zip(written, support))
     assert 0 < sum(map(len, written)) <= support.sum() < 300

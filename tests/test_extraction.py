@@ -1,18 +1,33 @@
 import numpy as np
 import pytest
 
-from andor.extraction import (Decomposition, SparsifyConfig, _best_iterate,
-                              _loss_grad, _lp_matrix, _lp_sparsify,
-                              _objective_base, _smoothed_sparsify,
-                              _theta_effects, all_and_decomposition,
-                              even_split_decomposition, extract, filter_salient,
-                              salience_threshold, sparsify, split_components)
+from andor import extraction
+from andor.extraction import (SparsifyConfig, _loss_grad, _lp_matrix,
+                              _lp_sparsify, _objective_base, _theta_effects,
+                              all_and_decomposition, even_split_decomposition,
+                              extract, filter_salient, salience_threshold,
+                              sparsify, split_components)
 from andor.lattice import (mobius_and, mobius_and_transpose, mobius_or,
                            zeta_subsets)
 from andor.models import (ValueTable, interaction_function_table, realize_table,
                           sample_sparse_game)
 from andor.oracle import brute_and, brute_or
 from test_acceptance import recovery_game
+
+
+def lp_vertex(v, denoise):
+    """_lp_sparsify's (x, support) for v, or None when its budget runs out."""
+    zeta = SparsifyConfig().zeta_fraction * v.gap() if denoise else 0.0
+    return _lp_sparsify(_objective_base(v.values), zeta, denoise)
+
+
+def huber_sparsify(monkeypatch, v, cfg):
+    """sparsify on the Huber path, as it runs for tables above LP_MAX_N."""
+    with monkeypatch.context() as patch:
+        patch.setattr(extraction, "LP_MAX_N", v.n - 1)
+        result = sparsify(v, cfg)
+    assert result[0].solver == "huber"
+    return result
 
 
 @pytest.fixture
@@ -206,33 +221,33 @@ def test_lp_matrix_matches_theta_effects(n, denoise):
 
 @pytest.mark.parametrize("denoise", [False, True])
 @pytest.mark.parametrize("n", range(4, 8))
-def test_lp_reaches_at_most_the_huber_loss(n, denoise):
+def test_lp_reaches_at_most_the_huber_loss(monkeypatch, n, denoise):
     rng = np.random.default_rng(30 + n)
     v = ValueTable(n=n, values=rng.normal(size=1 << n))
     cfg = SparsifyConfig(denoise=denoise)
-    gamma, delta, loss, hist, _ = _best_iterate(v, cfg, _lp_sparsify)
-    huber_loss = _best_iterate(v, cfg, _smoothed_sparsify)[2]
+    d, _, hist = sparsify(v, cfg)
+    loss = hist[-1]
+    huber_loss = huber_sparsify(monkeypatch, v, cfg)[2][-1]
+    assert d.solver == "lp"
     assert loss <= huber_loss * (1 + 1e-12)
     assert loss < hist[0]
-    zeta = cfg.zeta_fraction * v.gap() if denoise else 0.0
-    d = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta)
     d.validate(v)
     assert extract(v, d).total_l1() == pytest.approx(loss, rel=1e-12)
 
 
 @pytest.mark.parametrize("denoise", [False, True])
-def test_dense_n10_falls_back_to_huber_bit_identically(denoise):
+def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, denoise):
     rng = np.random.default_rng(40)
     v = ValueTable(n=10, values=rng.normal(size=1 << 10))
     cfg = SparsifyConfig(max_iters=50, denoise=denoise)
+    assert lp_vertex(v, denoise) is None        # the pivot budget runs out
     d, iset, hist = sparsify(v, cfg)
-    gamma, delta, _, huber_hist, support = _best_iterate(v, cfg, _smoothed_sparsify)
+    huber_d, _, huber_hist = huber_sparsify(monkeypatch, v, cfg)
     assert d.solver == "huber"
-    np.testing.assert_array_equal(d.gamma, gamma)
-    np.testing.assert_array_equal(d.delta, delta)
+    np.testing.assert_array_equal(d.gamma, huber_d.gamma)
+    np.testing.assert_array_equal(d.delta, huber_d.delta)
     assert hist == huber_hist
     # the Huber effects are extract's, unmasked
-    assert support is None
     ref = extract(v, d)
     np.testing.assert_array_equal(iset.i_and, ref.i_and)
     np.testing.assert_array_equal(iset.i_or, ref.i_or)
@@ -242,7 +257,7 @@ def test_dense_n10_falls_back_to_huber_bit_identically(denoise):
 def test_lp_effects_are_extract_on_the_support_and_zero_off_it(random_table, denoise):
     cfg = SparsifyConfig(denoise=denoise)
     d, iset, _ = sparsify(random_table, cfg)
-    support = _best_iterate(random_table, cfg, _lp_sparsify)[4]
+    support = lp_vertex(random_table, denoise)[1]
     assert d.solver == "lp" and not support[:, 0].any()
     ref = extract(random_table, d)
     np.testing.assert_array_equal(np.stack([iset.i_and, iset.i_or]),
@@ -251,12 +266,18 @@ def test_lp_effects_are_extract_on_the_support_and_zero_off_it(random_table, den
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_criterion_4_games_solve_exactly_on_the_lp(seed):
+def test_criterion_4_games_solve_exactly_on_the_lp(monkeypatch, seed):
     _, v, _ = recovery_game(seed)
     cfg = SparsifyConfig(denoise=False)
     d, iset, _ = sparsify(v, cfg)
     assert d.solver == "lp"
-    assert iset.total_l1() <= _best_iterate(v, cfg, _smoothed_sparsify)[2] * (1 + 1e-12)
+    assert iset.total_l1() <= huber_sparsify(monkeypatch, v, cfg)[2][-1] * (1 + 1e-12)
+
+
+def test_sparsify_config_rejects_negative_values():
+    for kwargs in ({"max_iters": -1}, {"zeta_fraction": -0.1}):
+        with pytest.raises(ValueError):
+            SparsifyConfig(**kwargs)
 
 
 def test_sparsify_size_cap():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andor._kernels import diff_transform, sum_transform
-from andor.lattice import (LatticeSizeError, infer_n, mobius_and,
+from andor.lattice import (LatticeSizeError, MAX_N, _diff_transform,
+                           _sum_transform, infer_n, mobius_and,
                            mobius_and_transpose, mobius_or, order_counts,
                            permute_variables, table_size, zeta_subsets,
                            zeta_supersets)
@@ -27,6 +27,15 @@ def test_infer_n_rejects_non_power_of_two():
 
 def test_order_counts_small():
     assert order_counts(3).tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+
+
+def test_table_size_rejects_n_outside_the_cap():
+    assert table_size(MAX_N) == 1 << MAX_N
+    for n in (-1, MAX_N + 1):
+        with pytest.raises(LatticeSizeError):
+            table_size(n)
+        with pytest.raises(LatticeSizeError):
+            order_counts(n)
 
 
 def test_mobius_and_hand_example():
@@ -85,7 +94,7 @@ def test_zeta_supersets_is_the_adjoint(u):
 @pytest.mark.parametrize("n", [0, 1, 3, 8, 11])
 def test_kernel_rows_bit_identical_to_1d(n):
     rows = np.random.default_rng(n).normal(size=(3, 1 << n))
-    for kernel in (diff_transform, sum_transform):
+    for kernel in (_diff_transform, _sum_transform):
         batched = kernel(rows.copy())
         for row, out in zip(rows, batched):
             assert np.array_equal(kernel(row.copy()), out)
@@ -98,7 +107,7 @@ def test_kernel_rows_bit_identical_to_1d(n):
 
 def test_kernels_reject_strided_input():
     with pytest.raises(ValueError):
-        sum_transform(np.zeros((2, 8))[:, ::2])
+        _sum_transform(np.zeros((2, 8))[:, ::2])
 
 
 def test_transforms_reject_bad_stacks():

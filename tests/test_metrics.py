@@ -33,6 +33,8 @@ def test_order_profile_salience_filter():
     p = order_profile(iset(5, {0b00011: 2.0, 0b00101: 0.1}), tau=0.5)
     assert p.salient_count == 1
     assert p.total_strength() == pytest.approx(2.0)
+    with pytest.raises(ValueError):
+        order_profile(iset(5), tau=-1.0)
 
 
 def test_profile_total_equals_l1():

@@ -4,8 +4,7 @@ import pytest
 from andor.lattice import mobius_and, mobius_or, order_counts
 from andor.models import (GroundTruthGame, MaskingScheme, TinyNet, ValueTable,
                           inject_overfit, interaction_function_table,
-                          mean_baseline, net_value_table, realize_table,
-                          sample_sparse_game)
+                          net_value_table, realize_table, sample_sparse_game)
 
 
 def test_value_table_validates_length():
@@ -36,11 +35,6 @@ def test_masked_inputs_corners():
     np.testing.assert_array_equal(grid[0], [-1.0, -2.0])
     np.testing.assert_array_equal(grid[3], [1.0, 2.0])
     np.testing.assert_array_equal(grid[1], [1.0, -2.0])
-
-
-def test_mean_baseline():
-    np.testing.assert_array_equal(
-        mean_baseline([[0.0, 2.0], [2.0, 4.0]]), [1.0, 3.0])
 
 
 def test_interaction_function_tables():
