@@ -13,7 +13,7 @@ import numpy as np
 
 from .extraction import InteractionSet
 from .lattice import mobius_and, order_counts, permute_variables, table_size
-from .metrics import UNDEFINED, OrderProfile, average_order, is_undefined, order_profile
+from .metrics import UNDEFINED, average_order, is_undefined, order_profile
 from .models import ValueTable, interaction_function_table
 from .oracle import conditioned_and
 
@@ -38,7 +38,6 @@ class SampleReport:
     eta_avg: float
     salient_count: int
     total_l1: float
-    profile: OrderProfile
     confusing: bool
 
 
@@ -50,7 +49,6 @@ def sample_report(iset: InteractionSet, tau: float, theta: float) -> SampleRepor
         eta_avg=eta,
         salient_count=profile.salient_count,
         total_l1=profile.total_strength(),
-        profile=profile,
         confusing=(not is_undefined(eta)) and eta >= theta,
     )
 
@@ -180,8 +178,8 @@ def _condition3_min_p(u_bar: np.ndarray) -> float:
 
 
 def kappa_fit(salient_count: int, tau: float, n: int) -> float:
-    """Exponent kappa with salient_count * tau = n^kappa."""
-    if salient_count <= 0 or tau <= 0:
+    """Exponent kappa with salient_count * tau = n^kappa; UNDEFINED for n < 2."""
+    if salient_count <= 0 or tau <= 0 or n < 2:
         return UNDEFINED
     return math.log(salient_count * tau) / math.log(n)
 
@@ -190,8 +188,7 @@ def sparsity_diagnostics(v: ValueTable, iset: InteractionSet, tau: float,
                          max_order: int) -> SparsityDiagnostic:
     if max_order > v.n:
         raise ValueError(f"max_order {max_order} exceeds n={v.n}")
-    salient = np.abs(np.stack([iset.i_and, iset.i_or])) > tau
-    salient[:, 0] = False
+    salient = iset.salient(tau)
     count = int(salient.sum())
     salient_orders = order_counts(v.n)[salient.any(axis=0)]
     max_sal = int(salient_orders.max()) if salient_orders.size else 0

@@ -3,8 +3,8 @@
 Every command is a pure function of its inputs and flags: outputs are
 byte-identical across re-runs with the same seed. Exit codes: 0 success,
 1 failed diagnose/axioms/oracle-verify verdict, 2 input error (missing or
-empty inputs, parse errors, wrong JSON types, files of different n, or a
-flag value out of range: the library's ValueError, reported as one line).
+empty inputs, parse errors, wrong JSON types, mixed n, non-finite effects,
+or a flag value out of range: the library's ValueError, as one line).
 """
 
 import argparse
@@ -20,15 +20,15 @@ from .analysis import (axiom_suite, compare_models, default_theta, sample_report
                        sparsity_diagnostics)
 from .extraction import (DEFAULT_SALIENCE_FRACTION, DEFAULT_ZETA_FRACTION, LP_MAX_N,
                          SparsifyConfig, all_and_decomposition,
-                         even_split_decomposition, extract, filter_salient,
-                         salience_threshold, sparsify)
+                         even_split_decomposition, extract, salience_threshold,
+                         sparsify)
 from .metrics import is_undefined, order_profile, per_order_jaccard
-from .models import (GroundTruthGame, inject_overfit, interaction_function_table,
-                     realize_table, sample_sparse_game)
+from .models import (inject_overfit, interaction_function_table, realize_table,
+                     sample_sparse_game)
 from .oracle import brute_and, brute_or, verify_matching
 
 IO_ERROR = 2
-TAU_HELP = "count only effects with |effect| > tau (default 0: every nonzero one)"
+TAU_HELP = "count only effects with |effect| above tau (default 0: every nonzero one)"
 # Output names that are not samples' effect files.
 RESERVED_NAMES = ("batch", "ground_truth")
 
@@ -117,12 +117,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _batch_tau(tables, args) -> float:
-    if args.tau_absolute is not None:
-        return args.tau_absolute
-    return salience_threshold(tables, args.tau_fraction)
-
-
 def cmd_extract(args) -> int:
     tables, = _load_dirs(aio.read_table, args.input)
     names = [v.label or "table" for v in tables]
@@ -137,7 +131,6 @@ def cmd_extract(args) -> int:
                        "name reserved files or leave the output directory")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tau = _batch_tau(tables, args)
 
     histories, solvers = {}, {}
     for v, name in zip(tables, names):
@@ -153,12 +146,10 @@ def cmd_extract(args) -> int:
                                  denoise=not args.no_denoise)
             d, iset, hist = sparsify(v, cfg)
             solvers[v.label] = d.solver
-        if args.salient_only:
-            iset = filter_salient(iset, tau)
         aio.write_interactions(iset, out / f"{name}.json")
         histories[v.label] = hist
     (out / "batch.json").write_text(json.dumps(
-        {"tau": tau, "mode": args.mode, "n": tables[0].n,
+        {"mode": args.mode, "n": tables[0].n,
          "loss_history": histories, "solver": solvers},
         sort_keys=True, indent=1) + "\n")
     return 0
@@ -205,7 +196,7 @@ def _read_inputs(table, interactions=None):
 def cmd_diagnose(args) -> int:
     v, iset = _read_inputs(args.table, args.interactions)
     tau = args.tau_absolute if args.tau_absolute is not None else \
-        args.tau_fraction * v.gap()
+        salience_threshold([v], args.tau_fraction)
     diag = sparsity_diagnostics(v, iset, tau, args.max_order)
     lines = [
         f"condition1_max_order_ok: {diag.condition1_ok} "
@@ -300,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "an LP); 0 returns the even split on both paths")
     ep.add_argument("--no-denoise", action="store_true")
     ep.add_argument("--zeta-fraction", type=float, default=DEFAULT_ZETA_FRACTION)
-    ep.add_argument("--tau-fraction", type=float, default=DEFAULT_SALIENCE_FRACTION)
-    ep.add_argument("--tau-absolute", type=float, default=None)
-    ep.add_argument("--salient-only", action="store_true",
-                    help="zero out non-salient effects before writing")
     ep.set_defaults(func=cmd_extract)
 
     pp = sub.add_parser("profile", help="order profiles of interaction files")
@@ -355,7 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflowing transform shows as non-finite effects, which
+        # InteractionSet rejects; numpy's warning would be a second line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (CliError, ValueError) as e:
         # a ValueError here is the library rejecting a flag's value
         sys.stderr.write(f"error: {e}\n")

@@ -59,7 +59,7 @@ matrix grows as 3**n, the continuation's work per evaluation as n * 2**n.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -142,29 +142,48 @@ def even_split_decomposition(v: ValueTable) -> Decomposition:
 
 @dataclass
 class InteractionSet:
-    """Extracted effects; the empty-set slots are zero, bias holds v(x_empty)."""
+    """Extracted effects as finite (2, 2**n) rows, AND then OR, by bitmask;
+    the empty-set slots are zero, bias holds v(x_empty)."""
 
     n: int
-    i_and: np.ndarray
-    i_or: np.ndarray
+    effects: np.ndarray
     bias: float
     label: str = ""
 
     def __post_init__(self):
-        self.i_and = np.asarray(self.i_and, dtype=np.float64)
-        self.i_or = np.asarray(self.i_or, dtype=np.float64)
-        if len(self.i_and) != table_size(self.n) or len(self.i_or) != table_size(self.n):
-            raise ValueError("effect vectors must have length 2**n")
-        if self.i_and[0] != 0.0 or self.i_or[0] != 0.0:
+        self.effects = np.asarray(self.effects, dtype=np.float64)
+        if self.effects.shape != (2, table_size(self.n)):
+            raise ValueError("effects must be the (2, 2**n) AND and OR rows")
+        if not (np.all(np.isfinite(self.effects)) and np.isfinite(self.bias)):
+            raise ValueError("effects and bias must be finite")
+        if np.any(self.effects[:, 0] != 0.0):
             raise ValueError("empty-set effects must be zero (bias holds the empty term)")
 
+    @property
+    def i_and(self) -> np.ndarray:
+        return self.effects[0]
+
+    @property
+    def i_or(self) -> np.ndarray:
+        return self.effects[1]
+
     def total_l1(self) -> float:
-        return float(np.abs(self.i_and).sum() + np.abs(self.i_or).sum())
+        # the AND sum plus the OR sum; one flat sum would round differently
+        return float(np.abs(self.effects).sum(axis=1).sum())
+
+    def salient(self, tau: float = 0.0) -> np.ndarray:
+        """(2, 2**n) mask of the salient effects: |effect| strictly above tau.
+
+        At tau = 0 every nonzero effect is salient; the empty-set slots,
+        being zero, never are.
+        """
+        if tau < 0 or np.isnan(tau):
+            raise ValueError("tau must be nonnegative")
+        return np.abs(self.effects) > tau
 
     def support(self, tau: float = 0.0) -> set[tuple[str, int]]:
-        out = {("and", int(m)) for m in np.flatnonzero(np.abs(self.i_and) > tau)}
-        out |= {("or", int(m)) for m in np.flatnonzero(np.abs(self.i_or) > tau)}
-        return out
+        kinds, masks = np.nonzero(self.salient(tau))
+        return {(("and", "or")[k], int(m)) for k, m in zip(kinds, masks)}
 
 
 @dataclass
@@ -197,12 +216,10 @@ def split_components(v: ValueTable, d: Decomposition) -> tuple[np.ndarray, np.nd
 def extract(v: ValueTable, d: Decomposition) -> InteractionSet:
     """Closed-form AND-OR effects for a given decomposition."""
     u_and, u_or = split_components(v, d)
-    i_and = mobius_and(u_and)
-    bias = float(i_and[0])
-    i_and[0] = 0.0
-    i_or = mobius_or(u_or)
-    i_or[0] = 0.0
-    return InteractionSet(n=v.n, i_and=i_and, i_or=i_or, bias=bias, label=v.label)
+    effects = np.stack([mobius_and(u_and), mobius_or(u_or)])
+    bias = float(effects[0, 0])
+    effects[:, 0] = 0.0
+    return InteractionSet(n=v.n, effects=effects, bias=bias, label=v.label)
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +431,8 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
         x = np.concatenate([x, np.zeros(size - 1)])
     loss = _l1(x, base, cfg.denoise)
     if not np.isfinite(loss):
-        raise NumericalError("non-finite loss at initialization")
+        # v is finite, so its effects overflow float64: an input error
+        raise ValueError("the table's effects overflow float64")
     history, support = [loss], None
 
     solver = "lp" if v.n <= LP_MAX_N else "huber"
@@ -451,13 +469,14 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
                                   solver=solver)
     iset = extract(v, decomposition)
     if support is not None:
-        iset.i_and[~support[0]] = 0.0
-        iset.i_or[~support[1]] = 0.0
+        iset.effects[~support] = 0.0
     return decomposition, iset, history
 
 
 def salience_threshold(tables, fraction: float = DEFAULT_SALIENCE_FRACTION) -> float:
     """tau = fraction * mean over samples of |v(x_N) - v(x_empty)|."""
+    if fraction < 0 or np.isnan(fraction):
+        raise ValueError("the salience fraction must be nonnegative")
     gaps = [t.gap() for t in tables]
     if not gaps:
         raise ValueError("salience threshold needs at least one table")
@@ -465,11 +484,5 @@ def salience_threshold(tables, fraction: float = DEFAULT_SALIENCE_FRACTION) -> f
 
 
 def filter_salient(iset: InteractionSet, tau: float) -> InteractionSet:
-    """Sparse view keeping effects with |effect| strictly greater than tau."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    i_and = np.where(np.abs(iset.i_and) > tau, iset.i_and, 0.0)
-    i_or = np.where(np.abs(iset.i_or) > tau, iset.i_or, 0.0)
-    return InteractionSet(n=iset.n, i_and=i_and, i_or=i_or, bias=iset.bias,
-                          label=iset.label)
-
+    """Sparse view keeping only the effects ``iset.salient(tau)`` marks."""
+    return replace(iset, effects=np.where(iset.salient(tau), iset.effects, 0.0))

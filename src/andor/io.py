@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .extraction import InteractionSet
-from .lattice import MAX_N
+from .lattice import table_size
 from .metrics import OrderProfile, SimilarityReport, is_undefined
 from .models import ValueTable
 
@@ -80,17 +80,14 @@ def write_interactions(iset: InteractionSet, path) -> None:
 def read_interactions(path) -> InteractionSet:
     doc = json.loads(Path(path).read_text())
     n = _get(doc, "n", INTEGER)
-    if not 0 <= n <= MAX_N:
-        raise ValueError(f"n={n} is outside 0..{MAX_N}")
-    effects = np.zeros((2, 1 << n))
+    effects = np.zeros((2, table_size(n)))
     for row, key in zip(effects, ("and", "or")):
         entries = _only(_get(doc, key, LIST), (dict,), repr(key))
         masks = _only([e["mask"] for e in entries], INTEGER, f"{key!r} masks")
         if masks and not 0 <= min(masks) <= max(masks) < row.size:
             raise ValueError(f"{key!r} has a mask outside 0..{row.size - 1}")
         row[masks] = _only([e["value"] for e in entries], NUMBER, f"{key!r} values")
-    return InteractionSet(n=n, i_and=effects[0], i_or=effects[1],
-                          bias=float(_get(doc, "bias", NUMBER)),
+    return InteractionSet(n=n, effects=effects, bias=float(_get(doc, "bias", NUMBER)),
                           label=_get(doc, "label", STRING, ""))
 
 

@@ -1,7 +1,7 @@
 """Complexity and generalization metrics over extracted interaction sets.
 
-Effects are read as the (2, 2**n) AND/OR rows of an InteractionSet, and an
-effect is salient when |effect| > tau (tau = 0 keeps every nonzero effect).
+Effects are read as the (2, 2**n) AND/OR rows of an InteractionSet, and only
+the salient ones (``InteractionSet.salient``) count.
 An order profile sums positive and negative salient strengths per interaction
 order k; its strength-weighted mean is the average order eta_avg used to score
 sample complexity. Populations of samples are compared by the Jaccard
@@ -54,25 +54,16 @@ class OrderProfile:
 def order_profile(iset: InteractionSet, tau: float = 0.0) -> OrderProfile:
     """Sum positive effects into j_pos[k] and |negative| into j_neg[k].
 
-    Only salient effects (|effect| > tau, strict; at tau = 0 every nonzero
-    one) are counted. The empty set is excluded: the bias is not an
-    interaction.
+    Only the effects ``iset.salient(tau)`` marks are counted, so the bias
+    (the empty set) never is: it is not an interaction.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    orders = order_counts(iset.n)
-    j_pos = np.zeros(iset.n)
-    j_neg = np.zeros(iset.n)
-    count = 0
-    for effects in (iset.i_and, iset.i_or):
-        keep = np.abs(effects) > tau
-        keep[0] = False
-        count += int(keep.sum())
-        k = orders[keep].astype(np.int64)
-        vals = effects[keep]
-        np.add.at(j_pos, k - 1, np.maximum(vals, 0.0))
-        np.add.at(j_neg, k - 1, np.maximum(-vals, 0.0))
-    return OrderProfile(n=iset.n, j_pos=j_pos, j_neg=j_neg, salient_count=count)
+    keep = iset.salient(tau)
+    orders = np.tile(order_counts(iset.n), 2)[keep.ravel()]
+    vals = iset.effects[keep]
+    j_pos = np.bincount(orders, weights=np.maximum(vals, 0.0), minlength=iset.n + 1)
+    j_neg = np.bincount(orders, weights=np.maximum(-vals, 0.0), minlength=iset.n + 1)
+    return OrderProfile(n=iset.n, j_pos=j_pos[1:], j_neg=j_neg[1:],
+                        salient_count=int(keep.sum()))
 
 
 def average_order(p: OrderProfile) -> float:
@@ -92,7 +83,7 @@ def mean_distribution(sets: list[InteractionSet]) -> np.ndarray:
     n = sets[0].n
     if any(s.n != n for s in sets):
         raise ValueError("all interaction sets must share n")
-    return np.mean([(s.i_and, s.i_or) for s in sets], axis=0)
+    return np.mean([s.effects for s in sets], axis=0)
 
 
 def _min_max(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +129,7 @@ def per_order_jaccard(sets_a: list[InteractionSet], sets_b: list[InteractionSet]
                       tau: float = 0.0) -> SimilarityReport:
     """Jaccard of the two mean distributions, globally and per order |T| = k.
 
-    Each sample is salience-filtered (|effect| > tau) before averaging, so the
+    Each sample goes through ``filter_salient`` before averaging, so the
     distributions carry exactly the slots that survive in either collection.
     """
     da = mean_distribution([filter_salient(s, tau) for s in sets_a])

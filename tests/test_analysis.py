@@ -15,7 +15,7 @@ def iset(n, and_effects=None, label=""):
     i_and = np.zeros(1 << n)
     for m, c in (and_effects or {}).items():
         i_and[m] = c
-    return InteractionSet(n=n, i_and=i_and, i_or=np.zeros(1 << n), bias=0.0,
+    return InteractionSet(n=n, effects=np.stack([i_and, np.zeros(1 << n)]), bias=0.0,
                           label=label)
 
 
@@ -129,6 +129,9 @@ def test_diagnostics_detects_non_monotone():
 def test_kappa_fit_log_identity():
     assert kappa_fit(10, 1.0, 10) == pytest.approx(1.0)
     assert is_undefined(kappa_fit(0, 1.0, 10))
+    # below two variables n^kappa is the same for every kappa
+    assert is_undefined(kappa_fit(3, 0.5, 1))
+    assert is_undefined(kappa_fit(3, 0.5, 0))
 
 
 def test_inject_overfit_raises_eta():

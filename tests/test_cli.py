@@ -164,6 +164,16 @@ def test_diagnose_exit_codes(pipeline, tmp_path):
     assert "kappa_fit" in text
 
 
+def test_diagnose_n1_kappa_fit_undefined(tmp_path):
+    tabs, isets = tmp_path / "tabs", tmp_path / "isets"
+    assert run("synth", "--out", tabs, "--n", "1", "--m", "1", "--orders", "1:1.0") == 0
+    assert run("extract", "--in", tabs, "--out", isets, "--mode", "all-and") == 0
+    assert run("diagnose", "--table", tabs / "table_0000.json",
+               "--interactions", isets / "sample_0000.json", "--max-order", "1",
+               "--out", tmp_path / "d.txt") == 0
+    assert "kappa_fit: undefined\n" in (tmp_path / "d.txt").read_text()
+
+
 def test_axioms_command_passes(tmp_path):
     assert run("axioms", "--n", "4", "--trials", "30", "--seed", "1",
                "--out", tmp_path / "ax.txt") == 0
@@ -202,13 +212,22 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     # flag values the library rejects
     ("diagnose", "--table", "{tabs}/table_0000.json",
      "--interactions", "{isets}/sample_0000.json", "--max-order", "9"),
+    *(("diagnose", "--table", "{tabs}/table_0000.json",
+       "--interactions", "{isets}/sample_0000.json", flag, value)
+      for flag in ("--tau-absolute", "--tau-fraction") for value in ("-1", "nan")),
     ("extract", "--in", "{tabs}", "--out", "{mixed}/out", "--zeta-fraction", "-1"),
     ("extract", "--in", "{tabs}", "--out", "{mixed}/out", "--max-iters", "-1"),
     ("profile", "--in", "{isets}", "--out", "{mixed}/p.csv", "--tau-absolute", "-1"),
+    ("profile", "--in", "{isets}", "--out", "{mixed}/p.csv", "--tau-absolute", "nan"),
     ("similarity", "--train", "{isets}", "--test", "{isets}", "--out", "{mixed}/s.csv",
      "--tau-absolute", "-1"),
     ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{mixed}/c.csv",
      "--tau-absolute", "-1"),
+    # effects that are not finite: overflowing transforms, NaN or inf in a file
+    *(("extract", "--in", "{mixed}/huge", "--out", "{mixed}/out", *flags)
+      for flags in (("--mode", "all-and"), ("--no-denoise",), ())),
+    *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{mixed}/p.csv")
+      for name in ("nan", "inf")),
     ("axioms", "--n", "9"),
     ("axioms", "--trials", "0"),
     *(("synth", "--out", "{mixed}/synth", "--n", n, *flags) for n, flags in (
@@ -220,8 +239,13 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
         *(f"extract-label-{name}" for name in BAD_LABELS),
         "extract-mixed-n", "profile-mixed-n", "similarity-mixed-n", "compare-mixed-n-dir",
         "compare-mixed-n-across", "compare-no-shared-label",
-        "diagnose-max-order", "extract-zeta-fraction", "extract-max-iters",
-        "profile-negative-tau", "similarity-negative-tau", "compare-negative-tau",
+        "diagnose-max-order", "diagnose-negative-tau", "diagnose-nan-tau",
+        "diagnose-negative-tau-fraction", "diagnose-nan-tau-fraction",
+        "extract-zeta-fraction", "extract-max-iters",
+        "profile-negative-tau", "profile-nan-tau", "similarity-negative-tau",
+        "compare-negative-tau",
+        "extract-overflow-all-and", "extract-overflow-no-denoise",
+        "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
         "axioms-n", "axioms-trials", "synth-m", "synth-orders", "synth-mask",
         "synth-effect-range", "synth-overfit-fraction", "synth-n-above-max",
         "synth-interaction-n-above-max"])
@@ -240,6 +264,14 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     (mixed / "other").mkdir()    # an n = 4 effect file under a label isets lacks
     effects = json.loads((isets / "sample_0000.json").read_text())
     (mixed / "other" / "x.json").write_text(json.dumps({**effects, "label": "other"}))
+    for name, value in (("nan", float("nan")), ("inf", float("inf"))):
+        (mixed / name).mkdir()
+        (mixed / name / "x.json").write_text(
+            json.dumps({**effects, "and": [{"mask": 1, "value": value}]}))
+    (mixed / "huge").mkdir()    # finite n = 3 values whose effects overflow float64
+    aio.write_table(ValueTable(n=3, values=[(-1.7e308, 1.7e308)[m.bit_count() % 2]
+                                            for m in range(8)]),
+                    mixed / "huge" / "table_0000.json")
     dup = tmp_path / "dup"      # two tables that share the label sample_0000
     dup.mkdir()
     for name in ("a.json", "b.json"):

@@ -76,7 +76,43 @@ def test_interaction_set_rejects_nonzero_empty_slot():
     bad = np.zeros(8)
     bad[0] = 1.0
     with pytest.raises(ValueError):
-        InteractionSet(n=3, i_and=bad, i_or=np.zeros(8), bias=0.0)
+        InteractionSet(n=3, effects=np.stack([bad, np.zeros(8)]), bias=0.0)
+
+
+@pytest.mark.parametrize("effects", [np.zeros(8), np.zeros((2, 4)), np.zeros((3, 8)),
+                                     np.zeros((8, 2))])
+def test_interaction_set_wants_two_rows_of_2_to_the_n(effects):
+    from andor.extraction import InteractionSet
+    with pytest.raises(ValueError, match="2, 2"):
+        InteractionSet(n=3, effects=effects, bias=0.0)
+
+
+@pytest.mark.parametrize("slot, value, bias", [
+    ((0, 1), np.nan, 0.0), ((1, 5), np.inf, 0.0), ((0, 7), -np.inf, 0.0),
+    ((0, 1), 0.0, np.nan), ((0, 1), 0.0, np.inf)])
+def test_interaction_set_rejects_non_finite(slot, value, bias):
+    from andor.extraction import InteractionSet
+    effects = np.zeros((2, 8))
+    effects[slot] = value
+    with pytest.raises(ValueError, match="finite"):
+        InteractionSet(n=3, effects=effects, bias=bias)
+
+
+def test_interaction_set_salient():
+    from andor.extraction import InteractionSet
+    effects = np.zeros((2, 8))
+    effects[0, 1], effects[0, 2], effects[1, 3], effects[1, 6] = 0.5, -0.5000001, 0.7, -0.5
+    iset = InteractionSet(n=3, effects=effects, bias=2.0)
+    salient = iset.salient(0.5)
+    assert salient.shape == (2, 8)
+    # strict at tau, on both signs and both rows
+    assert set(zip(*np.nonzero(salient))) == {(0, 2), (1, 3)}
+    assert not iset.salient(0.0)[:, 0].any()     # the empty set is never salient
+    assert iset.salient(0.0).sum() == 4
+    assert iset.support(0.5) == {("and", 2), ("or", 3)}
+    for tau in (-1e-12, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            iset.salient(tau)
 
 
 def test_sparsify_history_non_increasing(both_paths):
@@ -292,6 +328,9 @@ def test_salience_threshold_is_mean_gap_fraction():
     assert salience_threshold([t1, t2]) == pytest.approx(0.02 * 15.0)
     with pytest.raises(ValueError):
         salience_threshold([])
+    for fraction in (-0.02, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            salience_threshold([t1, t2], fraction)
 
 
 def test_filter_salient_strict_threshold():
@@ -299,7 +338,7 @@ def test_filter_salient_strict_threshold():
     i_and = np.zeros(8)
     i_and[1] = 0.5
     i_and[2] = 0.5000001
-    iset = InteractionSet(n=3, i_and=i_and, i_or=np.zeros(8), bias=0.0)
+    iset = InteractionSet(n=3, effects=np.stack([i_and, np.zeros(8)]), bias=0.0)
     kept = filter_salient(iset, 0.5)
     assert kept.i_and[1] == 0.0          # equal to tau: dropped
     assert kept.i_and[2] != 0.0

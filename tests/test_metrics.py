@@ -13,7 +13,7 @@ def iset(n, and_effects=None, or_effects=None, label=""):
         i_and[m] = c
     for m, c in (or_effects or {}).items():
         i_or[m] = c
-    return InteractionSet(n=n, i_and=i_and, i_or=i_or, bias=0.0, label=label)
+    return InteractionSet(n=n, effects=np.stack([i_and, i_or]), bias=0.0, label=label)
 
 
 def test_order_profile_single_effect():
