@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from andor import extraction
-from andor.extraction import (LP_MAX_N, SparsifyConfig, _loss_grad, _lp_matrix,
+from andor.extraction import (LP_MAX_N, ZETA_FRACTION, _loss_grad, _lp_matrix,
                               _lp_solve, _objective_base, sparsify)
 from andor.lattice import _diff_transform, _sum_transform
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
@@ -87,11 +87,11 @@ def timed(fn):
     return time.perf_counter() - t0, out
 
 
-def huber_sparsify(v, cfg):
+def huber_sparsify(v, denoise):
     """sparsify on the Huber path, as it runs for tables above LP_MAX_N."""
     saved, extraction.LP_MAX_N = extraction.LP_MAX_N, v.n - 1
     try:
-        return sparsify(v, cfg)
+        return sparsify(v, denoise)
     finally:
         extraction.LP_MAX_N = saved
 
@@ -112,13 +112,12 @@ def solvers(rng):
         }
         for name, v in tables.items():
             for denoise in (False, True):
-                cfg = SparsifyConfig(denoise=denoise)
                 _lp_matrix(n, denoise)           # built once per process
-                zeta = cfg.zeta_fraction * v.gap() if denoise else 0.0
+                zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
                 t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
-                t_hub, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, cfg))
-                t_sp, (d, _, _) = timed(lambda: sparsify(v, cfg))
+                t_hub, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
+                t_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.nit:>7} "
                       f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {res.fun:>12.4f} "
                       f"{hub_hist[-1]:>12.4f}")

@@ -42,6 +42,8 @@ class SampleReport:
 
 
 def sample_report(iset: InteractionSet, tau: float, theta: float) -> SampleReport:
+    if math.isnan(theta):
+        raise ValueError("theta must not be NaN")
     profile = order_profile(iset, tau)
     eta = average_order(profile)
     return SampleReport(
@@ -186,8 +188,8 @@ def kappa_fit(salient_count: int, tau: float, n: int) -> float:
 
 def sparsity_diagnostics(v: ValueTable, iset: InteractionSet, tau: float,
                          max_order: int) -> SparsityDiagnostic:
-    if max_order > v.n:
-        raise ValueError(f"max_order {max_order} exceeds n={v.n}")
+    if not 0 <= max_order <= v.n:
+        raise ValueError(f"max_order {max_order} is outside 0..n={v.n}")
     salient = iset.salient(tau)
     count = int(salient.sum())
     salient_orders = order_counts(v.n)[salient.any(axis=0)]

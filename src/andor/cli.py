@@ -18,14 +18,13 @@ import numpy as np
 from . import io as aio
 from .analysis import (axiom_suite, compare_models, default_theta, sample_report,
                        sparsity_diagnostics)
-from .extraction import (DEFAULT_SALIENCE_FRACTION, DEFAULT_ZETA_FRACTION, LP_MAX_N,
-                         SparsifyConfig, all_and_decomposition,
+from .extraction import (DEFAULT_SALIENCE_FRACTION, all_and_decomposition,
                          even_split_decomposition, extract, salience_threshold,
                          sparsify)
 from .metrics import is_undefined, order_profile, per_order_jaccard
 from .models import (inject_overfit, interaction_function_table, realize_table,
                      sample_sparse_game)
-from .oracle import brute_and, brute_or, verify_matching
+from .oracle import verify_matching
 
 IO_ERROR = 2
 TAU_HELP = "count only effects with |effect| above tau (default 0: every nonzero one)"
@@ -137,14 +136,8 @@ def cmd_extract(args) -> int:
         if args.mode == "all-and":
             d = all_and_decomposition(v)
             iset, hist = extract(v, d), []
-        elif args.mode == "even-split":
-            d = even_split_decomposition(v)
-            iset, hist = extract(v, d), []
         else:
-            cfg = SparsifyConfig(max_iters=args.max_iters,
-                                 zeta_fraction=args.zeta_fraction,
-                                 denoise=not args.no_denoise)
-            d, iset, hist = sparsify(v, cfg)
+            d, iset, hist = sparsify(v, denoise=not args.no_denoise)
             solvers[v.label] = d.solver
         aio.write_interactions(iset, out / f"{name}.json")
         histories[v.label] = hist
@@ -234,20 +227,15 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.action == "verify":
-        if args.interactions is None:
-            raise CliError("oracle verify needs --interactions")
-        v, iset = _read_inputs(args.table, args.interactions)
-        # delta = 0: callers verify un-denoised extractions against the raw table
-        d = even_split_decomposition(v)
-        err = verify_matching(v, d, iset)
-        scale = max(1.0, float(np.max(np.abs(v.values))))
-        sys.stdout.write(f"max_abs_error: {err!r}\n")
-        return 0 if err <= 1e-8 * scale else 1
-    v, _ = _read_inputs(args.table)
-    out = brute_and(v.values) if args.action == "and" else brute_or(v.values)
-    sys.stdout.write(json.dumps([float(x) for x in out]) + "\n")
-    return 0
+    if args.interactions is None:
+        raise CliError("oracle verify needs --interactions")
+    v, iset = _read_inputs(args.table, args.interactions)
+    # delta = 0: callers verify un-denoised extractions against the raw table
+    d = even_split_decomposition(v)
+    err = verify_matching(v, d, iset)
+    scale = max(1.0, float(np.max(np.abs(v.values))))
+    sys.stdout.write(f"max_abs_error: {err!r}\n")
+    return 0 if err <= 1e-8 * scale else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,16 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("extract", help="extract interactions from tables")
     ep.add_argument("--in", dest="input", required=True)
     ep.add_argument("--out", required=True)
-    ep.add_argument("--mode", choices=["sparsify", "all-and", "even-split"],
-                    default="sparsify")
-    ep.add_argument("--max-iters", type=int, default=2000,
-                    help="per-stage iteration cap of the Huber solver, which "
-                         f"sparsify runs for n > {LP_MAX_N} and for n = "
-                         f"{LP_MAX_N} tables whose LP needs more than "
-                         "2**(n-1) pivots (other tables are solved exactly as "
-                         "an LP); 0 returns the even split on both paths")
+    ep.add_argument("--mode", choices=["sparsify", "all-and"], default="sparsify")
     ep.add_argument("--no-denoise", action="store_true")
-    ep.add_argument("--zeta-fraction", type=float, default=DEFAULT_ZETA_FRACTION)
     ep.set_defaults(func=cmd_extract)
 
     pp = sub.add_parser("profile", help="order profiles of interaction files")
@@ -330,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None)
     ap.set_defaults(func=cmd_axioms)
 
-    op = sub.add_parser("oracle", help="brute-force reference computations")
-    op.add_argument("action", choices=["verify", "and", "or"])
+    op = sub.add_parser("oracle", help="check an effect file against its table")
+    op.add_argument("action", choices=["verify"])
     op.add_argument("--table", required=True)
     op.add_argument("--interactions")
     op.set_defaults(func=cmd_oracle)

@@ -27,11 +27,11 @@ picks its solver from the table size n:
   its adjoint, plus one batched difference transform each way when
   denoising.
 
-``sparsify`` runs the whole solve in one place: the even-split start, the
-solver choice, the best-iterate rule and its loss history, the all-AND
-fallback and the support mask (its docstring lists the steps). The solvers
-only return iterates: the LP its vertex, or None when the pivot budget runs
-out; the continuation one iterate per stage.
+``sparsify`` runs the whole solve in one place: the start at the even
+split, the solver choice, the best-iterate rule and its loss history, the
+all-AND fallback and the support mask (its docstring lists the steps). The
+solvers only return iterates: the LP its vertex, or None when the pivot
+budget runs out; the continuation one iterate per stage.
 
 On the LP path the written effects are those of ``extract`` on the solved
 (gamma, delta), except that every effect the LP's vertex holds at exactly
@@ -78,8 +78,11 @@ CONVERGENCE_EPS = 1e-9
 # Huber widths of the continuation's stages, as fractions of the table's
 # output scale, largest first.
 SMOOTHING_STAGES = (0.1, 0.01, 0.001)
+# Per-stage quasi-Newton cap of the Huber continuation; it does not bound the LP.
+HUBER_MAX_ITERS = 2000
 DEFAULT_SALIENCE_FRACTION = 0.02
-DEFAULT_ZETA_FRACTION = 0.02
+# Denoising box: |delta| <= ZETA_FRACTION * the table's gap.
+ZETA_FRACTION = 0.02
 
 
 def __getattr__(name):
@@ -186,26 +189,6 @@ class InteractionSet:
         return {(("and", "or")[k], int(m)) for k, m in zip(kinds, masks)}
 
 
-@dataclass
-class SparsifyConfig:
-    """Optimizer settings.
-
-    max_iters is the Huber path's per-stage quasi-Newton cap (n > LP_MAX_N,
-    and n = LP_MAX_N tables whose LP exhausts its pivot budget); it does not
-    bound the LP. On either path, 0 returns the even-split start unsolved.
-    """
-
-    max_iters: int = 2000
-    zeta_fraction: float = DEFAULT_ZETA_FRACTION
-    denoise: bool = True
-
-    def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.zeta_fraction < 0:
-            raise ValueError("zeta_fraction must be nonnegative")
-
-
 def split_components(v: ValueTable, d: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """Return (u_and, u_or); their sum equals v - delta entrywise."""
     d.validate(v)
@@ -290,7 +273,7 @@ def _loss_grad(x: np.ndarray, mu: float, base: np.ndarray, denoise: bool
     return f, np.concatenate([g_theta[1:], g_delta[1:]])
 
 
-def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
+def _smoothed_sparsify(v: ValueTable, denoise: bool, base: np.ndarray,
                        zeta: float, x: np.ndarray) -> list[np.ndarray]:
     """Huber-smoothed L1 continuation from x; returns the iterate of each stage.
 
@@ -302,12 +285,12 @@ def _smoothed_sparsify(v: ValueTable, cfg: SparsifyConfig, base: np.ndarray,
     minimize = sys.modules[__name__].minimize
     scale = max(v.gap(), float(np.max(np.abs(v.values))), 1e-12)
     m = v.values.size - 1
-    bounds = [(None, None)] * m + [(-zeta, zeta)] * m if cfg.denoise else None
+    bounds = [(None, None)] * m + [(-zeta, zeta)] * m if denoise else None
     iterates = []
     for stage in SMOOTHING_STAGES:
-        res = minimize(_loss_grad, x, args=(stage * scale, base, cfg.denoise),
+        res = minimize(_loss_grad, x, args=(stage * scale, base, denoise),
                        jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": cfg.max_iters, "ftol": 1e-14,
+                       options={"maxiter": HUBER_MAX_ITERS, "ftol": 1e-14,
                                 "gtol": 1e-12})
         x = res.x
         iterates.append(x)
@@ -389,15 +372,15 @@ def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
     return np.concatenate([theta, delta[1:]]) if denoise else theta, support
 
 
-def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
+def sparsify(v: ValueTable, denoise: bool = True
              ) -> tuple[Decomposition, InteractionSet, list[float]]:
     """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
 
-    The solve, in order:
+    With ``denoise``, delta is learned in the box |delta| <= ZETA_FRACTION *
+    v.gap(); without it, delta = 0. The solve, in order:
 
     1. Start from the even split (gamma zero beyond the empty-set pin,
-       delta = 0); its L1 opens the loss history. With max_iters = 0 the
-       start is returned unsolved.
+       delta = 0); its L1 opens the loss history.
     2. For n <= LP_MAX_N, solve the LP; its vertex is the one iterate. For
        n > LP_MAX_N, or when the LP exhausts its pivot budget, run the Huber
        continuation from the start; each stage gives one iterate. The
@@ -411,59 +394,54 @@ def sparsify(v: ValueTable, cfg: SparsifyConfig | None = None
        is returned, every effect it holds at exactly zero is set to 0.0,
        which drops the transforms' rounding dust there; the effects on its
        support keep extract's values, consistent with the clipped delta.
-       Huber, even-split and all-AND results are not masked. The loss
-       history is the unmasked L1.
+       Huber and all-AND results are not masked. The loss history is the
+       unmasked L1.
     """
-    if cfg is None:
-        cfg = SparsifyConfig()
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
     values = v.values
     size = values.size
-    zeta = cfg.zeta_fraction * v.gap() if cfg.denoise else 0.0
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
     base = _objective_base(values)
 
-    # even-split start: gamma zero beyond the pin; x packs theta[1:], delta[1:]
+    # the even split: gamma zero beyond the pin; x packs theta[1:], delta[1:]
     pin_only = np.zeros(size)
     pin_only[0] = 0.5 * values[0]
     x = mobius_and(pin_only)[1:]
-    if cfg.denoise:
+    if denoise:
         x = np.concatenate([x, np.zeros(size - 1)])
-    loss = _l1(x, base, cfg.denoise)
+    loss = _l1(x, base, denoise)
     if not np.isfinite(loss):
         # v is finite, so its effects overflow float64: an input error
         raise ValueError("the table's effects overflow float64")
     history, support = [loss], None
 
-    solver = "lp" if v.n <= LP_MAX_N else "huber"
-    if cfg.max_iters > 0:
-        vertex = _lp_sparsify(base, zeta, cfg.denoise) if solver == "lp" else None
-        if vertex is None:
-            solver = "huber"
-            iterates = [(it, None) for it in _smoothed_sparsify(v, cfg, base, zeta, x)]
-        else:
-            iterates = [vertex]
-        for it, it_support in iterates:
-            it_loss = _l1(it, base, cfg.denoise)
-            if not np.isfinite(it_loss):
-                raise NumericalError("non-finite loss during continuation")
-            if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
-                loss, x, support = it_loss, it, it_support
-            history.append(loss)
+    vertex = _lp_sparsify(base, zeta, denoise) if v.n <= LP_MAX_N else None
+    if vertex is None:
+        solver = "huber"
+        iterates = [(it, None) for it in _smoothed_sparsify(v, denoise, base, zeta, x)]
+    else:
+        solver, iterates = "lp", [vertex]
+    for it, it_support in iterates:
+        it_loss = _l1(it, base, denoise)
+        if not np.isfinite(it_loss):
+            raise NumericalError("non-finite loss during continuation")
+        if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
+            loss, x, support = it_loss, it, it_support
+        history.append(loss)
 
     theta = np.empty(size)
     theta[0] = pin_only[0]
     theta[1:] = x[:size - 1]
     gamma = zeta_subsets(theta)
     delta = np.zeros(size)
-    if cfg.denoise:
+    if denoise:
         delta[1:] = x[size - 1:]
-    if cfg.max_iters > 0:
-        alland = all_and_decomposition(v)
-        alland_loss = extract(v, alland).total_l1()
-        if alland_loss < loss:
-            gamma, delta, support = alland.gamma, alland.delta, None
-            history.append(alland_loss)
+    alland = all_and_decomposition(v)
+    alland_loss = extract(v, alland).total_l1()
+    if alland_loss < loss:
+        gamma, delta, support = alland.gamma, alland.delta, None
+        history.append(alland_loss)
 
     decomposition = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta,
                                   solver=solver)

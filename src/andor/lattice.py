@@ -121,16 +121,6 @@ def zeta_supersets(g) -> np.ndarray:
     return out[..., ::-1].copy()
 
 
-def mobius_and_transpose(s) -> np.ndarray:
-    """Adjoint of mobius_and: out[L] = sum_{T superset L} (-1)^(|T|-|L|) s[T].
-
-    Realized as reverse -> difference transform -> reverse.
-    """
-    out = _as_rows(s)[..., ::-1].copy()
-    _diff_transform(out)
-    return out[..., ::-1].copy()
-
-
 def permute_variables(values, perm) -> np.ndarray:
     """Relabel variables: perm[i] is the new position (0-based) of variable i+1."""
     arr = as_lattice(values)

@@ -180,6 +180,8 @@ def sample_sparse_game(n: int, m: int, order_weights, effect_range: float,
         magnitude_floor = DEFAULT_FLOOR_FRACTION * effect_range
     if not 0 < magnitude_floor <= effect_range:
         raise ValueError("need 0 < magnitude_floor <= effect_range")
+    if not kinds or not set(kinds) <= {"and", "or"}:
+        raise ValueError(f"kinds must be 'and' and/or 'or', got {kinds!r}")
 
     by_order = _masks_by_order(n)
     capacity = sum(len(kinds) * len(by_order[k]) for k in range(1, n + 1) if weights[k] > 0)

@@ -14,9 +14,8 @@ import pytest
 
 from andor.analysis import axiom_suite, compare_models, kappa_fit, sample_report
 from andor.cli import main as cli_main
-from andor.extraction import (SparsifyConfig, all_and_decomposition,
-                              even_split_decomposition, extract,
-                              salience_threshold, sparsify)
+from andor.extraction import (all_and_decomposition, even_split_decomposition,
+                              extract, salience_threshold, sparsify)
 from andor.lattice import (mobius_and, mobius_or, order_counts, table_size,
                            zeta_subsets)
 from andor.metrics import per_order_jaccard
@@ -35,7 +34,7 @@ def warmup():
     v = ValueTable(n=4, values=u)
     iset = extract(v, all_and_decomposition(v))
     verify_matching(v, all_and_decomposition(v), iset)
-    sparsify(v, SparsifyConfig(max_iters=2))
+    sparsify(v)
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -62,7 +61,8 @@ def recovery_game(seed: int):
 
 # --- criterion 1: universal matching over every decomposition mode ----------
 
-def test_criterion_1_universal_matching():
+def test_criterion_1_universal_matching(huber_max_iters):
+    huber_max_iters(7)
     t0 = time.perf_counter()
     checked = 0
     worst = 0.0
@@ -74,8 +74,7 @@ def test_criterion_1_universal_matching():
             decs = [all_and_decomposition(v), even_split_decomposition(v)]
             if i < 5:  # sparsified modes, with and without denoising
                 for denoise in (True, False):
-                    cfg = SparsifyConfig(max_iters=7, denoise=denoise)
-                    d, _, _ = sparsify(v, cfg)
+                    d, _, _ = sparsify(v, denoise)
                     decs.append(d)
             for d in decs:
                 err = verify_matching(v, d, extract(v, d)) / scale
@@ -137,7 +136,7 @@ def recovery_runs():
     runs = []
     for seed in range(50):
         game, v, tau = recovery_game(seed)
-        d, iset, hist = sparsify(v, SparsifyConfig(denoise=False))
+        d, iset, hist = sparsify(v, denoise=False)
         all_and = extract(v, all_and_decomposition(v))
         salient = iset.support(tau)
         runs.append({
@@ -288,7 +287,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             ["synth", "--out", root / "tabs", "--n", "6", "--samples", "4",
              "--m", "5", "--orders", "2:0.6,3:0.4", "--seed", "17"],
             ["extract", "--in", root / "tabs", "--out", root / "isets",
-             "--mode", "sparsify", "--max-iters", "200"],
+             "--mode", "sparsify"],
             ["profile", "--in", root / "isets", "--out", root / "profile.csv",
              "--tau-absolute", "0.05"],
             ["similarity", "--train", root / "isets", "--test", root / "isets",

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -26,8 +27,40 @@ BAD_LABELS = {"batch": "batch", "ground_truth": "ground_truth", "slash": "a/b",
               "backslash": "a\\b", "dotdot": ".."}
 
 
+# Every subcommand's arguments and their choices (None: any value). A new
+# option, or a removed one, is a change to this table.
+CLI_SURFACE = {
+    "synth": {"--out": None, "--n": None, "--samples": None, "--m": None,
+              "--orders": None, "--effect-range": None, "--magnitude-floor": None,
+              "--kinds": None, "--antichain": None, "--seed": None,
+              "--overfit-fraction": None, "--overfit-min-order": None,
+              "--overfit-pairs": None, "--overfit-magnitude": None,
+              "--interaction": ["and", "or"], "--mask": None, "--c": None},
+    "extract": {"--in": None, "--out": None, "--mode": ["sparsify", "all-and"],
+                "--no-denoise": None},
+    "profile": {"--in": None, "--out": None, "--tau-absolute": None},
+    "similarity": {"--train": None, "--test": None, "--out": None,
+                   "--tau-absolute": None},
+    "compare": {"--a": None, "--b": None, "--out": None, "--tau-absolute": None,
+                "--theta": None},
+    "diagnose": {"--table": None, "--interactions": None, "--tau-absolute": None,
+                 "--tau-fraction": None, "--max-order": None, "--out": None},
+    "axioms": {"--n": None, "--trials": None, "--seed": None, "--out": None},
+    "oracle": {"action": ["verify"], "--table": None, "--interactions": None},
+}
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_cli_surface_is_pinned():
+    commands, = (a.choices for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {"/".join(a.option_strings) or a.dest: a.choices
+                      for a in parser._actions if a.dest != "help"}
+               for name, parser in commands.items()}
+    assert surface == CLI_SURFACE
 
 
 @pytest.fixture
@@ -215,8 +248,11 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     *(("diagnose", "--table", "{tabs}/table_0000.json",
        "--interactions", "{isets}/sample_0000.json", flag, value)
       for flag in ("--tau-absolute", "--tau-fraction") for value in ("-1", "nan")),
-    ("extract", "--in", "{tabs}", "--out", "{mixed}/out", "--zeta-fraction", "-1"),
-    ("extract", "--in", "{tabs}", "--out", "{mixed}/out", "--max-iters", "-1"),
+    ("synth", "--out", "{mixed}/synth", "--n", "4", "--m", "2", "--kinds", "xor"),
+    ("diagnose", "--table", "{tabs}/table_0000.json",
+     "--interactions", "{isets}/sample_0000.json", "--max-order", "-1"),
+    ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{mixed}/c.csv",
+     "--theta", "nan"),
     ("profile", "--in", "{isets}", "--out", "{mixed}/p.csv", "--tau-absolute", "-1"),
     ("profile", "--in", "{isets}", "--out", "{mixed}/p.csv", "--tau-absolute", "nan"),
     ("similarity", "--train", "{isets}", "--test", "{isets}", "--out", "{mixed}/s.csv",
@@ -241,7 +277,7 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
         "compare-mixed-n-across", "compare-no-shared-label",
         "diagnose-max-order", "diagnose-negative-tau", "diagnose-nan-tau",
         "diagnose-negative-tau-fraction", "diagnose-nan-tau-fraction",
-        "extract-zeta-fraction", "extract-max-iters",
+        "synth-kinds", "diagnose-negative-max-order", "compare-nan-theta",
         "profile-negative-tau", "profile-nan-tau", "similarity-negative-tau",
         "compare-negative-tau",
         "extract-overflow-all-and", "extract-overflow-no-denoise",
@@ -304,15 +340,15 @@ def _dense_table(directory, n):
 @pytest.mark.parametrize("n, table, solver", [
     (9, "sparse", "lp"), (10, "sparse", "lp"), (11, "sparse", "huber"),
     (10, "dense", "huber")])
-def test_extract_records_the_solver(tmp_path, n, table, solver):
+def test_extract_records_the_solver(tmp_path, huber_max_iters, n, table, solver):
     """The solver that ran: a dense n=10 table exhausts the LP's pivot budget."""
+    huber_max_iters(5)
     tabs, isets = tmp_path / "tabs", tmp_path / "isets"
     if table == "dense":
         _dense_table(tabs, n)
     else:
         assert run("synth", "--out", tabs, "--n", n, "--m", "3", "--orders", "2:1.0") == 0
-    assert run("extract", "--in", tabs, "--out", isets, "--no-denoise",
-               "--max-iters", "5") == 0
+    assert run("extract", "--in", tabs, "--out", isets, "--no-denoise") == 0
     batch = json.loads((isets / "batch.json").read_text())
     assert batch["solver"] == {"sample_0000": solver}
     assert set(batch["loss_history"]) == set(batch["solver"])
@@ -343,7 +379,7 @@ def test_cli_import_leaves_out_scipy_stats(pipeline):
     assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
-def test_huber_stage_calls_the_bound_minimize(monkeypatch):
+def test_huber_stage_calls_the_bound_minimize(monkeypatch, huber_max_iters):
     """extraction.minimize loads scipy's on first access, and the Huber stage
     calls whatever the attribute is bound to, as a tracer rebinds it."""
     import andor.extraction as extraction
@@ -352,9 +388,9 @@ def test_huber_stage_calls_the_bound_minimize(monkeypatch):
     calls = []
     monkeypatch.setattr(extraction, "minimize",
                         lambda *a, **k: calls.append(1) or minimize(*a, **k))
+    huber_max_iters(3)
     v = ValueTable(n=11, values=np.random.default_rng(3).normal(size=1 << 11))
-    cfg = extraction.SparsifyConfig(max_iters=3, denoise=False)
-    assert extraction.sparsify(v, cfg)[0].solver == "huber"
+    assert extraction.sparsify(v, denoise=False)[0].solver == "huber"
     assert len(calls) == len(extraction.SMOOTHING_STAGES)
     with pytest.raises(AttributeError):
         extraction.linprog

@@ -2,30 +2,30 @@ import numpy as np
 import pytest
 
 from andor import extraction
-from andor.extraction import (SparsifyConfig, _loss_grad, _lp_matrix,
+from andor.extraction import (ZETA_FRACTION, _loss_grad, _lp_matrix,
                               _lp_sparsify, _objective_base, _theta_effects,
                               all_and_decomposition, even_split_decomposition,
                               extract, filter_salient, salience_threshold,
                               sparsify, split_components)
-from andor.lattice import (mobius_and, mobius_and_transpose, mobius_or,
-                           zeta_subsets)
+from andor.lattice import mobius_and, mobius_or, zeta_subsets
 from andor.models import (ValueTable, interaction_function_table, realize_table,
                           sample_sparse_game)
 from andor.oracle import brute_and, brute_or
 from test_acceptance import recovery_game
+from test_lattice import mobius_and_transpose
 
 
 def lp_vertex(v, denoise):
     """_lp_sparsify's (x, support) for v, or None when its budget runs out."""
-    zeta = SparsifyConfig().zeta_fraction * v.gap() if denoise else 0.0
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
     return _lp_sparsify(_objective_base(v.values), zeta, denoise)
 
 
-def huber_sparsify(monkeypatch, v, cfg):
+def huber_sparsify(monkeypatch, v, denoise):
     """sparsify on the Huber path, as it runs for tables above LP_MAX_N."""
     with monkeypatch.context() as patch:
         patch.setattr(extraction, "LP_MAX_N", v.n - 1)
-        result = sparsify(v, cfg)
+        result = sparsify(v, denoise)
     assert result[0].solver == "huber"
     return result
 
@@ -115,28 +115,21 @@ def test_interaction_set_salient():
             iset.salient(tau)
 
 
-def test_sparsify_history_non_increasing(both_paths):
+def test_sparsify_history_non_increasing(both_paths, huber_max_iters):
+    huber_max_iters(50)
     for v in both_paths:
-        _, _, hist = sparsify(v, SparsifyConfig(max_iters=50))
+        _, _, hist = sparsify(v)
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
-def test_sparsify_zero_iters_returns_even_split(both_paths):
-    for v in both_paths:
-        d, iset, hist = sparsify(v, SparsifyConfig(max_iters=0))
-        ref = even_split_decomposition(v)
-        np.testing.assert_allclose(d.gamma, ref.gamma)
-        assert len(hist) == 1
-
-
 def test_sparsify_beats_all_and(random_table):
-    d, iset, hist = sparsify(random_table, SparsifyConfig(max_iters=200))
+    d, iset, hist = sparsify(random_table)
     all_and = extract(random_table, all_and_decomposition(random_table))
     assert iset.total_l1() <= all_and.total_l1() + 1e-9
 
 
 def test_sparsify_delta_stays_in_box(random_table):
-    d, _, _ = sparsify(random_table, SparsifyConfig(max_iters=100))
+    d, _, _ = sparsify(random_table)
     d.validate(random_table)
 
 
@@ -144,7 +137,7 @@ def test_sparsify_recovers_a_small_game():
     game = sample_sparse_game(6, 5, {2: 1.0}, 4.0, rng_seed=21,
                               magnitude_floor=3.0, antichain=True)
     v = realize_table(game)
-    d, iset, _ = sparsify(v, SparsifyConfig(denoise=False))
+    d, iset, _ = sparsify(v, denoise=False)
     tau = 0.02 * v.gap()
     assert iset.support(tau) == game.support()
 
@@ -260,10 +253,9 @@ def test_lp_matrix_matches_theta_effects(n, denoise):
 def test_lp_reaches_at_most_the_huber_loss(monkeypatch, n, denoise):
     rng = np.random.default_rng(30 + n)
     v = ValueTable(n=n, values=rng.normal(size=1 << n))
-    cfg = SparsifyConfig(denoise=denoise)
-    d, _, hist = sparsify(v, cfg)
+    d, _, hist = sparsify(v, denoise)
     loss = hist[-1]
-    huber_loss = huber_sparsify(monkeypatch, v, cfg)[2][-1]
+    huber_loss = huber_sparsify(monkeypatch, v, denoise)[2][-1]
     assert d.solver == "lp"
     assert loss <= huber_loss * (1 + 1e-12)
     assert loss < hist[0]
@@ -272,13 +264,14 @@ def test_lp_reaches_at_most_the_huber_loss(monkeypatch, n, denoise):
 
 
 @pytest.mark.parametrize("denoise", [False, True])
-def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, denoise):
+def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, huber_max_iters,
+                                                       denoise):
+    huber_max_iters(50)
     rng = np.random.default_rng(40)
     v = ValueTable(n=10, values=rng.normal(size=1 << 10))
-    cfg = SparsifyConfig(max_iters=50, denoise=denoise)
     assert lp_vertex(v, denoise) is None        # the pivot budget runs out
-    d, iset, hist = sparsify(v, cfg)
-    huber_d, _, huber_hist = huber_sparsify(monkeypatch, v, cfg)
+    d, iset, hist = sparsify(v, denoise)
+    huber_d, _, huber_hist = huber_sparsify(monkeypatch, v, denoise)
     assert d.solver == "huber"
     np.testing.assert_array_equal(d.gamma, huber_d.gamma)
     np.testing.assert_array_equal(d.delta, huber_d.delta)
@@ -291,8 +284,7 @@ def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, denoise):
 
 @pytest.mark.parametrize("denoise", [False, True])
 def test_lp_effects_are_extract_on_the_support_and_zero_off_it(random_table, denoise):
-    cfg = SparsifyConfig(denoise=denoise)
-    d, iset, _ = sparsify(random_table, cfg)
+    d, iset, _ = sparsify(random_table, denoise)
     support = lp_vertex(random_table, denoise)[1]
     assert d.solver == "lp" and not support[:, 0].any()
     ref = extract(random_table, d)
@@ -304,16 +296,9 @@ def test_lp_effects_are_extract_on_the_support_and_zero_off_it(random_table, den
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_criterion_4_games_solve_exactly_on_the_lp(monkeypatch, seed):
     _, v, _ = recovery_game(seed)
-    cfg = SparsifyConfig(denoise=False)
-    d, iset, _ = sparsify(v, cfg)
+    d, iset, _ = sparsify(v, denoise=False)
     assert d.solver == "lp"
-    assert iset.total_l1() <= huber_sparsify(monkeypatch, v, cfg)[2][-1] * (1 + 1e-12)
-
-
-def test_sparsify_config_rejects_negative_values():
-    for kwargs in ({"max_iters": -1}, {"zeta_fraction": -0.1}):
-        with pytest.raises(ValueError):
-            SparsifyConfig(**kwargs)
+    assert iset.total_l1() <= huber_sparsify(monkeypatch, v, False)[2][-1] * (1 + 1e-12)
 
 
 def test_sparsify_size_cap():

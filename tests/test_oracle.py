@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from andor.extraction import (SparsifyConfig, all_and_decomposition,
-                              even_split_decomposition, extract, sparsify)
+from andor.extraction import (all_and_decomposition, even_split_decomposition,
+                              extract, sparsify)
 from andor.lattice import LatticeSizeError, mobius_and, mobius_or
 from andor.models import ValueTable, interaction_function_table
 from andor.oracle import (_submask_pairs, brute_and, brute_or, conditioned_and,
@@ -109,7 +109,7 @@ def test_verify_matching_all_modes(mode):
         d = even_split_decomposition(v)
         iset = extract(v, d)
     else:
-        d, iset, _ = sparsify(v, SparsifyConfig(max_iters=100))
+        d, iset, _ = sparsify(v)
     scale = max(1.0, float(np.max(np.abs(v.values))))
     assert verify_matching(v, d, iset) <= 1e-8 * scale
 
