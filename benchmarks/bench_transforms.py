@@ -12,11 +12,12 @@ Each of these figures is the best of several repeats.
 The solver rows time one solve per table, with and without denoising, on a
 random normal table, a net table and a sparse game of the criterion-4 kind
 (15 order-3 effects on an antichain) at n = 8, 9 and 10. Each row times the
-LP without a pivot budget and prints how many pivots it needed, times
+LP without a pivot budget (``extraction._lp_solve``, which returns the
+vertex with its pivot count and objective) and prints the pivots, times
 ``sparsify`` on the Huber path (as it runs above ``LP_MAX_N``), and times
 ``sparsify`` itself and names the path that finished it ("lp", or "huber"
-when the LP exhausted its budget), with the L1 of the LP and of the Huber
-path. ``extraction.LP_MAX_N`` and the 2**(n-1) pivot
+when the LP exhausted its budget), with the L1 of the LP (its objective) and
+of the Huber path. ``extraction.LP_MAX_N`` and the 2**(n-1) pivot
 budget at n = ``LP_MAX_N`` are set from these rows: at n = 10 the
 sparse games needed a few hundred pivots and the LP beat Huber on them,
 while the dense tables needed thousands and their LP was no faster on most
@@ -34,7 +35,7 @@ import time
 import numpy as np
 
 from andor import extraction
-from andor.extraction import (LP_MAX_N, ZETA_FRACTION, _loss_grad, _lp_matrix,
+from andor.extraction import (LP_MAX_N, ZETA_FRACTION, _loss_grad, _lp_model,
                               _lp_solve, _objective_base, sparsify)
 from andor.lattice import _diff_transform, _sum_transform
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
@@ -112,14 +113,14 @@ def solvers(rng):
         }
         for name, v in tables.items():
             for denoise in (False, True):
-                _lp_matrix(n, denoise)           # built once per process
+                _lp_model(n, denoise)            # built once per process
                 zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
                 t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
                 t_hub, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
                 t_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
-                print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.nit:>7} "
-                      f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {res.fun:>12.4f} "
+                print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.pivots:>7} "
+                      f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {res.objective:>12.4f} "
                       f"{hub_hist[-1]:>12.4f}")
 
 

@@ -34,16 +34,39 @@ solvers only return iterates: the LP its vertex, or None when the pivot
 budget runs out; the continuation one iterate per stage.
 
 On the LP path the written effects are those of ``extract`` on the solved
-(gamma, delta), except that every effect the LP's vertex holds at exactly
-zero is an exact 0.0. Recomputing the effects through gamma and two Mobius
-transforms leaves rounding dust of 1e-16 to 2e-11 in those slots, and masking
-them keeps an effect file to the LP's support (31-264 of 2046 entries on
-eight sparse n = 10 games, against 1124-1789 with the dust). The Huber path
-has no exact zeros to carry, and its effects, like those of the closed
-forms, are ``extract``'s unmasked.
+(gamma, delta), except that the rounding dust in the slots the LP's vertex
+holds at exactly zero is an exact 0.0. Recomputing the effects through gamma
+and two Mobius transforms leaves dust of 1e-16 to 2e-11 in those slots, and
+masking it keeps an effect file to the LP's support (31-264 of 2046 entries
+on eight sparse n = 10 games, against 1124-1789 with the dust). Only slots
+within the rounding bound 4**n * eps * max|u| are masked: each effect is a
+Mobius sum of 2**n entries of u, and each of those a subset sum of up to
+2**n entries of theta, so two chained 2**n-term sums bound its rounding. On
+241 LP vertices of n = 1..10 (random, sparse-game and net tables, both
+modes) the largest dust was 11% of that bound. A slot above it is not dust:
+when delta is clipped back into its box, the clip moves the effects by up
+to about the solver's feasibility tolerance (7e-9 on one n = 8 net table,
+1700 times the bound), and zeroing such an effect would break the
+reconstruction v - delta by as much. The Huber path has no exact zeros to
+carry, and its effects, like those of the closed forms, are ``extract``'s
+unmasked.
 
 scipy is imported on the first solve, not with the module: only ``sparsify``
 needs it. ``minimize`` stays a module attribute (see ``__getattr__``).
+
+The LP reaches HiGHS through the bindings scipy ships in its private module
+``scipy.optimize._highspy._core``, not through ``linprog``. ``_lp_model``
+builds one HiGHS model per (n, denoise), holding the matrix and the costs;
+each solve sets the table's row bounds (and delta box), passes the model to
+a fresh HiGHS instance with the options of ``linprog(method="highs-ds")``
+with presolve off, runs it and reads the vertex and the status. The vertex
+and the pivot count are bit-identical to linprog's (the tests compare the
+two). linprog rebuilds the HiGHS model on every call, copying the 3**n
+nonzeros of the matrix through the bindings, cleans and stacks its inputs,
+and builds bound marginals in a Python loop over the columns that andor
+never reads: on a sparse n = 10 game that was a third of each solve. The
+module is not scipy's public API, so ``_lp_model`` is the one function that
+imports it, and a scipy release that changes it fails the tests loudly.
 
 The cutoff and the budget were measured on one BLAS thread on a 2-core VM
 (``benchmarks/bench_transforms.py`` prints pivots and times per table). Up to
@@ -61,6 +84,7 @@ matrix grows as 3**n, the continuation's work per evaluation as n * 2**n.
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -319,7 +343,55 @@ def _lp_matrix(n: int, denoise: bool):
     return matrix
 
 
-def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None = None):
+class _LpResult(NamedTuple):
+    """One solve of the L1 LP: status 0 (optimal), 1 (pivot limit) or 4 (a
+    failure), linprog's codes; x is the vertex when optimal, else None. The
+    LP is always feasible and bounded, so linprog's 2 and 3 cannot occur."""
+
+    status: int
+    message: str
+    x: np.ndarray | None
+    pivots: int
+    objective: float
+
+
+@lru_cache(maxsize=None)
+def _lp_model(n: int, denoise: bool):
+    """The L1 LP of _lp_solve as a HiGHS model, and the bindings that solve it.
+
+    Returns (core, lp): scipy's private module ``scipy.optimize._highspy._core``
+    and a HighsLp holding the matrix of _lp_matrix, the costs and, without
+    denoising, every column bound. Only the row bounds (and, when denoising,
+    the delta box) change per table; _lp_solve writes them into this shared
+    lp just before passing it on, so solves must not run in parallel threads.
+    This is the one function that imports the module.
+    """
+    from scipy.optimize._highspy import _core
+    matrix = _lp_matrix(n, denoise)
+    rows, cols = matrix.shape
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    cost = np.zeros(cols)
+    cost[:4 * rows] = 1.0
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = _lp_col_bounds(rows, cols, 0.0)
+    return _core, lp
+
+
+def _lp_col_bounds(m: int, cols: int, zeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Column bounds: p+-, q+- in [0, inf), then delta in [-zeta, zeta]."""
+    lower, upper = np.zeros(cols), np.full(cols, np.inf)
+    lower[4 * m:], upper[4 * m:] = -zeta, zeta
+    return lower, upper
+
+
+def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None = None
+              ) -> _LpResult:
     """One HiGHS dual-simplex solve of the L1 LP of _lp_sparsify.
 
     With p = i_and and q = i_or (each split into nonnegative parts) and
@@ -327,22 +399,37 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
         S p - q + K delta = S a - b,   theta = p - a + mobius_and(delta/2),
     over the nonempty subsets, so minimizing sum p+- + q+- over that one
     block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem.
-    Returns linprog's result; maxiter caps the pivots (status 1 when hit).
+
+    The cached model of _lp_model goes to a fresh HiGHS instance with the
+    options ``linprog(method="highs-ds", options={"presolve": False})`` sets:
+    simplex, dual strategy, presolve off, no output. maxiter caps the pivots
+    (status 1 when hit). Like linprog, only an optimal solve returns x.
     """
-    from scipy.optimize import linprog
     a, b = base[:, 1:]
     m = a.size
     matrix = _lp_matrix(m.bit_length(), denoise)
-    cost = np.zeros(matrix.shape[1])
-    cost[:4 * m] = 1.0
-    bounds = np.zeros((matrix.shape[1], 2))
-    bounds[:4 * m, 1] = np.inf
-    bounds[4 * m:] = (-zeta, zeta)
-    options = {"presolve": False}
+    core, lp = _lp_model(m.bit_length(), denoise)
+    lp.row_lower_ = lp.row_upper_ = matrix[:, :m] @ a - b
+    if denoise:
+        lp.col_lower_, lp.col_upper_ = _lp_col_bounds(m, matrix.shape[1], zeta)
+    options = core.HighsOptions()
+    options.presolve = "off"
+    options.solver = "simplex"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
     if maxiter is not None:
-        options["maxiter"] = maxiter
-    return linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a - b, bounds=bounds,
-                   method="highs-ds", options=options)
+        options.simplex_iteration_limit = maxiter
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    code = {core.HighsModelStatus.kOptimal: 0,
+            core.HighsModelStatus.kIterationLimit: 1}.get(status, 4)
+    x = np.array(highs.getSolution().col_value) if code == 0 else None
+    return _LpResult(code, highs.modelStatusToString(status), x,
+                     info.simplex_iteration_count, info.objective_function_value)
 
 
 def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
@@ -360,7 +447,7 @@ def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
     if res.status == 1:
         return None
     if res.status != 0:
-        raise NumericalError(f"LP solve failed: {res.message}")
+        raise NumericalError(f"LP solve failed: HiGHS model status {res.message}")
     delta = np.zeros(m + 1)
     if denoise:
         # basic variables can overshoot their bounds by the solver's tolerance
@@ -391,11 +478,12 @@ def sparsify(v: ValueTable, denoise: bool = True
     4. If the all-AND closed form (always feasible) is below the best
        iterate, it is returned instead and its L1 ends the history.
     5. The effects are ``extract(v, decomposition)``. When the LP's vertex
-       is returned, every effect it holds at exactly zero is set to 0.0,
-       which drops the transforms' rounding dust there; the effects on its
-       support keep extract's values, consistent with the clipped delta.
-       Huber and all-AND results are not masked. The loss history is the
-       unmasked L1.
+       is returned, an effect it holds at exactly zero is set to 0.0 if its
+       magnitude is within the rounding bound 4**n * eps * max|u| (u the
+       u_and and u_or rows), which drops the transforms' rounding dust
+       there; all other effects keep extract's values, consistent with the
+       clipped delta. Huber and all-AND results are not masked. The loss
+       history is the unmasked L1.
     """
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
@@ -447,7 +535,9 @@ def sparsify(v: ValueTable, denoise: bool = True
                                   solver=solver)
     iset = extract(v, decomposition)
     if support is not None:
-        iset.effects[~support] = 0.0
+        u = np.stack(split_components(v, decomposition))
+        dust = 4.0 ** v.n * np.finfo(np.float64).eps * float(np.max(np.abs(u)))
+        iset.effects[~support & (np.abs(iset.effects) <= dust)] = 0.0
     return decomposition, iset, history
 
 

@@ -184,7 +184,8 @@ def sample_sparse_game(n: int, m: int, order_weights, effect_range: float,
         raise ValueError(f"kinds must be 'and' and/or 'or', got {kinds!r}")
 
     by_order = _masks_by_order(n)
-    capacity = sum(len(kinds) * len(by_order[k]) for k in range(1, n + 1) if weights[k] > 0)
+    capacity = sum(len(set(kinds)) * len(by_order[k])
+                   for k in range(1, n + 1) if weights[k] > 0)
     if m > capacity:
         raise ValueError(f"m={m} exceeds the {capacity} distinct (kind, T) slots available")
 
@@ -195,8 +196,8 @@ def sample_sparse_game(n: int, m: int, order_weights, effect_range: float,
     while len(chosen) < m:
         attempts += 1
         if attempts > 1000 * m:
-            raise RuntimeError("could not place the requested effects; "
-                               "relax m, the order weights, or antichain")
+            raise ValueError("could not place the requested effects; "
+                             "relax m, the order weights, or antichain")
         k = int(rng.choice(n + 1, p=weights))
         mask = int(rng.choice(by_order[k]))
         kind = str(rng.choice(kinds))

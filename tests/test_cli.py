@@ -269,7 +269,10 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     *(("synth", "--out", "{mixed}/synth", "--n", n, *flags) for n, flags in (
         ("4", ("--m", "500")), ("4", ("--orders", "7:1")),
         ("4", ("--interaction", "and", "--mask", "99")), ("4", ("--effect-range", "-1")),
-        ("4", ("--overfit-fraction", "2")), ("25", ()), ("25", ("--interaction", "or")))),
+        ("4", ("--overfit-fraction", "2")), ("25", ()), ("25", ("--interaction", "or")),
+        # more effects than distinct (kind, T) slots, or than antichain masks
+        ("2", ("--m", "3", "--orders", "1:1.0", "--kinds", "and,and")),
+        ("4", ("--m", "7", "--orders", "2:1.0", "--antichain")))),
 ], ids=["verify-without-interactions", "verify-missing-table",
         "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
         *(f"extract-label-{name}" for name in BAD_LABELS),
@@ -284,7 +287,7 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
         "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
         "axioms-n", "axioms-trials", "synth-m", "synth-orders", "synth-mask",
         "synth-effect-range", "synth-overfit-fraction", "synth-n-above-max",
-        "synth-interaction-n-above-max"])
+        "synth-interaction-n-above-max", "synth-duplicate-kinds", "synth-antichain-full"])
 def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     tmp_path, tabs, isets = pipeline
     wide = tmp_path / "wide"

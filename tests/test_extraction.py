@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from andor import extraction
-from andor.extraction import (ZETA_FRACTION, _loss_grad, _lp_matrix,
+from andor.extraction import (ZETA_FRACTION, _loss_grad, _lp_matrix, _lp_solve,
                               _lp_sparsify, _objective_base, _theta_effects,
                               all_and_decomposition, even_split_decomposition,
                               extract, filter_salient, salience_threshold,
                               sparsify, split_components)
 from andor.lattice import mobius_and, mobius_or, zeta_subsets
-from andor.models import (ValueTable, interaction_function_table, realize_table,
+from andor.models import (MaskingScheme, TinyNet, ValueTable, interaction_function_table,
+                          net_value_table, realize_table,
                           sample_sparse_game)
-from andor.oracle import brute_and, brute_or
+from andor.oracle import brute_and, brute_or, reconstruct, verify_matching
 from test_acceptance import recovery_game
 from test_lattice import mobius_and_transpose
 
@@ -282,15 +283,120 @@ def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, huber_max_it
     np.testing.assert_array_equal(iset.i_or, ref.i_or)
 
 
+def rounding_bound(v, d):
+    """sparsify's mask bound: 4**n * eps * max|u| over the u_and, u_or rows."""
+    return 4.0 ** v.n * np.finfo(np.float64).eps * np.abs(split_components(v, d)).max()
+
+
 @pytest.mark.parametrize("denoise", [False, True])
 def test_lp_effects_are_extract_on_the_support_and_zero_off_it(random_table, denoise):
     d, iset, _ = sparsify(random_table, denoise)
     support = lp_vertex(random_table, denoise)[1]
     assert d.solver == "lp" and not support[:, 0].any()
     ref = extract(random_table, d)
-    np.testing.assert_array_equal(np.stack([iset.i_and, iset.i_or]),
-                                  np.where(support, np.stack([ref.i_and, ref.i_or]), 0.0))
+    kept = support | (np.abs(ref.effects) > rounding_bound(random_table, d))
+    np.testing.assert_array_equal(iset.effects, np.where(kept, ref.effects, 0.0))
     assert iset.bias == ref.bias
+
+
+def clipped_delta_table():
+    """A denoised n = 8 net table whose LP vertex puts delta past its box: net
+    seed 2502 with the first layer of seed 2503, the first sample of seed 952."""
+    widths = [8, 32, 32, 2]
+    net = TinyNet.random(widths, rng_seed=2502)
+    first = TinyNet.random(widths, rng_seed=2503).weights[0]
+    net = TinyNet([first, *net.weights[1:]], list(net.biases))
+    x = np.random.default_rng(952).normal(size=(4, 8))[0]
+    return net_value_table(net, MaskingScheme(x, np.zeros(8)))
+
+
+def test_clipped_delta_effects_rebuild_the_denoised_table():
+    """Clipping delta back into its box leaves 7e-9 in two slots the vertex
+    holds at zero, far above the rounding bound. They are kept, so the
+    effects still rebuild v - delta and stay within zeta of v; zeroing them
+    moved the rebuilt table 7e-9 off v - delta, past zeta + 1e-9."""
+    v = clipped_delta_table()
+    d, iset, _ = sparsify(v, denoise=True)
+    support = lp_vertex(v, True)[1]
+    assert d.solver == "lp"
+    off = np.abs(iset.effects[~support])
+    assert np.count_nonzero(off > 1e-9) == 2
+    scale = max(1.0, float(np.max(np.abs(v.values))))
+    assert verify_matching(v, d, iset) <= 1e-12 * scale
+    rebuilt = reconstruct(iset.i_and, iset.i_or, iset.bias)
+    assert np.max(np.abs(rebuilt - v.values)) <= d.zeta_bound + 1e-9 * scale
+
+
+def linprog_reference(base, zeta, denoise, maxiter=None):
+    """The LP of _lp_solve through scipy's public linprog."""
+    from scipy.optimize import linprog
+    a, b = base[:, 1:]
+    m = a.size
+    matrix = _lp_matrix(m.bit_length(), denoise)
+    cost = np.zeros(matrix.shape[1])
+    cost[:4 * m] = 1.0
+    bounds = np.zeros((matrix.shape[1], 2))
+    bounds[:4 * m, 1] = np.inf
+    bounds[4 * m:] = (-zeta, zeta)
+    options = {"presolve": False} if maxiter is None else {"presolve": False,
+                                                           "maxiter": maxiter}
+    return linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a - b, bounds=bounds,
+                   method="highs-ds", options=options)
+
+
+def assert_solve_matches_linprog(v, denoise, maxiter=None):
+    base = _objective_base(v.values)
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+    res = _lp_solve(base, zeta, denoise, maxiter)
+    ref = linprog_reference(base, zeta, denoise, maxiter)
+    assert (res.status, res.pivots) == (ref.status, ref.nit)
+    if ref.x is None:
+        assert res.x is None
+    else:
+        np.testing.assert_array_equal(res.x, ref.x)
+        assert res.objective == ref.fun
+    return res
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_lp_solve_is_linprog_bit_for_bit(n, denoise):
+    """The direct HiGHS path gives linprog's highs-ds vertex, pivots and
+    status exactly; a scipy whose private bindings change fails here."""
+    rng = np.random.default_rng(50 + n)
+    res = assert_solve_matches_linprog(ValueTable(n=n, values=rng.normal(size=1 << n)),
+                                       denoise)
+    assert res.status == 0
+
+
+def test_lp_solve_is_linprog_bit_for_bit_at_the_pivot_limit():
+    rng = np.random.default_rng(40)
+    v = ValueTable(n=10, values=rng.normal(size=1 << 10))
+    res = assert_solve_matches_linprog(v, False, maxiter=512)
+    assert (res.status, res.pivots, res.x) == (1, 512, None)
+
+
+def test_lp_solves_do_not_depend_on_their_order():
+    """Tables of one (n, denoise) share a cached model; solving them in
+    reverse order gives the same vertices, pivots and effects."""
+    rng = np.random.default_rng(60)
+    tables = [ValueTable(n=6, values=rng.normal(size=64)) for _ in range(3)]
+    tables.append(clipped_delta_table())
+    jobs = [(v, denoise) for v in tables for denoise in (False, True)]
+
+    def solve(v, denoise):
+        zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+        res = _lp_solve(_objective_base(v.values), zeta, denoise)
+        return res, sparsify(v, denoise)[1]
+
+    forward = [solve(*job) for job in jobs]
+    backward = [solve(*job) for job in jobs[::-1]][::-1]
+    for (res, iset), (res_b, iset_b) in zip(forward, backward):
+        assert (res.status, res.pivots, res.objective) == \
+            (res_b.status, res_b.pivots, res_b.objective)
+        np.testing.assert_array_equal(res.x, res_b.x)
+        np.testing.assert_array_equal(iset.effects, iset_b.effects)
+        assert iset.bias == iset_b.bias
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -27,3 +27,23 @@ def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 1
     assert [hit for p in modules for hit in unused_imports(p)] == []
+
+
+def test_one_function_imports_the_private_highs_bindings():
+    """scipy's private HiGHS module is imported in one function of the
+    package, and linprog nowhere."""
+    importers, linprog = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and "_highspy" in (node.module or ""):
+                    importers.append(f"{path.name}:{func.name}")
+        linprog += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.Name, ast.alias, ast.Attribute))
+                    and "linprog" in (getattr(node, "id", None) or getattr(node, "name", None)
+                                      or getattr(node, "attr", ""))]
+    assert importers == ["extraction.py:_lp_model"]
+    assert linprog == []
