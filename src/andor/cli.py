@@ -5,12 +5,17 @@ byte-identical across re-runs with the same seed. Exit codes: 0 success,
 1 failed diagnose/axioms/oracle-verify verdict, 2 input error (missing or
 empty inputs, parse errors, wrong JSON types, mixed n, non-finite effects,
 or a flag value out of range: the library's ValueError, as one line).
+
+``main`` may be called any number of times in one process: it parses with
+one parser, built on the first call. argparse keeps no state between
+parses, so each call behaves as in a fresh process.
 """
 
 import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +143,9 @@ def cmd_extract(args) -> int:
             iset, hist = extract(v, d), []
         else:
             d, iset, hist = sparsify(v, denoise=not args.no_denoise)
-            solvers[v.label] = d.solver
+            solvers[name] = d.solver
         aio.write_interactions(iset, out / f"{name}.json")
-        histories[v.label] = hist
+        histories[name] = hist
     (out / "batch.json").write_text(json.dumps(
         {"mode": args.mode, "n": tables[0].n,
          "loss_history": histories, "solver": solvers},
@@ -319,8 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The parser main uses. It holds the cmd_* functions as built, so a rebinding
+# of andor.cli.cmd_* after the first call would not reach it.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # An overflowing transform shows as non-finite effects, which
         # InteractionSet rejects; numpy's warning would be a second line.

@@ -4,7 +4,8 @@ All numbers are serialized with repr (full-precision decimal, locale
 independent) and all JSON keys are sorted, so writing the same object twice
 produces byte-identical files. The readers check every field's JSON type
 (a boolean is no number) and raise ValueError or KeyError on a malformed
-document, or OverflowError on an integer beyond the float range.
+document, such as an effect list that names one mask twice, or
+OverflowError on an integer beyond the float range.
 """
 
 import csv
@@ -86,6 +87,8 @@ def read_interactions(path) -> InteractionSet:
         masks = _only([e["mask"] for e in entries], INTEGER, f"{key!r} masks")
         if masks and not 0 <= min(masks) <= max(masks) < row.size:
             raise ValueError(f"{key!r} has a mask outside 0..{row.size - 1}")
+        if len(set(masks)) < len(masks):
+            raise ValueError(f"{key!r} lists a mask twice")
         row[masks] = _only([e["value"] for e in entries], NUMBER, f"{key!r} values")
     return InteractionSet(n=n, effects=effects, bias=float(_get(doc, "bias", NUMBER)),
                           label=_get(doc, "label", STRING, ""))

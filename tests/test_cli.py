@@ -54,13 +54,89 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_cli_surface_is_pinned():
-    commands, = (a.choices for a in build_parser()._actions
+def surface(parser):
+    """Every subcommand's option strings (or positional name) and choices."""
+    commands, = (a.choices for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction))
-    surface = {name: {"/".join(a.option_strings) or a.dest: a.choices
-                      for a in parser._actions if a.dest != "help"}
-               for name, parser in commands.items()}
-    assert surface == CLI_SURFACE
+    return {name: {"/".join(a.option_strings) or a.dest: a.choices
+                   for a in sub._actions if a.dest != "help"}
+            for name, sub in commands.items()}
+
+
+def test_cli_surface_is_pinned():
+    assert surface(build_parser()) == CLI_SURFACE
+
+
+def fresh_process(*argv):
+    """Run the CLI in a new interpreter that imports andor from this checkout."""
+    src = str(Path(andor.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "andor.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_main_parses_with_one_parser_across_calls(monkeypatch, tmp_path):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: parsers.append(self) or parse_args(self, *a, **k))
+    for argv in (["axioms", "--n", "2", "--trials", "1"], ["extract"],
+                 ["synth", "--out", tmp_path, "--n", "3", "--m", "1", "--orders", "1:1.0"]):
+        with contextlib.suppress(SystemExit):
+            run(*argv)
+    assert len(parsers) == 3 and len(set(map(id, parsers))) == 1
+    assert surface(parsers[0]) == CLI_SURFACE
+
+
+def test_extract_after_no_denoise_denoises(tmp_path):
+    """A flag of one call does not carry over to the next in the same process."""
+    tabs = tmp_path / "tabs"
+    _dense_table(tabs, 4)
+    assert run("extract", "--in", tabs, "--out", tmp_path / "raw", "--no-denoise") == 0
+    assert run("extract", "--in", tabs, "--out", tmp_path / "denoised") == 0
+    assert fresh_process("extract", "--in", tabs, "--out", tmp_path / "fresh").returncode == 0
+    names = sorted(f.name for f in (tmp_path / "fresh").iterdir())
+    assert names == ["batch.json", "sample_0000.json"]
+    for name in names:
+        denoised = (tmp_path / "denoised" / name).read_bytes()
+        assert denoised == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "raw" / "sample_0000.json").read_bytes() != denoised
+
+
+def test_compare_after_theta_uses_the_default_theta(tmp_path):
+    """At the default theta = n / 2 = 2 each net flags the sample with the
+    order-2 effect, and the two flags miss each other; at theta = 3 neither
+    net flags one."""
+    for pop, order2 in (("a", "s0"), ("b", "s1")):
+        (tmp_path / pop).mkdir()
+        for label in ("s0", "s1"):
+            mask = 0b0011 if label == order2 else 0b0001
+            (tmp_path / pop / f"{label}.json").write_text(json.dumps(
+                {"n": 4, "label": label, "bias": 0.0, "or": [],
+                 "and": [{"mask": mask, "value": 1.0}]}))
+
+    def overlap(out):
+        return dict(line.split(",")[:2] for line in out.read_text().splitlines())["#overlap"]
+
+    args = ("compare", "--a", tmp_path / "a", "--b", tmp_path / "b", "--out")
+    assert run(*args, tmp_path / "theta3.csv", "--theta", "3") == 0
+    assert run(*args, tmp_path / "default.csv") == 0
+    assert (overlap(tmp_path / "theta3.csv"), overlap(tmp_path / "default.csv")) == \
+        ("1.0", "0.0")
+
+
+def test_usage_error_leaves_the_next_call_intact(pipeline, capsys):
+    _, tabs, isets = pipeline
+    for argv in (["extract"], ["compare", "--a", isets, "--b", isets,
+                               "--out", tabs / "c.csv", "--theta", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert run("oracle", "verify", "--table", tabs / "table_0000.json",
+               "--interactions", isets / "sample_0000.json") == 0
+    assert capsys.readouterr().out.startswith("max_abs_error: ")
 
 
 @pytest.fixture
@@ -263,7 +339,7 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     *(("extract", "--in", "{mixed}/huge", "--out", "{mixed}/out", *flags)
       for flags in (("--mode", "all-and"), ("--no-denoise",), ())),
     *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{mixed}/p.csv")
-      for name in ("nan", "inf")),
+      for name in ("nan", "inf", "repeated")),
     ("axioms", "--n", "9"),
     ("axioms", "--trials", "0"),
     *(("synth", "--out", "{mixed}/synth", "--n", n, *flags) for n, flags in (
@@ -285,6 +361,7 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
         "compare-negative-tau",
         "extract-overflow-all-and", "extract-overflow-no-denoise",
         "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
+        "profile-repeated-mask",
         "axioms-n", "axioms-trials", "synth-m", "synth-orders", "synth-mask",
         "synth-effect-range", "synth-overfit-fraction", "synth-n-above-max",
         "synth-interaction-n-above-max", "synth-duplicate-kinds", "synth-antichain-full"])
@@ -303,10 +380,11 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     (mixed / "other").mkdir()    # an n = 4 effect file under a label isets lacks
     effects = json.loads((isets / "sample_0000.json").read_text())
     (mixed / "other" / "x.json").write_text(json.dumps({**effects, "label": "other"}))
-    for name, value in (("nan", float("nan")), ("inf", float("inf"))):
+    for name, entries in (("nan", [float("nan")]), ("inf", [float("inf")]),
+                          ("repeated", [1.0, 2.0])):  # mask 1 listed twice
         (mixed / name).mkdir()
         (mixed / name / "x.json").write_text(
-            json.dumps({**effects, "and": [{"mask": 1, "value": value}]}))
+            json.dumps({**effects, "and": [{"mask": 1, "value": x} for x in entries]}))
     (mixed / "huge").mkdir()    # finite n = 3 values whose effects overflow float64
     aio.write_table(ValueTable(n=3, values=[(-1.7e308, 1.7e308)[m.bit_count() % 2]
                                             for m in range(8)]),
@@ -322,11 +400,7 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
         (labelled / name / "table.json").write_text(json.dumps({**table, "label": label}))
     args = [a.format(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled,
                      mixed=mixed) for a in argv]
-    src = str(Path(andor.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "andor.cli", *args],
-                          capture_output=True, text=True, env=env)
+    proc = fresh_process(*args)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -355,6 +429,17 @@ def test_extract_records_the_solver(tmp_path, huber_max_iters, n, table, solver)
     batch = json.loads((isets / "batch.json").read_text())
     assert batch["solver"] == {"sample_0000": solver}
     assert set(batch["loss_history"]) == set(batch["solver"])
+
+
+def test_unlabeled_table_is_keyed_by_its_file_name(tmp_path):
+    tabs, isets = tmp_path / "tabs", tmp_path / "isets"
+    tabs.mkdir()
+    aio.write_table(ValueTable(n=3, values=np.arange(8.0) ** 2), tabs / "t.json")
+    assert run("extract", "--in", tabs, "--out", isets) == 0
+    assert sorted(f.name for f in isets.iterdir()) == ["batch.json", "table.json"]
+    batch = json.loads((isets / "batch.json").read_text())
+    assert batch["solver"] == {"table": "lp"}
+    assert set(batch["loss_history"]) == {"table"}
 
 
 def test_cli_import_leaves_out_scipy_stats(pipeline):
