@@ -13,20 +13,20 @@ The solver rows time one solve per table, with and without denoising, on a
 random normal table, a net table and a sparse game of the criterion-4 kind
 (15 order-3 effects on an antichain) at n = 8, 9 and 10. Each row times the
 LP without a pivot budget (``extraction._lp_solve``, which returns the
-vertex with its pivot count and objective) and prints the pivots, times
-``sparsify`` on the Huber path (as it runs above ``LP_MAX_N``), and times
-``sparsify`` itself and names the path that finished it ("lp", or "huber"
-when the LP exhausted its budget), with the L1 of the LP (its objective) and
-of the Huber path. ``extraction.LP_MAX_N`` and the 2**(n-1) pivot
-budget at n = ``LP_MAX_N`` are set from these rows: at n = 10 the
-sparse games needed a few hundred pivots and the LP beat Huber on them,
-while the dense tables needed thousands and their LP was no faster on most
-of them. At n = 11 (measured once, not a row here: one net table, no
-denoising) the LP needed 10176 pivots and 7.5 s against 1.0 s for Huber.
-Set OPENBLAS_NUM_THREADS=1 to time the solvers on one BLAS thread. The
-n = 10 rows take about half a minute. ``tests/test_bench_transforms.py``
-runs the kernel and objective rows as a smoke test; the solver rows are
-run by hand.
+vertex with its pivot count) and prints the pivots, times ``sparsify`` on the
+Huber path (as it runs above ``LP_MAX_N``), and times ``sparsify`` itself and
+names the path that finished it ("lp", or "huber" when the LP exhausted its
+budget), with the L1 of the LP's vertex (the sum of its effect columns, not
+the LP's objective, which adds the order weights) and of the Huber path.
+``extraction.LP_MAX_N`` and the 2**(n-1) pivot budget at n = ``LP_MAX_N``
+are set from these rows: at n = 10 the sparse games needed a few hundred
+pivots and the LP beat Huber on them, while the dense tables needed
+thousands and their LP was no faster on most of them. At n = 11 (measured
+once, not a row here: one net table, no denoising) the LP needed 10176
+pivots and 7.5 s against 1.0 s for Huber. Set OPENBLAS_NUM_THREADS=1 to
+time the solvers on one BLAS thread. The n = 10 rows take about half a
+minute. ``tests/test_bench_transforms.py`` runs the kernel and objective
+rows as a smoke test; the solver rows are run by hand.
 """
 
 import sys
@@ -117,10 +117,11 @@ def solvers(rng):
                 zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
                 t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
+                lp_l1 = np.abs(res.x[:4 * (v.values.size - 1)]).sum()
                 t_hub, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
                 t_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.pivots:>7} "
-                      f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {res.objective:>12.4f} "
+                      f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {lp_l1:>12.4f} "
                       f"{hub_hist[-1]:>12.4f}")
 
 

@@ -18,6 +18,8 @@ from .models import ValueTable, interaction_function_table
 from .oracle import conditioned_and
 
 AXIOM_TOL = 1e-8
+# The dummy and symmetry axioms need two variables.
+AXIOM_MIN_N = 2
 AXIOM_MAX_N = 8
 # Condition-3 exponent search range and bisection tolerance.
 P_MAX = 64.0
@@ -307,8 +309,8 @@ def axiom_suite(n: int, trials: int, rng_seed: int) -> list[AxiomResult]:
     """Randomized verification of the seven AND-effect axioms of AXIOMS at
     tolerance AXIOM_TOL; the axioms run in order, each for all its trials,
     on one generator seeded with rng_seed."""
-    if n > AXIOM_MAX_N:
-        raise ValueError(f"axiom suite is capped at n <= {AXIOM_MAX_N}")
+    if not AXIOM_MIN_N <= n <= AXIOM_MAX_N:
+        raise ValueError(f"axiom suite needs {AXIOM_MIN_N} <= n <= {AXIOM_MAX_N}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)

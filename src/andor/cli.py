@@ -4,7 +4,8 @@ Every command is a pure function of its inputs and flags: outputs are
 byte-identical across re-runs with the same seed. Exit codes: 0 success,
 1 failed diagnose/axioms/oracle-verify verdict, 2 input error (missing or
 empty inputs, parse errors, wrong JSON types, mixed n, non-finite effects,
-or a flag value out of range: the library's ValueError, as one line).
+or a flag value out of range: the CLI's own check, which names the flag,
+or the library's ValueError, as one line).
 
 ``main`` may be called any number of times in one process: it parses with
 one parser, built on the first call. argparse keeps no state between
@@ -21,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
-from .analysis import (axiom_suite, compare_models, default_theta, sample_report,
-                       sparsity_diagnostics)
+from .analysis import (AXIOM_MAX_N, AXIOM_MIN_N, axiom_suite, compare_models,
+                       default_theta, sample_report, sparsity_diagnostics)
 from .extraction import (DEFAULT_SALIENCE_FRACTION, all_and_decomposition,
                          even_split_decomposition, extract, salience_threshold,
                          sparsify)
@@ -83,7 +84,16 @@ def _parse_orders(text: str) -> dict[int, float]:
     return out
 
 
+def _check_range(flag: str, value, low, high=None) -> None:
+    """A CliError naming flag unless low <= value (<= high); NaN is outside."""
+    if not (low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise CliError(f"{flag} must be {span}, got {value}")
+
+
 def cmd_synth(args) -> int:
+    _check_range("--samples", args.samples, 1)
+    _check_range("--overfit-fraction", args.overfit_fraction, 0.0, 1.0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -220,6 +230,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    _check_range("--n", args.n, AXIOM_MIN_N, AXIOM_MAX_N)
     results = axiom_suite(args.n, args.trials, args.seed)
     lines = [f"{r.name}: {'pass' if r.passed else 'FAIL'} "
              f"(trials {r.trials}, max error {r.max_error:.3e})" for r in results]

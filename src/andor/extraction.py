@@ -27,6 +27,33 @@ picks its solver from the table size n:
   its adjoint, plus one batched difference transform each way when
   denoising.
 
+The LP does not give every effect cost 1. The effect on subset S costs
+1 + LP_ORDER_WEIGHT * |S|**2 (both signs, AND and OR alike; delta costs 0).
+Under unit costs the LP is heavily dual-degenerate: its minimum is often not
+unique, the dual simplex pays for the ties in pivots, and it returns
+whichever optimal vertex its pivoting reaches. With the weights, the
+optimum is a vertex of the unit-cost LP's optimal face when epsilon =
+LP_ORDER_WEIGHT is small enough (the perturbation method, Charnes 1952):
+among the L1 minima, the one of least sum |S|**2 * |I_S|, which puts the
+mass on the lowest orders. epsilon = 1e-6 sits between two bounds:
+
+- the smallest weight step, epsilon * 1**2, is 10 times HiGHS's dual
+  feasibility tolerance of 1e-7, so the pricing sees every tie broken. At
+  epsilon = 1e-9, below it, the weights cut no pivots: criterion-4 games
+  0-9 (n = 10) took 2700, against 2417 under unit costs and 1322 at 1e-6;
+- the weighted cost is at most 1 + epsilon * n**2 times the L1, so the
+  returned L1 exceeds the minimum by at most epsilon * n**2 relative, 1e-4
+  at n = 10.
+
+The square, not |S|, separates the tie of criterion-4 game 4074, where one
+order-3 effect trades against an order-2 and an order-4 effect of equal
+magnitude: 2**2 + 4**2 = 20 > 18 = 3**2 + 3**2, while 2 + 4 = 3 + 3. In
+practice the returned vertex is optimal for the unit-cost LP within
+HiGHS's tolerances: re-solved from its basis with unit costs, it took no
+pivot on every table tried (the tests check this), and its L1 was within
+6.5e-10 relative of the unit-cost vertex's on 30 sparse n = 10 games and
+within 3e-14 on 48 denoised n = 8 net tables.
+
 ``sparsify`` runs the whole solve in one place: the start at the even
 split, the solver choice, the best-iterate rule and its loss history, the
 all-AND fallback and the support mask (its docstring lists the steps). The
@@ -38,18 +65,18 @@ On the LP path the written effects are those of ``extract`` on the solved
 holds at exactly zero is an exact 0.0. Recomputing the effects through gamma
 and two Mobius transforms leaves dust of 1e-16 to 2e-11 in those slots, and
 masking it keeps an effect file to the LP's support (31-264 of 2046 entries
-on eight sparse n = 10 games, against 1124-1789 with the dust). Only slots
-within the rounding bound 4**n * eps * max|u| are masked: each effect is a
-Mobius sum of 2**n entries of u, and each of those a subset sum of up to
-2**n entries of theta, so two chained 2**n-term sums bound its rounding. On
-241 LP vertices of n = 1..10 (random, sparse-game and net tables, both
-modes) the largest dust was 11% of that bound. A slot above it is not dust:
-when delta is clipped back into its box, the clip moves the effects by up
-to about the solver's feasibility tolerance (7e-9 on one n = 8 net table,
-1700 times the bound), and zeroing such an effect would break the
-reconstruction v - delta by as much. The Huber path has no exact zeros to
-carry, and its effects, like those of the closed forms, are ``extract``'s
-unmasked.
+on eight sparse n = 10 games under unit costs, against 1124-1789 with the
+dust). Only slots within the rounding bound 4**n * eps * max|u| are masked:
+each effect is a Mobius sum of 2**n entries of u, and each of those a subset
+sum of up to 2**n entries of theta, so two chained 2**n-term sums bound its
+rounding. On 241 LP vertices of n = 1..10 (random, sparse-game and net
+tables, both modes) the largest dust was 11% of that bound. A slot above it
+is not dust: when delta is clipped back into its box, the clip moves the
+effects by up to about the solver's feasibility tolerance (7e-9 on one
+n = 8 net table, 1700 times the bound), and zeroing such an effect would
+break the reconstruction v - delta by as much. The Huber path has no exact
+zeros to carry, and its effects, like those of the closed forms, are
+``extract``'s unmasked.
 
 scipy is imported on the first solve, not with the module: only ``sparsify``
 needs it. ``minimize`` stays a module attribute (see ``__getattr__``).
@@ -60,25 +87,28 @@ builds one HiGHS model per (n, denoise), holding the matrix and the costs;
 each solve sets the table's row bounds (and delta box), passes the model to
 a fresh HiGHS instance with the options of ``linprog(method="highs-ds")``
 with presolve off, runs it and reads the vertex and the status. The vertex
-and the pivot count are bit-identical to linprog's (the tests compare the
-two). linprog rebuilds the HiGHS model on every call, copying the 3**n
-nonzeros of the matrix through the bindings, cleans and stacks its inputs,
-and builds bound marginals in a Python loop over the columns that andor
-never reads: on a sparse n = 10 game that was a third of each solve. The
-module is not scipy's public API, so ``_lp_model`` is the one function that
-imports it, and a scipy release that changes it fails the tests loudly.
+and the pivot count are bit-identical to linprog's given the same costs
+(the tests pass linprog the model's costs and compare the two). linprog
+rebuilds the HiGHS model on every call, copying the 3**n nonzeros of the
+matrix through the bindings, cleans and stacks its inputs, and builds bound
+marginals in a Python loop over the columns that andor never reads: on a
+sparse n = 10 game that was a third of each solve. The module is not scipy's
+public API, so ``_lp_model`` is the one function that imports it, and a
+scipy release that changes it fails the tests loudly.
 
 The cutoff and the budget were measured on one BLAS thread on a 2-core VM
 (``benchmarks/bench_transforms.py`` prints pivots and times per table). Up to
 n = 9 the LP was faster on every table (0.02-0.45 s against 0.2-1.5 s at
 n = 9). At n = 10 it depends on how many pivots the table's LP needs: 160
-sparse criterion-4 games needed 166-365 and solved in about 0.04 s against
-0.38 s for Huber, which stopped 2.7-7.8% above their minimum; dense random
-and net tables needed 3457-10980, and their uncapped LP took 0.9-4.2 s
-against 0.8-2.5 s for Huber. The 2**(n-1) = 512-pivot budget separates the
-two and costs a dense table about 0.1 s before its Huber solve. At n = 11
-the LP took 7.5 s on a dense net table against 1.0 s for Huber. The LP's
-matrix grows as 3**n, the continuation's work per evaluation as n * 2**n.
+sparse criterion-4 games needed 62-228 (166-365 under unit costs) and solved
+in 0.014-0.040 s, median 0.025 s (0.042 s under unit costs), against 0.38 s
+for Huber, which stopped 2.7-7.8% above their minimum; eight dense random
+and net tables, in both modes, needed 3372-10254 (3356-16093 under unit
+costs), and their uncapped LP took 1.1-5.8 s against 0.8-2.5 s for Huber.
+The 2**(n-1) = 512-pivot budget separates the two and costs a dense table
+about 0.1 s before its Huber solve. At n = 11 the LP took 7.5 s on a dense
+net table against 1.0 s for Huber. The LP's matrix grows as 3**n, the
+continuation's work per evaluation as n * 2**n.
 """
 
 import sys
@@ -96,6 +126,9 @@ SPARSIFY_MAX_N = 20
 # The LP solves n <= LP_MAX_N; at n = LP_MAX_N its dual simplex stops after
 # 2**(n-1) pivots.
 LP_MAX_N = 10
+# The LP's cost of an effect on subset S is 1 + LP_ORDER_WEIGHT * |S|**2, a
+# tie-break toward low orders (see the module docstring).
+LP_ORDER_WEIGHT = 1e-6
 # An iterate replaces the best one only if its L1 is lower by this much,
 # relative.
 CONVERGENCE_EPS = 1e-9
@@ -346,7 +379,9 @@ def _lp_matrix(n: int, denoise: bool):
 class _LpResult(NamedTuple):
     """One solve of the L1 LP: status 0 (optimal), 1 (pivot limit) or 4 (a
     failure), linprog's codes; x is the vertex when optimal, else None. The
-    LP is always feasible and bounded, so linprog's 2 and 3 cannot occur."""
+    LP is always feasible and bounded, so linprog's 2 and 3 cannot occur.
+    objective is the order-weighted cost of _lp_model, not the L1; the
+    vertex's L1 is abs(x[:4 * m]).sum() over its m = 2**n - 1 rows."""
 
     status: int
     message: str
@@ -361,10 +396,12 @@ def _lp_model(n: int, denoise: bool):
 
     Returns (core, lp): scipy's private module ``scipy.optimize._highspy._core``
     and a HighsLp holding the matrix of _lp_matrix, the costs and, without
-    denoising, every column bound. Only the row bounds (and, when denoising,
-    the delta box) change per table; _lp_solve writes them into this shared
-    lp just before passing it on, so solves must not run in parallel threads.
-    This is the one function that imports the module.
+    denoising, every column bound. The costs are 1 + LP_ORDER_WEIGHT * |S|**2
+    on p+-, q+- (S the column's subset) and 0 on delta: the tie-break toward
+    low orders of the module docstring. Only the row bounds (and, when
+    denoising, the delta box) change per table; _lp_solve writes them into
+    this shared lp just before passing it on, so solves must not run in
+    parallel threads. This is the one function that imports the module.
     """
     from scipy.optimize._highspy import _core
     matrix = _lp_matrix(n, denoise)
@@ -376,8 +413,9 @@ def _lp_model(n: int, denoise: bool):
     lp.a_matrix_.start_ = matrix.indptr
     lp.a_matrix_.index_ = matrix.indices
     lp.a_matrix_.value_ = matrix.data
+    order = order_counts(n)[1:].astype(float)
     cost = np.zeros(cols)
-    cost[:4 * rows] = 1.0
+    cost[:4 * rows] = np.tile(1.0 + LP_ORDER_WEIGHT * order ** 2, 4)
     lp.col_cost_ = cost
     lp.col_lower_, lp.col_upper_ = _lp_col_bounds(rows, cols, 0.0)
     return _core, lp
@@ -398,12 +436,17 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
     a, b = base[:, 1:], the effects of _theta_effects satisfy
         S p - q + K delta = S a - b,   theta = p - a + mobius_and(delta/2),
     over the nonempty subsets, so minimizing sum p+- + q+- over that one
-    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem.
+    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem. The
+    costs are _lp_model's, 1 + LP_ORDER_WEIGHT * |S|**2 per effect: where
+    the L1 minimum is not unique they pick the one of least
+    sum |S|**2 * |I_S|, and otherwise move the L1 by at most
+    LP_ORDER_WEIGHT * n**2 relative (module docstring).
 
     The cached model of _lp_model goes to a fresh HiGHS instance with the
     options ``linprog(method="highs-ds", options={"presolve": False})`` sets:
     simplex, dual strategy, presolve off, no output. maxiter caps the pivots
-    (status 1 when hit). Like linprog, only an optimal solve returns x.
+    (status 1 when hit). Like linprog, only an optimal solve returns x, and
+    x and the pivots are linprog's exactly when linprog gets the same costs.
     """
     a, b = base[:, 1:]
     m = a.size
@@ -468,7 +511,9 @@ def sparsify(v: ValueTable, denoise: bool = True
 
     1. Start from the even split (gamma zero beyond the empty-set pin,
        delta = 0); its L1 opens the loss history.
-    2. For n <= LP_MAX_N, solve the LP; its vertex is the one iterate. For
+    2. For n <= LP_MAX_N, solve the LP; its vertex is the one iterate.
+       Where the L1 minimum is not unique, its order weights pick the
+       minimum of least sum |S|**2 * |I_S| (module docstring). For
        n > LP_MAX_N, or when the LP exhausts its pivot budget, run the Huber
        continuation from the start; each stage gives one iterate. The
        decomposition's ``solver`` names the path, "lp" or "huber".

@@ -165,7 +165,8 @@ def test_axiom_suite_stores_counterexample(monkeypatch):
 
 
 def test_axiom_suite_input_validation():
-    with pytest.raises(ValueError):
-        axiom_suite(9, trials=10, rng_seed=0)
+    for n in (0, 1, 9):
+        with pytest.raises(ValueError, match="2 <= n <= 8"):
+            axiom_suite(n, trials=10, rng_seed=0)
     with pytest.raises(ValueError):
         axiom_suite(4, trials=0, rng_seed=0)

@@ -25,6 +25,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # Labels extract must refuse, by test id: reserved output names, or paths.
 BAD_LABELS = {"batch": "batch", "ground_truth": "ground_truth", "slash": "a/b",
               "backslash": "a\\b", "dotdot": ".."}
+# Out-of-range flag values the CLI rejects itself, by test id: the error
+# line names the flag.
+NAMED_FLAGS = {"axioms-n": "--n", "axioms-n-zero": "--n", "axioms-n-one": "--n",
+               "synth-samples": "--samples", "synth-overfit-fraction": "--overfit-fraction"}
 
 
 # Every subcommand's arguments and their choices (None: any value). A new
@@ -341,11 +345,14 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
     *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{mixed}/p.csv")
       for name in ("nan", "inf", "repeated")),
     ("axioms", "--n", "9"),
+    ("axioms", "--n", "0"),
+    ("axioms", "--n", "1"),
     ("axioms", "--trials", "0"),
     *(("synth", "--out", "{mixed}/synth", "--n", n, *flags) for n, flags in (
         ("4", ("--m", "500")), ("4", ("--orders", "7:1")),
         ("4", ("--interaction", "and", "--mask", "99")), ("4", ("--effect-range", "-1")),
-        ("4", ("--overfit-fraction", "2")), ("25", ()), ("25", ("--interaction", "or")),
+        ("4", ("--overfit-fraction", "2")), ("4", ("--samples", "-1")),
+        ("25", ()), ("25", ("--interaction", "or")),
         # more effects than distinct (kind, T) slots, or than antichain masks
         ("2", ("--m", "3", "--orders", "1:1.0", "--kinds", "and,and")),
         ("4", ("--m", "7", "--orders", "2:1.0", "--antichain")))),
@@ -362,10 +369,11 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
         "extract-overflow-all-and", "extract-overflow-no-denoise",
         "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
         "profile-repeated-mask",
-        "axioms-n", "axioms-trials", "synth-m", "synth-orders", "synth-mask",
-        "synth-effect-range", "synth-overfit-fraction", "synth-n-above-max",
-        "synth-interaction-n-above-max", "synth-duplicate-kinds", "synth-antichain-full"])
-def test_malformed_input_exit_2_without_traceback(pipeline, argv):
+        "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials", "synth-m",
+        "synth-orders", "synth-mask", "synth-effect-range", "synth-overfit-fraction",
+        "synth-samples", "synth-n-above-max", "synth-interaction-n-above-max",
+        "synth-duplicate-kinds", "synth-antichain-full"])
+def test_malformed_input_exit_2_without_traceback(pipeline, argv, request):
     tmp_path, tabs, isets = pipeline
     wide = tmp_path / "wide"
     assert run("synth", "--out", wide, "--n", "5", "--m", "2", "--orders", "2:1.0") == 0
@@ -405,6 +413,8 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert not any(labelled.glob("*/out"))      # rejected before writing
+    flag = NAMED_FLAGS.get(request.node.callspec.id)
+    assert flag is None or proc.stderr.startswith(f"error: {flag} must be ")
 
 
 def _dense_table(directory, n):

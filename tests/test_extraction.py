@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from andor import extraction
-from andor.extraction import (ZETA_FRACTION, _loss_grad, _lp_matrix, _lp_solve,
-                              _lp_sparsify, _objective_base, _theta_effects,
+from andor.extraction import (ZETA_FRACTION, _loss_grad, _lp_matrix, _lp_model,
+                              _lp_solve, _lp_sparsify, _objective_base, _theta_effects,
                               all_and_decomposition, even_split_decomposition,
                               extract, filter_salient, salience_threshold,
                               sparsify, split_components)
@@ -328,13 +328,12 @@ def test_clipped_delta_effects_rebuild_the_denoised_table():
 
 
 def linprog_reference(base, zeta, denoise, maxiter=None):
-    """The LP of _lp_solve through scipy's public linprog."""
+    """The LP of _lp_solve, with _lp_model's costs, through scipy's public linprog."""
     from scipy.optimize import linprog
     a, b = base[:, 1:]
     m = a.size
     matrix = _lp_matrix(m.bit_length(), denoise)
-    cost = np.zeros(matrix.shape[1])
-    cost[:4 * m] = 1.0
+    cost = np.array(_lp_model(m.bit_length(), denoise)[1].col_cost_)
     bounds = np.zeros((matrix.shape[1], 2))
     bounds[:4 * m, 1] = np.inf
     bounds[4 * m:] = (-zeta, zeta)
@@ -405,6 +404,56 @@ def test_criterion_4_games_solve_exactly_on_the_lp(monkeypatch, seed):
     d, iset, _ = sparsify(v, denoise=False)
     assert d.solver == "lp"
     assert iset.total_l1() <= huber_sparsify(monkeypatch, v, False)[2][-1] * (1 + 1e-12)
+
+
+def test_lp_recovers_game_4074():
+    """The LP's minimum on this game is not unique: a vertex that trades one
+    order-3 effect for an order-2 and an order-4 one of equal magnitude ties
+    the ground truth under unit costs. The order weights break the tie."""
+    game, v, tau = recovery_game(4074)
+    d, iset, _ = sparsify(v, denoise=False)
+    assert d.solver == "lp"
+    assert iset.support(tau) == game.support()
+
+
+def assert_optimal_under_unit_costs(v, denoise):
+    """Solve v's LP with _lp_model's order-weighted costs, then set every
+    effect's cost to 1 and run again from that optimal basis: it must take no
+    pivot and stay optimal at the same vertex, so the weights only pick among
+    the unit-cost LP's optimal vertices."""
+    base = _objective_base(v.values)
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+    res = _lp_solve(base, zeta, denoise)      # writes v's bounds into the model
+    core, lp = _lp_model(v.n, denoise)
+    options = core.HighsOptions()
+    options.presolve = "off"
+    options.solver = "simplex"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    unit = (np.arange(lp.num_col_) < 4 * lp.num_row_).astype(float)
+    for cost, pivots in ((None, res.pivots), (unit, 0)):
+        if cost is not None:
+            assert highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32),
+                                        cost) == core.HighsStatus.kOk
+        assert highs.run() == core.HighsStatus.kOk
+        assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+        assert highs.getInfo().simplex_iteration_count == pivots
+        np.testing.assert_array_equal(highs.getSolution().col_value, res.x)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weighted_vertex_of_criterion_4_games_is_unit_cost_optimal(seed):
+    assert_optimal_under_unit_costs(recovery_game(seed)[1], False)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_weighted_vertex_of_dense_tables_is_unit_cost_optimal(n, denoise):
+    values = np.random.default_rng(70 + n).normal(size=1 << n)
+    assert_optimal_under_unit_costs(ValueTable(n=n, values=values), denoise)
 
 
 def test_sparsify_size_cap():
