@@ -11,17 +11,21 @@ Each of these figures is the best of several repeats.
 
 The solver rows time one solve per table, with and without denoising, on a
 random normal table, a net table and a sparse game of the criterion-4 kind
-(15 order-3 effects on an antichain) at n = 8, 9 and 10. Each row times the
-LP without a pivot budget (``extraction._lp_solve``, which returns the
+(15 order-3 effects on an antichain) at n = 8, 9 and 10. Each row prints
+the nonzeros of the LP's equality matrix (``extraction._lp_matrix``, its
+rows in the half-butterfly coordinates of the extraction docstring), times
+the LP without a pivot budget (``extraction._lp_solve``, which returns the
 vertex with its pivot count) and prints the pivots, times ``sparsify`` on the
 Huber path (as it runs above ``LP_MAX_N``), and times ``sparsify`` itself and
 names the path that finished it ("lp", or "huber" when the LP exhausted its
 budget), with the L1 of the LP's vertex (the sum of its effect columns, not
 the LP's objective, which adds the order weights) and of the Huber path.
 ``extraction.LP_MAX_N`` and the 2**(n-1) pivot budget at n = ``LP_MAX_N``
-are set from these rows: at n = 10 the sparse games needed a few hundred
-pivots and the LP beat Huber on them, while the dense tables needed
-thousands and their LP was no faster on most of them. At n = 11 (measured
+were set from these rows, in the plain rows before that transform: at
+n = 10 the sparse games needed a few hundred pivots and the LP beat Huber
+on them, while the dense tables needed thousands and their LP was no faster
+on most of them. In the transformed rows the sparse games need a few dozen
+and the dense tables still thousands. At n = 11 (measured
 once, not a row here: one net table, no denoising) the LP needed 10176
 pivots and 7.5 s against 1.0 s for Huber. Set OPENBLAS_NUM_THREADS=1 to
 time the solvers on one BLAS thread. The n = 10 rows take about half a
@@ -35,8 +39,8 @@ import time
 import numpy as np
 
 from andor import extraction
-from andor.extraction import (LP_MAX_N, ZETA_FRACTION, _loss_grad, _lp_model,
-                              _lp_solve, _objective_base, sparsify)
+from andor.extraction import (LP_MAX_N, ZETA_FRACTION, _loss_grad, _lp_matrix,
+                              _lp_model, _lp_solve, _objective_base, sparsify)
 from andor.lattice import _diff_transform, _sum_transform
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
@@ -100,8 +104,8 @@ def huber_sparsify(v, denoise):
 def solvers(rng):
     print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N}, "
           f"2**(n-1) pivots at n = {LP_MAX_N})")
-    print(f"{'n':>4} {'table':>7} {'denoise':>8} {'lp':>9} {'pivots':>7} {'huber':>9} "
-          f"{'sparsify':>9} {'path':>6} {'lp L1':>12} {'huber L1':>12}")
+    print(f"{'n':>4} {'table':>7} {'denoise':>8} {'nnz':>7} {'lp':>9} {'pivots':>7} "
+          f"{'huber':>9} {'sparsify':>9} {'path':>6} {'lp L1':>12} {'huber L1':>12}")
     for n in (8, 9, 10):
         net = TinyNet.random([n, 32, 32, 2], rng_seed=n)
         game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
@@ -114,15 +118,16 @@ def solvers(rng):
         for name, v in tables.items():
             for denoise in (False, True):
                 _lp_model(n, denoise)            # built once per process
+                nnz = _lp_matrix(n, denoise).nnz
                 zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
                 t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
                 lp_l1 = np.abs(res.x[:4 * (v.values.size - 1)]).sum()
                 t_hub, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
                 t_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
-                print(f"{n:>4} {name:>7} {str(denoise):>8} {t_lp:>8.3f}s {res.pivots:>7} "
-                      f"{t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} {lp_l1:>12.4f} "
-                      f"{hub_hist[-1]:>12.4f}")
+                print(f"{n:>4} {name:>7} {str(denoise):>8} {nnz:>7} {t_lp:>8.3f}s "
+                      f"{res.pivots:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} "
+                      f"{lp_l1:>12.4f} {hub_hist[-1]:>12.4f}")
 
 
 def main():

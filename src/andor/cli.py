@@ -93,7 +93,10 @@ def _check_range(flag: str, value, low, high=None) -> None:
 
 def cmd_synth(args) -> int:
     _check_range("--samples", args.samples, 1)
+    _check_range("--m", args.m, 0)
     _check_range("--overfit-fraction", args.overfit_fraction, 0.0, 1.0)
+    _check_range("--overfit-pairs", args.overfit_pairs, 0)
+    _check_range("--overfit-min-order", args.overfit_min_order, 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

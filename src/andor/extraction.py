@@ -15,7 +15,7 @@ and the subset sums cancel against the Mobius transforms (see
 picks its solver from the table size n:
 
 - n <= LP_MAX_N: the exact L1 minimum, one HiGHS dual-simplex solve of that
-  LP (``_lp_sparsify``). Its equality matrix has about 3**n nonzeros. At
+  LP (``_lp_sparsify``), in the row coordinates described below. At
   n = LP_MAX_N the simplex gets 2**(n-1) pivots; a table whose LP needs more
   goes to the Huber continuation below, from the same start, and comes out
   exactly as it would without the LP attempt.
@@ -54,6 +54,31 @@ pivot on every table tried (the tests check this), and its L1 was within
 6.5e-10 relative of the unit-cost vertex's on 30 sparse n = 10 games and
 within 3e-14 on 48 denoised n = 8 net tables.
 
+The LP's equality rows over the nonempty subsets are, plainly,
+[S, -S, -I, I, K] times (p+, p-, q+, q-, delta), where S and K are n-fold
+kron products of 2x2 factors with 3**n nonzeros each (``_lp_matrix``).
+HiGHS gets them left-multiplied by R', the nonempty block of R = the kron
+of T = [[1,1],[0,-1]] on the top k = n // 2 bits and of I on the other
+n - k. T is an involution and R has no entry from a nonempty row to the
+empty column, so R' is its own inverse: the variables, bounds, costs,
+feasible set and minimum stay those of the plain rows, and only the
+coordinates of the rows change. Since S is kron^n T, the p+- blocks become
+R'S' with about 2**k * 3**(n-k) nonzeros, the q+- blocks +-R' with about
+3**k * 2**(n-k), and the delta block R'K' keeps 3**n (per bit T times K's
+factor is [[1,0],[-1,1]]). The two products are 6**n for every k, so by
+AM-GM their sum is least where they are equal, at k = n // 2. At n = 10
+the matrix has 30 976 nonzeros against 118 096 (89 992 against 177 143
+when denoising); at n = 8, denoising, 11 664 against 19 679. The sparser
+rows also cut pivots: 160 sparse criterion-4 games at n = 10 took 24-52
+instead of 62-228. In the plain rows their vertices held basic effect
+columns slightly below zero (down to -3.3e-12 on 30 games), which put up
+to 143 dust entries beside the 15 ground-truth effects; in these rows the
+same 30 games come out with exactly those 15. The L1 minimum is the same
+(the tests check it against linprog on the plain rows), but where it ties,
+as it can when denoising (delta costs 0), the simplex may reach another
+optimal vertex: on 16 denoised n = 8 net tables the L1 moved by at most
+1.1e-13 relative, and 8 tables' effects by 7e-4 to 2.0e-2.
+
 ``sparsify`` runs the whole solve in one place: the start at the even
 split, the solver choice, the best-iterate rule and its loss history, the
 all-AND fallback and the support mask (its docstring lists the steps). The
@@ -64,8 +89,8 @@ On the LP path the written effects are those of ``extract`` on the solved
 (gamma, delta), except that the rounding dust in the slots the LP's vertex
 holds at exactly zero is an exact 0.0. Recomputing the effects through gamma
 and two Mobius transforms leaves dust of 1e-16 to 2e-11 in those slots, and
-masking it keeps an effect file to the LP's support (31-264 of 2046 entries
-on eight sparse n = 10 games under unit costs, against 1124-1789 with the
+masking it keeps an effect file to the LP's support (the 15 ground-truth
+entries of 2046 on 30 sparse n = 10 games, against 1124-1789 with the
 dust). Only slots within the rounding bound 4**n * eps * max|u| are masked:
 each effect is a Mobius sum of 2**n entries of u, and each of those a subset
 sum of up to 2**n entries of theta, so two chained 2**n-term sums bound its
@@ -89,7 +114,7 @@ a fresh HiGHS instance with the options of ``linprog(method="highs-ds")``
 with presolve off, runs it and reads the vertex and the status. The vertex
 and the pivot count are bit-identical to linprog's given the same costs
 (the tests pass linprog the model's costs and compare the two). linprog
-rebuilds the HiGHS model on every call, copying the 3**n nonzeros of the
+rebuilds the HiGHS model on every call, copying every nonzero of the
 matrix through the bindings, cleans and stacks its inputs, and builds bound
 marginals in a Python loop over the columns that andor never reads: on a
 sparse n = 10 game that was a third of each solve. The module is not scipy's
@@ -97,18 +122,25 @@ public API, so ``_lp_model`` is the one function that imports it, and a
 scipy release that changes it fails the tests loudly.
 
 The cutoff and the budget were measured on one BLAS thread on a 2-core VM
-(``benchmarks/bench_transforms.py`` prints pivots and times per table). Up to
-n = 9 the LP was faster on every table (0.02-0.45 s against 0.2-1.5 s at
-n = 9). At n = 10 it depends on how many pivots the table's LP needs: 160
-sparse criterion-4 games needed 62-228 (166-365 under unit costs) and solved
-in 0.014-0.040 s, median 0.025 s (0.042 s under unit costs), against 0.38 s
-for Huber, which stopped 2.7-7.8% above their minimum; eight dense random
-and net tables, in both modes, needed 3372-10254 (3356-16093 under unit
-costs), and their uncapped LP took 1.1-5.8 s against 0.8-2.5 s for Huber.
-The 2**(n-1) = 512-pivot budget separates the two and costs a dense table
-about 0.1 s before its Huber solve. At n = 11 the LP took 7.5 s on a dense
-net table against 1.0 s for Huber. The LP's matrix grows as 3**n, the
-continuation's work per evaluation as n * 2**n.
+(``benchmarks/bench_transforms.py`` prints nonzeros, pivots and times per
+table), in the plain rows. Up to n = 9 the LP was faster on every table
+(0.02-0.45 s against 0.2-1.5 s at n = 9). At n = 10 it depends on how many
+pivots the table's LP needs: 160 sparse criterion-4 games needed 62-228
+(166-365 under unit costs), against 0.38 s for Huber, which stopped
+2.7-7.8% above their minimum; eight dense random and net tables, in both
+modes, needed 3372-10254 (3356-16093 under unit costs), and their uncapped
+LP took 1.1-5.8 s against 0.8-2.5 s for Huber. At n = 11 the LP took 7.5 s
+on a dense net table against 1.0 s for Huber. Re-measured in one session
+on the row-transformed LP, whose timings ran about 1.5 times slower than
+the ones above: the 160 sparse games took 24-52 pivots and 0.005-0.011 s,
+median 0.007 s (plain rows: 0.022-0.070 s, median 0.039 s); eight dense
+n = 10 tables still needed 3251-3829 pivots without denoising and
+3330-15840 with it, so the 2**(n-1) = 512-pivot budget still separates the
+two. A dense table's failed attempt now costs 0.06-0.08 s before its
+Huber solve without denoising and 0.12-0.17 s with it (plain rows:
+0.10-0.20 s and 0.16-0.25 s); the path and the output are unchanged. The
+plain LP's matrix grows as 3**n, this one's as 6**(n/2) without
+denoising; the continuation's work per evaluation grows as n * 2**n.
 """
 
 import sys
@@ -356,21 +388,31 @@ def _smoothed_sparsify(v: ValueTable, denoise: bool, base: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _lp_matrix(n: int, denoise: bool):
-    """Equality matrix [S, -S, -I, I] (then K when denoising) of _lp_sparsify.
+    """Equality matrix R'[S, -S, -I, I] (then R'K when denoising) of _lp_sparsify.
 
-    Rows and columns run over the nonempty subsets. S = kron^n [[1,1],[0,-1]]
-    is (-1)^|S| times the superset sums and K = kron^n [[0,1],[1,-1]] equals
-    S @ M_and = -M_or, so each block has 3**n nonzeros (fewer for I).
-    Cached per (n, denoise), read-only.
+    Rows and columns run over the nonempty subsets. S = kron^n T with
+    T = [[1,1],[0,-1]] is (-1)^|S| times the superset sums, and
+    K = kron^n [[0,1],[1,-1]] equals S @ M_and = -M_or. R is the kron of T
+    on the top k = n // 2 bits and of I on the rest: T is an involution, so
+    R is its own inverse, and R[1:, 0] = 0 makes the nonempty block R' one
+    too. The rows are R' times those of [S, -S, -I, I, K], with the same
+    feasible set; R'S' has 2**k * 3**(n-k) nonzeros, R' 3**k * 2**(n-k) and
+    R'K' 3**n (per bit T @ K's factor is [[1,0],[-1,1]]), against 3**n per
+    block for S' and K'. The first two multiply to 6**n, so k = n // 2
+    minimizes their sum (AM-GM). The q- block is R' itself. Cached per
+    (n, denoise), read-only.
     """
     import scipy.sparse as sp
-    s = k = sp.csr_array(np.ones((1, 1)))
-    for _ in range(n):
-        s = sp.kron(s, sp.csr_array([[1.0, 1.0], [0.0, -1.0]]), format="csr")
-        k = sp.kron(k, sp.csr_array([[0.0, 1.0], [1.0, -1.0]]), format="csr")
-    s = s[1:, 1:]
-    eye = sp.eye_array(s.shape[0], format="csr")
-    matrix = sp.hstack([s, -s, -eye, eye] + ([k[1:, 1:]] if denoise else []), format="csc")
+    t = np.array([[1.0, 1.0], [0.0, -1.0]])
+    k_bit = np.array([[0.0, 1.0], [1.0, -1.0]])
+    rs = r = rk = sp.csr_array(np.ones((1, 1)))
+    for bit in range(n):
+        r_bit = t if bit < n // 2 else np.eye(2)
+        rs = sp.kron(rs, sp.csr_array(r_bit @ t), format="csr")
+        r = sp.kron(r, sp.csr_array(r_bit), format="csr")
+        rk = sp.kron(rk, sp.csr_array(r_bit @ k_bit), format="csr")
+    rs, r = rs[1:, 1:], r[1:, 1:]
+    matrix = sp.hstack([rs, -rs, -r, r] + ([rk[1:, 1:]] if denoise else []), format="csc")
     for arr in (matrix.data, matrix.indices, matrix.indptr):
         arr.flags.writeable = False
     return matrix
@@ -436,7 +478,9 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
     a, b = base[:, 1:], the effects of _theta_effects satisfy
         S p - q + K delta = S a - b,   theta = p - a + mobius_and(delta/2),
     over the nonempty subsets, so minimizing sum p+- + q+- over that one
-    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem. The
+    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem.
+    HiGHS gets those rows times R' (_lp_matrix), so their right-hand side
+    R'(S a - b) is the p+ block times a plus the q+ block times b. The
     costs are _lp_model's, 1 + LP_ORDER_WEIGHT * |S|**2 per effect: where
     the L1 minimum is not unique they pick the one of least
     sum |S|**2 * |I_S|, and otherwise move the L1 by at most
@@ -452,7 +496,7 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
     m = a.size
     matrix = _lp_matrix(m.bit_length(), denoise)
     core, lp = _lp_model(m.bit_length(), denoise)
-    lp.row_lower_ = lp.row_upper_ = matrix[:, :m] @ a - b
+    lp.row_lower_ = lp.row_upper_ = matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b
     if denoise:
         lp.col_lower_, lp.col_upper_ = _lp_col_bounds(m, matrix.shape[1], zeta)
     options = core.HighsOptions()

@@ -28,7 +28,9 @@ BAD_LABELS = {"batch": "batch", "ground_truth": "ground_truth", "slash": "a/b",
 # Out-of-range flag values the CLI rejects itself, by test id: the error
 # line names the flag.
 NAMED_FLAGS = {"axioms-n": "--n", "axioms-n-zero": "--n", "axioms-n-one": "--n",
-               "synth-samples": "--samples", "synth-overfit-fraction": "--overfit-fraction"}
+               "synth-samples": "--samples", "synth-overfit-fraction": "--overfit-fraction",
+               "synth-negative-m": "--m", "synth-negative-overfit-pairs": "--overfit-pairs",
+               "synth-overfit-min-order-zero": "--overfit-min-order"}
 
 
 # Every subcommand's arguments and their choices (None: any value). A new
@@ -352,6 +354,9 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
         ("4", ("--m", "500")), ("4", ("--orders", "7:1")),
         ("4", ("--interaction", "and", "--mask", "99")), ("4", ("--effect-range", "-1")),
         ("4", ("--overfit-fraction", "2")), ("4", ("--samples", "-1")),
+        ("4", ("--m", "-1")),
+        ("4", ("--overfit-fraction", "0.5", "--samples", "2", "--overfit-pairs", "-1")),
+        ("4", ("--overfit-fraction", "0.5", "--samples", "2", "--overfit-min-order", "0")),
         ("25", ()), ("25", ("--interaction", "or")),
         # more effects than distinct (kind, T) slots, or than antichain masks
         ("2", ("--m", "3", "--orders", "1:1.0", "--kinds", "and,and")),
@@ -371,7 +376,8 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
         "profile-repeated-mask",
         "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials", "synth-m",
         "synth-orders", "synth-mask", "synth-effect-range", "synth-overfit-fraction",
-        "synth-samples", "synth-n-above-max", "synth-interaction-n-above-max",
+        "synth-samples", "synth-negative-m", "synth-negative-overfit-pairs",
+        "synth-overfit-min-order-zero", "synth-n-above-max", "synth-interaction-n-above-max",
         "synth-duplicate-kinds", "synth-antichain-full"])
 def test_malformed_input_exit_2_without_traceback(pipeline, argv, request):
     tmp_path, tabs, isets = pipeline

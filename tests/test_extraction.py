@@ -244,9 +244,60 @@ def test_lp_matrix_matches_theta_effects(n, denoise):
     matrix = _lp_matrix(n, denoise)
     z = np.concatenate([np.maximum(p, 0), np.maximum(-p, 0),
                         np.maximum(q, 0), np.maximum(-q, 0), delta[1:] if denoise else []])
-    np.testing.assert_allclose(matrix @ z, matrix[:, :m] @ a - b, atol=1e-10)
+    np.testing.assert_allclose(matrix @ z, matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b,
+                               atol=1e-10)
     theta = p - a + 0.5 * mobius_and(delta)[1:]
     np.testing.assert_allclose(theta, x[:m], atol=1e-10)
+
+
+def plain_lp_matrix(n, denoise):
+    """[S, -S, -I, I] (then K when denoising) over the nonempty subsets: the
+    L1 LP's rows before _lp_matrix's row transform."""
+    import scipy.sparse as sp
+    s = k = sp.csr_array(np.ones((1, 1)))
+    for _ in range(n):
+        s = sp.kron(s, sp.csr_array([[1.0, 1.0], [0.0, -1.0]]), format="csr")
+        k = sp.kron(k, sp.csr_array([[0.0, 1.0], [1.0, -1.0]]), format="csr")
+    s = s[1:, 1:]
+    eye = sp.eye_array(s.shape[0], format="csr")
+    return sp.hstack([s, -s, -eye, eye] + ([k[1:, 1:]] if denoise else []), format="csc")
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lp_matrix_is_the_plain_rows_transformed(n, denoise):
+    """The q- block of _lp_matrix is the row transform R', its own inverse:
+    R' times the matrix gives the plain rows entry for entry."""
+    m = (1 << n) - 1
+    matrix = _lp_matrix(n, denoise)
+    r = matrix[:, 3 * m:4 * m]
+    np.testing.assert_array_equal((r @ r).toarray(), np.eye(m))
+    np.testing.assert_array_equal((r @ matrix).toarray(),
+                                  plain_lp_matrix(n, denoise).toarray())
+
+
+def test_lp_matrix_nonzeros_at_n10():
+    assert (plain_lp_matrix(10, False).nnz, plain_lp_matrix(10, True).nnz) == \
+        (118096, 177143)
+    assert (_lp_matrix(10, False).nnz, _lp_matrix(10, True).nnz) == (30976, 89992)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_row_transform_keeps_the_minimum(n, denoise):
+    """_lp_solve's vertex solves the plain rows and has the unit L1 of
+    linprog's vertex on them, with the same costs."""
+    v = ValueTable(n=n, values=np.random.default_rng(80 + n).normal(size=1 << n))
+    base = _objective_base(v.values)
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+    m = v.values.size - 1
+    plain = plain_lp_matrix(n, denoise)
+    res = _lp_solve(base, zeta, denoise)
+    ref = linprog_reference(base, zeta, denoise, matrix=plain)
+    assert res.status == ref.status == 0
+    np.testing.assert_allclose(plain @ res.x, plain @ ref.x, atol=1e-9)
+    assert np.abs(res.x[:4 * m]).sum() == pytest.approx(np.abs(ref.x[:4 * m]).sum(),
+                                                        rel=1e-12)
 
 
 @pytest.mark.parametrize("denoise", [False, True])
@@ -327,20 +378,22 @@ def test_clipped_delta_effects_rebuild_the_denoised_table():
     assert np.max(np.abs(rebuilt - v.values)) <= d.zeta_bound + 1e-9 * scale
 
 
-def linprog_reference(base, zeta, denoise, maxiter=None):
-    """The LP of _lp_solve, with _lp_model's costs, through scipy's public linprog."""
+def linprog_reference(base, zeta, denoise, maxiter=None, matrix=None):
+    """The LP of _lp_solve, with _lp_model's costs, through scipy's public
+    linprog; its rows are _lp_matrix's unless matrix is given."""
     from scipy.optimize import linprog
     a, b = base[:, 1:]
     m = a.size
-    matrix = _lp_matrix(m.bit_length(), denoise)
+    if matrix is None:
+        matrix = _lp_matrix(m.bit_length(), denoise)
     cost = np.array(_lp_model(m.bit_length(), denoise)[1].col_cost_)
     bounds = np.zeros((matrix.shape[1], 2))
     bounds[:4 * m, 1] = np.inf
     bounds[4 * m:] = (-zeta, zeta)
     options = {"presolve": False} if maxiter is None else {"presolve": False,
                                                            "maxiter": maxiter}
-    return linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a - b, bounds=bounds,
-                   method="highs-ds", options=options)
+    return linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b,
+                   bounds=bounds, method="highs-ds", options=options)
 
 
 def assert_solve_matches_linprog(v, denoise, maxiter=None):
@@ -400,10 +453,13 @@ def test_lp_solves_do_not_depend_on_their_order():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_criterion_4_games_solve_exactly_on_the_lp(monkeypatch, seed):
-    _, v, _ = recovery_game(seed)
+    game, v, _ = recovery_game(seed)
     d, iset, _ = sparsify(v, denoise=False)
     assert d.solver == "lp"
     assert iset.total_l1() <= huber_sparsify(monkeypatch, v, False)[2][-1] * (1 + 1e-12)
+    # the ground truth's 15 effects and not one entry of rounding dust
+    assert np.count_nonzero(iset.effects) == 15
+    assert iset.support() == game.support()
 
 
 def test_lp_recovers_game_4074():
