@@ -20,6 +20,13 @@ Huber path (as it runs above ``LP_MAX_N``), and times ``sparsify`` itself and
 names the path that finished it ("lp", or "huber" when the LP exhausted its
 budget), with the L1 of the LP's vertex (the sum of its effect columns, not
 the LP's objective, which adds the order weights) and of the Huber path.
+The LP and ``sparsify`` columns also count the minor page faults of the
+process during the call (``resource.getrusage``). Every solve of one
+(n, denoise) runs on the one HiGHS instance ``extraction._lp_model`` keeps
+for it, built before the row is timed. At n = 10 every uncapped LP but
+the first of its mode follows a capped solve (inside an earlier row's
+``sparsify``) on that instance, and the script stops if one does not reach
+the optimum.
 ``extraction.LP_MAX_N`` and the 2**(n-1) pivot budget at n = ``LP_MAX_N``
 were set from these rows, in the plain rows before that transform: at
 n = 10 the sparse games needed a few hundred pivots and the LP beat Huber
@@ -33,6 +40,7 @@ minute. ``tests/test_bench_transforms.py`` runs the kernel and objective
 rows as a smoke test; the solver rows are run by hand.
 """
 
+import resource
 import sys
 import time
 
@@ -87,9 +95,12 @@ def objective(rng):
 
 
 def timed(fn):
+    """(seconds, minor page faults, result) of one call of fn."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     out = fn()
-    return time.perf_counter() - t0, out
+    seconds = time.perf_counter() - t0
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, out
 
 
 def huber_sparsify(v, denoise):
@@ -105,7 +116,8 @@ def solvers(rng):
     print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N}, "
           f"2**(n-1) pivots at n = {LP_MAX_N})")
     print(f"{'n':>4} {'table':>7} {'denoise':>8} {'nnz':>7} {'lp':>9} {'pivots':>7} "
-          f"{'huber':>9} {'sparsify':>9} {'path':>6} {'lp L1':>12} {'huber L1':>12}")
+          f"{'lp flt':>7} {'huber':>9} {'sparsify':>9} {'sp flt':>7} {'path':>6} "
+          f"{'lp L1':>12} {'huber L1':>12}")
     for n in (8, 9, 10):
         net = TinyNet.random([n, 32, 32, 2], rng_seed=n)
         game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
@@ -117,17 +129,19 @@ def solvers(rng):
         }
         for name, v in tables.items():
             for denoise in (False, True):
-                _lp_model(n, denoise)            # built once per process
+                _lp_model(n, denoise)            # one instance per (n, denoise)
                 nnz = _lp_matrix(n, denoise).nnz
                 zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
-                t_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
+                t_lp, f_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
+                if res.status != 0:
+                    raise SystemExit(f"the uncapped LP stopped: {res.message}")
                 lp_l1 = np.abs(res.x[:4 * (v.values.size - 1)]).sum()
-                t_hub, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
-                t_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
+                t_hub, _, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
+                t_sp, f_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {nnz:>7} {t_lp:>8.3f}s "
-                      f"{res.pivots:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {d.solver:>6} "
-                      f"{lp_l1:>12.4f} {hub_hist[-1]:>12.4f}")
+                      f"{res.pivots:>7} {f_lp:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {f_sp:>7} "
+                      f"{d.solver:>6} {lp_l1:>12.4f} {hub_hist[-1]:>12.4f}")
 
 
 def main():

@@ -108,18 +108,26 @@ needs it. ``minimize`` stays a module attribute (see ``__getattr__``).
 
 The LP reaches HiGHS through the bindings scipy ships in its private module
 ``scipy.optimize._highspy._core``, not through ``linprog``. ``_lp_model``
-builds one HiGHS model per (n, denoise), holding the matrix and the costs;
-each solve sets the table's row bounds (and delta box), passes the model to
-a fresh HiGHS instance with the options of ``linprog(method="highs-ds")``
-with presolve off, runs it and reads the vertex and the status. The vertex
-and the pivot count are bit-identical to linprog's given the same costs
-(the tests pass linprog the model's costs and compare the two). linprog
-rebuilds the HiGHS model on every call, copying every nonzero of the
-matrix through the bindings, cleans and stacks its inputs, and builds bound
-marginals in a Python loop over the columns that andor never reads: on a
-sparse n = 10 game that was a third of each solve. The module is not scipy's
-public API, so ``_lp_model`` is the one function that imports it, and a
-scipy release that changes it fails the tests loudly.
+builds one HiGHS instance per (n, denoise), once per process, with the
+options of ``linprog(method="highs-ds")`` with presolve off, and one HiGHS
+model holding the matrix and the costs. Each solve writes the table's row
+bounds (and delta box) into the model, passes it to the instance, which
+drops the previous solve's basis and solution, sets the pivot limit, runs
+it and reads the vertex and the status. The vertex and the pivot count are
+bit-identical to linprog's given the same costs (the tests pass linprog
+the model's costs and compare the two, also for solves of several modes
+interleaved in one process). linprog rebuilds the HiGHS model on every
+call, copying every nonzero of the matrix through the bindings, cleans and
+stacks its inputs, and builds bound marginals in a Python loop over the
+columns that andor never reads: on a sparse n = 10 game that was a third of
+each solve. A fresh HiGHS instance per solve builds and frees all of its
+working memory each time: about 450 minor page faults per sparse n = 10
+``extract``, against a median of 3 on the one instance. Passing the whole
+model again costs about 0.7 ms at n = 10; the bindings would set the row
+bounds only one row per call (``changeRowBounds``), at about 3.6 us a call,
+3.7 ms for the 1023 rows, as long as the simplex takes on a sparse game.
+The module is not scipy's public API, so ``_lp_model`` is the one function
+that imports it, and a scipy release that changes it fails the tests loudly.
 
 The cutoff and the budget were measured on one BLAS thread on a 2-core VM
 (``benchmarks/bench_transforms.py`` prints nonzeros, pivots and times per
@@ -432,18 +440,40 @@ class _LpResult(NamedTuple):
     objective: float
 
 
-@lru_cache(maxsize=None)
-def _lp_model(n: int, denoise: bool):
-    """The L1 LP of _lp_solve as a HiGHS model, and the bindings that solve it.
+class _LpModel(NamedTuple):
+    """The HiGHS instance of one (n, denoise) and what _lp_solve needs with it.
 
-    Returns (core, lp): scipy's private module ``scipy.optimize._highspy._core``
-    and a HighsLp holding the matrix of _lp_matrix, the costs and, without
-    denoising, every column bound. The costs are 1 + LP_ORDER_WEIGHT * |S|**2
-    on p+-, q+- (S the column's subset) and 0 on delta: the tie-break toward
-    low orders of the module docstring. Only the row bounds (and, when
-    denoising, the delta box) change per table; _lp_solve writes them into
-    this shared lp just before passing it on, so solves must not run in
-    parallel threads. This is the one function that imports the module.
+    core is scipy's private module ``scipy.optimize._highspy._core``; highs
+    is the instance, holding the options; lp is the HighsLp of _lp_matrix
+    that each solve fills in and passes to it; p_block and q_block are the
+    p+ and q+ column blocks of the matrix, which give the row bounds."""
+
+    core: object
+    highs: object
+    lp: object
+    p_block: object
+    q_block: object
+
+
+@lru_cache(maxsize=None)
+def _lp_model(n: int, denoise: bool) -> _LpModel:
+    """The L1 LP of _lp_solve and the one HiGHS instance that solves it,
+    built once per (n, denoise).
+
+    The HighsLp holds the matrix of _lp_matrix, the costs, the column bounds
+    (a zero delta box) and zero row bounds, so that it is a valid model
+    before any table's bounds are set. The costs are
+    1 + LP_ORDER_WEIGHT * |S|**2 on p+-, q+- (S the column's subset) and 0 on
+    delta: the tie-break toward low orders of the module docstring. The
+    instance gets the options that
+    ``linprog(method="highs-ds", options={"presolve": False})`` sets:
+    simplex, dual strategy, presolve off, no output; then the model. Only
+    the row bounds, the delta box and the pivot limit change per table
+    (_lp_solve), so solves must not run in parallel threads. A HiGHS status
+    other than kOk raises NumericalError: an instance whose passModel failed
+    holds no valid model, and further calls on it can crash the process
+    (changeRowBounds did).
+    This is the one function that imports the module.
     """
     from scipy.optimize._highspy import _core
     matrix = _lp_matrix(n, denoise)
@@ -460,7 +490,16 @@ def _lp_model(n: int, denoise: bool):
     cost[:4 * rows] = np.tile(1.0 + LP_ORDER_WEIGHT * order ** 2, 4)
     lp.col_cost_ = cost
     lp.col_lower_, lp.col_upper_ = _lp_col_bounds(rows, cols, 0.0)
-    return _core, lp
+    lp.row_lower_ = lp.row_upper_ = np.zeros(rows)
+    options = _core.HighsOptions()
+    options.presolve = "off"
+    options.solver = "simplex"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    highs = _core._Highs()
+    _highs_ok(_core, highs.passOptions(options), "passOptions")
+    _highs_ok(_core, highs.passModel(lp), "passModel")
+    return _LpModel(_core, highs, lp, matrix[:, :rows], matrix[:, 2 * rows:3 * rows])
 
 
 def _lp_col_bounds(m: int, cols: int, zeta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -468,6 +507,11 @@ def _lp_col_bounds(m: int, cols: int, zeta: float) -> tuple[np.ndarray, np.ndarr
     lower, upper = np.zeros(cols), np.full(cols, np.inf)
     lower[4 * m:], upper[4 * m:] = -zeta, zeta
     return lower, upper
+
+
+def _highs_ok(core, status, call: str) -> None:
+    if status != core.HighsStatus.kOk:
+        raise NumericalError(f"HiGHS {call} returned {status}")
 
 
 def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None = None
@@ -486,29 +530,23 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
     sum |S|**2 * |I_S|, and otherwise move the L1 by at most
     LP_ORDER_WEIGHT * n**2 relative (module docstring).
 
-    The cached model of _lp_model goes to a fresh HiGHS instance with the
-    options ``linprog(method="highs-ds", options={"presolve": False})`` sets:
-    simplex, dual strategy, presolve off, no output. maxiter caps the pivots
-    (status 1 when hit). Like linprog, only an optimal solve returns x, and
-    x and the pivots are linprog's exactly when linprog gets the same costs.
+    The solve runs on _lp_model's instance of (n, denoise): it writes the
+    table's row bounds (and delta box) into the cached model and passes it
+    to the instance, which drops the previous model with its basis and
+    solution, so every solve starts from the slack basis as on a fresh
+    instance; then it sets the pivot limit, maxiter or none (status 1 when
+    hit). Like linprog, only an optimal solve returns x, and x and the
+    pivots are linprog's exactly when linprog gets the same costs.
     """
     a, b = base[:, 1:]
-    m = a.size
-    matrix = _lp_matrix(m.bit_length(), denoise)
-    core, lp = _lp_model(m.bit_length(), denoise)
-    lp.row_lower_ = lp.row_upper_ = matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b
+    core, highs, lp, p_block, q_block = _lp_model(a.size.bit_length(), denoise)
+    lp.row_lower_ = lp.row_upper_ = p_block @ a + q_block @ b
     if denoise:
-        lp.col_lower_, lp.col_upper_ = _lp_col_bounds(m, matrix.shape[1], zeta)
-    options = core.HighsOptions()
-    options.presolve = "off"
-    options.solver = "simplex"
-    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.output_flag = options.log_to_console = False
-    if maxiter is not None:
-        options.simplex_iteration_limit = maxiter
-    highs = core._Highs()
-    highs.passOptions(options)
-    highs.passModel(lp)
+        lp.col_lower_, lp.col_upper_ = _lp_col_bounds(a.size, lp.num_col_, zeta)
+    _highs_ok(core, highs.passModel(lp), "passModel")
+    _highs_ok(core, highs.setOptionValue("simplex_iteration_limit",
+                                         core.kHighsIInf if maxiter is None else maxiter),
+              "setOptionValue")
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()

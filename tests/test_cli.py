@@ -145,16 +145,21 @@ def test_usage_error_leaves_the_next_call_intact(pipeline, capsys):
     assert capsys.readouterr().out.startswith("max_abs_error: ")
 
 
-@pytest.fixture
-def pipeline(tmp_path):
-    """Small deterministic synth -> extract pipeline shared by the CLI tests."""
-    tabs = tmp_path / "tabs"
-    isets = tmp_path / "isets"
+def build_pipeline(root):
+    """Small deterministic synth -> extract pipeline under root."""
+    tabs = root / "tabs"
+    isets = root / "isets"
     assert run("synth", "--out", tabs, "--n", "4", "--samples", "3", "--m", "4",
                "--orders", "2:1.0", "--seed", "11") == 0
     assert run("extract", "--in", tabs, "--out", isets,
                "--mode", "all-and", "--no-denoise") == 0
-    return tmp_path, tabs, isets
+    return root, tabs, isets
+
+
+@pytest.fixture
+def pipeline(tmp_path):
+    """The pipeline of build_pipeline, shared by the CLI tests."""
+    return build_pipeline(tmp_path)
 
 
 def test_synth_deterministic(tmp_path):
@@ -308,79 +313,11 @@ def test_oracle_verify_mismatch_exit_1(pipeline, capsys):
                "--interactions", isets / "sample_0001.json") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("oracle", "verify", "--table", "{tabs}/table_0000.json"),
-    ("oracle", "verify", "--table", "{tabs}/missing.json",
-     "--interactions", "{isets}/sample_0000.json"),
-    ("oracle", "verify", "--table", "{wide}/table_0000.json",
-     "--interactions", "{isets}/sample_0000.json"),
-    ("synth", "--out", "{tabs}/more", "--orders", "2-1"),
-    ("extract", "--in", "{dup}", "--out", "{dup}/out"),
-    *(("extract", "--in", f"{{labelled}}/{name}", "--out", f"{{labelled}}/{name}/out")
-      for name in BAD_LABELS),
-    ("extract", "--in", "{mixed}/tabs", "--out", "{mixed}/out"),
-    ("profile", "--in", "{mixed}/isets", "--out", "{mixed}/p.csv"),
-    ("similarity", "--train", "{isets}", "--test", "{wide}/isets", "--out", "{mixed}/s.csv"),
-    ("compare", "--a", "{isets}", "--b", "{mixed}/isets", "--out", "{mixed}/c.csv"),
-    ("compare", "--a", "{isets}", "--b", "{wide}/isets", "--out", "{mixed}/c.csv"),
-    ("compare", "--a", "{isets}", "--b", "{mixed}/other", "--out", "{mixed}/c.csv"),
-    # flag values the library rejects
-    ("diagnose", "--table", "{tabs}/table_0000.json",
-     "--interactions", "{isets}/sample_0000.json", "--max-order", "9"),
-    *(("diagnose", "--table", "{tabs}/table_0000.json",
-       "--interactions", "{isets}/sample_0000.json", flag, value)
-      for flag in ("--tau-absolute", "--tau-fraction") for value in ("-1", "nan")),
-    ("synth", "--out", "{mixed}/synth", "--n", "4", "--m", "2", "--kinds", "xor"),
-    ("diagnose", "--table", "{tabs}/table_0000.json",
-     "--interactions", "{isets}/sample_0000.json", "--max-order", "-1"),
-    ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{mixed}/c.csv",
-     "--theta", "nan"),
-    ("profile", "--in", "{isets}", "--out", "{mixed}/p.csv", "--tau-absolute", "-1"),
-    ("profile", "--in", "{isets}", "--out", "{mixed}/p.csv", "--tau-absolute", "nan"),
-    ("similarity", "--train", "{isets}", "--test", "{isets}", "--out", "{mixed}/s.csv",
-     "--tau-absolute", "-1"),
-    ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{mixed}/c.csv",
-     "--tau-absolute", "-1"),
-    # effects that are not finite: overflowing transforms, NaN or inf in a file
-    *(("extract", "--in", "{mixed}/huge", "--out", "{mixed}/out", *flags)
-      for flags in (("--mode", "all-and"), ("--no-denoise",), ())),
-    *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{mixed}/p.csv")
-      for name in ("nan", "inf", "repeated")),
-    ("axioms", "--n", "9"),
-    ("axioms", "--n", "0"),
-    ("axioms", "--n", "1"),
-    ("axioms", "--trials", "0"),
-    *(("synth", "--out", "{mixed}/synth", "--n", n, *flags) for n, flags in (
-        ("4", ("--m", "500")), ("4", ("--orders", "7:1")),
-        ("4", ("--interaction", "and", "--mask", "99")), ("4", ("--effect-range", "-1")),
-        ("4", ("--overfit-fraction", "2")), ("4", ("--samples", "-1")),
-        ("4", ("--m", "-1")),
-        ("4", ("--overfit-fraction", "0.5", "--samples", "2", "--overfit-pairs", "-1")),
-        ("4", ("--overfit-fraction", "0.5", "--samples", "2", "--overfit-min-order", "0")),
-        ("25", ()), ("25", ("--interaction", "or")),
-        # more effects than distinct (kind, T) slots, or than antichain masks
-        ("2", ("--m", "3", "--orders", "1:1.0", "--kinds", "and,and")),
-        ("4", ("--m", "7", "--orders", "2:1.0", "--antichain")))),
-], ids=["verify-without-interactions", "verify-missing-table",
-        "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
-        *(f"extract-label-{name}" for name in BAD_LABELS),
-        "extract-mixed-n", "profile-mixed-n", "similarity-mixed-n", "compare-mixed-n-dir",
-        "compare-mixed-n-across", "compare-no-shared-label",
-        "diagnose-max-order", "diagnose-negative-tau", "diagnose-nan-tau",
-        "diagnose-negative-tau-fraction", "diagnose-nan-tau-fraction",
-        "synth-kinds", "diagnose-negative-max-order", "compare-nan-theta",
-        "profile-negative-tau", "profile-nan-tau", "similarity-negative-tau",
-        "compare-negative-tau",
-        "extract-overflow-all-and", "extract-overflow-no-denoise",
-        "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
-        "profile-repeated-mask",
-        "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials", "synth-m",
-        "synth-orders", "synth-mask", "synth-effect-range", "synth-overfit-fraction",
-        "synth-samples", "synth-negative-m", "synth-negative-overfit-pairs",
-        "synth-overfit-min-order-zero", "synth-n-above-max", "synth-interaction-n-above-max",
-        "synth-duplicate-kinds", "synth-antichain-full"])
-def test_malformed_input_exit_2_without_traceback(pipeline, argv, request):
-    tmp_path, tabs, isets = pipeline
+@pytest.fixture(scope="module")
+def malformed_inputs(tmp_path_factory):
+    """The read-only inputs of the malformed-input cases, built once: the
+    pipeline, an n = 5 one beside it, and the broken directories."""
+    tmp_path, tabs, isets = build_pipeline(tmp_path_factory.mktemp("malformed"))
     wide = tmp_path / "wide"
     assert run("synth", "--out", wide, "--n", "5", "--m", "2", "--orders", "2:1.0") == 0
     assert run("extract", "--in", wide, "--out", wide / "isets", "--mode", "all-and") == 0
@@ -412,13 +349,88 @@ def test_malformed_input_exit_2_without_traceback(pipeline, argv, request):
     for name, label in BAD_LABELS.items():
         (labelled / name).mkdir(parents=True)
         (labelled / name / "table.json").write_text(json.dumps({**table, "label": label}))
-    args = [a.format(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled,
-                     mixed=mixed) for a in argv]
+    return dict(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled, mixed=mixed)
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "verify", "--table", "{tabs}/table_0000.json"),
+    ("oracle", "verify", "--table", "{tabs}/missing.json",
+     "--interactions", "{isets}/sample_0000.json"),
+    ("oracle", "verify", "--table", "{wide}/table_0000.json",
+     "--interactions", "{isets}/sample_0000.json"),
+    ("synth", "--out", "{out}/more", "--orders", "2-1"),
+    ("extract", "--in", "{dup}", "--out", "{out}/out"),
+    *(("extract", "--in", f"{{labelled}}/{name}", "--out", f"{{out}}/{name}")
+      for name in BAD_LABELS),
+    ("extract", "--in", "{mixed}/tabs", "--out", "{out}/out"),
+    ("profile", "--in", "{mixed}/isets", "--out", "{out}/p.csv"),
+    ("similarity", "--train", "{isets}", "--test", "{wide}/isets", "--out", "{out}/s.csv"),
+    ("compare", "--a", "{isets}", "--b", "{mixed}/isets", "--out", "{out}/c.csv"),
+    ("compare", "--a", "{isets}", "--b", "{wide}/isets", "--out", "{out}/c.csv"),
+    ("compare", "--a", "{isets}", "--b", "{mixed}/other", "--out", "{out}/c.csv"),
+    # flag values the library rejects
+    ("diagnose", "--table", "{tabs}/table_0000.json",
+     "--interactions", "{isets}/sample_0000.json", "--max-order", "9"),
+    *(("diagnose", "--table", "{tabs}/table_0000.json",
+       "--interactions", "{isets}/sample_0000.json", flag, value)
+      for flag in ("--tau-absolute", "--tau-fraction") for value in ("-1", "nan")),
+    ("synth", "--out", "{out}/synth", "--n", "4", "--m", "2", "--kinds", "xor"),
+    ("diagnose", "--table", "{tabs}/table_0000.json",
+     "--interactions", "{isets}/sample_0000.json", "--max-order", "-1"),
+    ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{out}/c.csv",
+     "--theta", "nan"),
+    ("profile", "--in", "{isets}", "--out", "{out}/p.csv", "--tau-absolute", "-1"),
+    ("profile", "--in", "{isets}", "--out", "{out}/p.csv", "--tau-absolute", "nan"),
+    ("similarity", "--train", "{isets}", "--test", "{isets}", "--out", "{out}/s.csv",
+     "--tau-absolute", "-1"),
+    ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{out}/c.csv",
+     "--tau-absolute", "-1"),
+    # effects that are not finite: overflowing transforms, NaN or inf in a file
+    *(("extract", "--in", "{mixed}/huge", "--out", "{out}/out", *flags)
+      for flags in (("--mode", "all-and"), ("--no-denoise",), ())),
+    *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{out}/p.csv")
+      for name in ("nan", "inf", "repeated")),
+    ("axioms", "--n", "9"),
+    ("axioms", "--n", "0"),
+    ("axioms", "--n", "1"),
+    ("axioms", "--trials", "0"),
+    *(("synth", "--out", "{out}/synth", "--n", n, *flags) for n, flags in (
+        ("4", ("--m", "500")), ("4", ("--orders", "7:1")),
+        ("4", ("--interaction", "and", "--mask", "99")), ("4", ("--effect-range", "-1")),
+        ("4", ("--overfit-fraction", "2")), ("4", ("--samples", "-1")),
+        ("4", ("--m", "-1")),
+        ("4", ("--overfit-fraction", "0.5", "--samples", "2", "--overfit-pairs", "-1")),
+        ("4", ("--overfit-fraction", "0.5", "--samples", "2", "--overfit-min-order", "0")),
+        ("25", ()), ("25", ("--interaction", "or")),
+        # more effects than distinct (kind, T) slots, or than antichain masks
+        ("2", ("--m", "3", "--orders", "1:1.0", "--kinds", "and,and")),
+        ("4", ("--m", "7", "--orders", "2:1.0", "--antichain")))),
+], ids=["verify-without-interactions", "verify-missing-table",
+        "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
+        *(f"extract-label-{name}" for name in BAD_LABELS),
+        "extract-mixed-n", "profile-mixed-n", "similarity-mixed-n", "compare-mixed-n-dir",
+        "compare-mixed-n-across", "compare-no-shared-label",
+        "diagnose-max-order", "diagnose-negative-tau", "diagnose-nan-tau",
+        "diagnose-negative-tau-fraction", "diagnose-nan-tau-fraction",
+        "synth-kinds", "diagnose-negative-max-order", "compare-nan-theta",
+        "profile-negative-tau", "profile-nan-tau", "similarity-negative-tau",
+        "compare-negative-tau",
+        "extract-overflow-all-and", "extract-overflow-no-denoise",
+        "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
+        "profile-repeated-mask",
+        "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials", "synth-m",
+        "synth-orders", "synth-mask", "synth-effect-range", "synth-overfit-fraction",
+        "synth-samples", "synth-negative-m", "synth-negative-overfit-pairs",
+        "synth-overfit-min-order-zero", "synth-n-above-max", "synth-interaction-n-above-max",
+        "synth-duplicate-kinds", "synth-antichain-full"])
+def test_malformed_input_exit_2_without_traceback(malformed_inputs, tmp_path, argv, request):
+    args = [a.format(out=tmp_path, **malformed_inputs) for a in argv]
     proc = fresh_process(*args)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert not any(labelled.glob("*/out"))      # rejected before writing
+    # rejected before writing
+    assert not any((tmp_path / name).exists() for name in BAD_LABELS)
     flag = NAMED_FLAGS.get(request.node.callspec.id)
     assert flag is None or proc.stderr.startswith(f"error: {flag} must be ")
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from andor import extraction
-from andor.extraction import (ZETA_FRACTION, _loss_grad, _lp_matrix, _lp_model,
-                              _lp_solve, _lp_sparsify, _objective_base, _theta_effects,
-                              all_and_decomposition, even_split_decomposition,
-                              extract, filter_salient, salience_threshold,
-                              sparsify, split_components)
+from andor.extraction import (ZETA_FRACTION, NumericalError, _highs_ok, _loss_grad,
+                              _lp_matrix, _lp_model, _lp_solve, _lp_sparsify,
+                              _objective_base, _theta_effects, all_and_decomposition,
+                              even_split_decomposition, extract, filter_salient,
+                              salience_threshold, sparsify, split_components)
 from andor.lattice import mobius_and, mobius_or, zeta_subsets
 from andor.models import (MaskingScheme, TinyNet, ValueTable, interaction_function_table,
                           net_value_table, realize_table,
@@ -386,7 +386,7 @@ def linprog_reference(base, zeta, denoise, maxiter=None, matrix=None):
     m = a.size
     if matrix is None:
         matrix = _lp_matrix(m.bit_length(), denoise)
-    cost = np.array(_lp_model(m.bit_length(), denoise)[1].col_cost_)
+    cost = np.array(_lp_model(m.bit_length(), denoise).lp.col_cost_)
     bounds = np.zeros((matrix.shape[1], 2))
     bounds[:4 * m, 1] = np.inf
     bounds[4 * m:] = (-zeta, zeta)
@@ -451,6 +451,36 @@ def test_lp_solves_do_not_depend_on_their_order():
         assert iset.bias == iset_b.bias
 
 
+def test_one_instance_per_mode_solves_interleaved_tables_like_linprog():
+    """Solves of several (n, denoise) in one process, each on its mode's
+    cached instance, give linprog's vertex, pivots, status and objective: a
+    solve stopped at its pivot limit leaves no limit, basis or bounds behind
+    for the next solve of its mode."""
+    dense = ValueTable(n=10, values=np.random.default_rng(40).normal(size=1 << 10))
+    game = recovery_game(0)[1]
+    small = [ValueTable(n=n, values=np.random.default_rng(90 + n).normal(size=1 << n))
+             for n in (6, 7, 8)]
+    jobs = [(dense, False, 512), (game, False, None), (game, True, 512),
+            *((v, denoise, None) for v in small for denoise in (False, True)),
+            (game, False, 8), (game, False, None)]
+    statuses = [assert_solve_matches_linprog(v, denoise, maxiter).status
+                for v, denoise, maxiter in jobs]
+    assert statuses == [1, 0, 1] + [0] * 6 + [1, 0]
+
+
+def test_lp_model_passes_set_row_bounds_and_checks_every_status():
+    """The instance gets a model whose row bounds are set (to zero) before
+    any table's, and a HiGHS status other than kOk raises."""
+    core, highs = _lp_model.__wrapped__(3, True)[:2]
+    lp = highs.getLp()
+    assert list(lp.row_lower_) == list(lp.row_upper_) == [0.0] * 7
+    assert list(lp.col_lower_) == [0.0] * 35
+    assert list(lp.col_upper_) == [np.inf] * 28 + [0.0] * 7
+    assert _highs_ok(core, core.HighsStatus.kOk, "passModel") is None
+    with pytest.raises(NumericalError, match="passModel"):
+        _highs_ok(core, core.HighsStatus.kError, "passModel")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_criterion_4_games_solve_exactly_on_the_lp(monkeypatch, seed):
     game, v, _ = recovery_game(seed)
@@ -479,8 +509,9 @@ def assert_optimal_under_unit_costs(v, denoise):
     the unit-cost LP's optimal vertices."""
     base = _objective_base(v.values)
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-    res = _lp_solve(base, zeta, denoise)      # writes v's bounds into the model
-    core, lp = _lp_model(v.n, denoise)
+    res = _lp_solve(base, zeta, denoise)      # writes v's bounds into the instance
+    core, instance = _lp_model(v.n, denoise)[:2]
+    lp = instance.getLp()
     options = core.HighsOptions()
     options.presolve = "off"
     options.solver = "simplex"

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from andor import oracle
 from andor.extraction import (all_and_decomposition, even_split_decomposition,
                               extract, sparsify)
 from andor.lattice import LatticeSizeError, mobius_and, mobius_or
 from andor.models import ValueTable, interaction_function_table
-from andor.oracle import (_submask_pairs, brute_and, brute_or, conditioned_and,
-                          reconstruct, verify_matching)
+from andor.oracle import (PAIR_CHUNK, _submask_pairs, brute_and, brute_or,
+                          conditioned_and, reconstruct, verify_matching)
 
 
 def test_brute_and_hand_example():
@@ -38,6 +41,46 @@ def test_fast_transforms_match_brute_force(n):
         u = rng.normal(size=1 << n)
         np.testing.assert_allclose(mobius_and(u), brute_and(u), atol=1e-10)
         np.testing.assert_allclose(mobius_or(u), brute_or(u), atol=1e-10)
+
+
+def one_shot(n, u, i_and, i_or, bias):
+    """brute_and, brute_or and reconstruct, each as one np.bincount over a
+    gather of all 3**n pair terms."""
+    s, l, sign = _submask_pairs(n)
+    size, full = 1 << n, (1 << n) - 1
+    ia = i_and.copy()
+    ia[0] = 0.0
+    or_miss = np.bincount(s, weights=i_or[l], minlength=size)[full ^ np.arange(size)]
+    return (np.bincount(s, weights=u[l] * sign, minlength=size),
+            -np.bincount(s, weights=u[full ^ l] * sign, minlength=size),
+            bias + np.bincount(s, weights=ia[l], minlength=size) + i_or.sum() - or_miss)
+
+
+@pytest.mark.parametrize("n, chunk", [(4, 7), (4, PAIR_CHUNK), (10, PAIR_CHUNK),
+                                      (12, PAIR_CHUNK)])
+def test_chunked_sums_match_one_shot_evaluation(monkeypatch, n, chunk):
+    """Summed chunk by chunk, the oracle matches one sum over all pairs; at
+    n = 4 also with a chunk that splits the pairs unevenly."""
+    monkeypatch.setattr(oracle, "PAIR_CHUNK", chunk)
+    u, i_and, i_or = np.random.default_rng(100 + n).normal(size=(3, 1 << n))
+    got = (brute_and(u), brute_or(u), reconstruct(i_and, i_or, 0.25))
+    for value, want in zip(got, one_shot(n, u, i_and, i_or, 0.25)):
+        # term by term, in the same order: the same rounding
+        np.testing.assert_array_equal(value, want)
+
+
+def test_reconstruct_at_n12_allocates_chunks_not_pair_arrays():
+    """One reconstruct at n = 12 (pair list cached) peaks below 1 MiB; a
+    gather of all 3**12 terms alone takes 4.25 MB."""
+    i_and, i_or = np.random.default_rng(112).normal(size=(2, 1 << 12))
+    reconstruct(i_and, i_or, 0.0)
+    tracemalloc.start()
+    try:
+        reconstruct(i_and, i_or, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_size_cap():
