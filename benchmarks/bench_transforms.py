@@ -26,20 +26,18 @@ process during the call (``resource.getrusage``). Every solve of one
 for it, built before the row is timed. At n = 10 every uncapped LP but
 the first of its mode follows a capped solve (inside an earlier row's
 ``sparsify``) on that instance, and the script stops if one does not reach
-the optimum.
-``extraction.LP_MAX_N`` and the 2**(n-1) pivot budget at n = ``LP_MAX_N``
-were set from these rows, in the plain rows before that transform: at
-n = 10 the sparse games needed a few hundred pivots and the LP beat Huber
-on them, while the dense tables needed thousands and their LP was no faster
-on most of them. In the transformed rows the sparse games need a few dozen
-and the dense tables still thousands. At n = 11 (measured
-once, not a row here: one net table, no denoising) the LP needed 10176
-pivots and 7.5 s against 1.0 s for Huber. Set OPENBLAS_NUM_THREADS=1 to
-time the solvers on one BLAS thread. The n = 10 rows take about half a
-minute. ``tests/test_bench_transforms.py`` runs the kernel and objective
-rows as a smoke test; the solver rows are run by hand.
+the optimum. The last line of output holds the solver rows again as one
+JSON list, one object per solve with the keys n, denoise, table, nnz,
+pivots, path, lp_s, huber_s, sparsify_s, lp_l1 and huber_l1, so that the
+LP cutoff and pivot budget (``extraction.LP_MAX_N``, set from these rows)
+can be re-derived by script. Set OPENBLAS_NUM_THREADS=1 to time the
+solvers on one BLAS thread. The n = 10 rows take about half a minute.
+``tests/test_bench_transforms.py`` runs the kernel and objective rows, and
+the solver rows at n = 6, as a smoke test; the full solver rows are run by
+hand.
 """
 
+import json
 import resource
 import sys
 import time
@@ -112,13 +110,17 @@ def huber_sparsify(v, denoise):
         extraction.LP_MAX_N = saved
 
 
-def solvers(rng):
+def solvers(rng, ns=(8, 9, 10)):
+    """Print one row per solve at each n of ns, then all rows as one JSON
+    line: a list of objects with the keys n, denoise, table, nnz, pivots,
+    path, lp_s, huber_s, sparsify_s, lp_l1 and huber_l1."""
     print(f"\nsparsify solves (LP_MAX_N = {LP_MAX_N}, "
           f"2**(n-1) pivots at n = {LP_MAX_N})")
     print(f"{'n':>4} {'table':>7} {'denoise':>8} {'nnz':>7} {'lp':>9} {'pivots':>7} "
           f"{'lp flt':>7} {'huber':>9} {'sparsify':>9} {'sp flt':>7} {'path':>6} "
           f"{'lp L1':>12} {'huber L1':>12}")
-    for n in (8, 9, 10):
+    rows = []
+    for n in ns:
         net = TinyNet.random([n, 32, 32, 2], rng_seed=n)
         game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
                                   magnitude_floor=3.2, antichain=True)
@@ -136,12 +138,17 @@ def solvers(rng):
                 t_lp, f_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
                 if res.status != 0:
                     raise SystemExit(f"the uncapped LP stopped: {res.message}")
-                lp_l1 = np.abs(res.x[:4 * (v.values.size - 1)]).sum()
+                lp_l1 = float(np.abs(res.x[:4 * (v.values.size - 1)]).sum())
                 t_hub, _, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
                 t_sp, f_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {nnz:>7} {t_lp:>8.3f}s "
                       f"{res.pivots:>7} {f_lp:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {f_sp:>7} "
                       f"{d.solver:>6} {lp_l1:>12.4f} {hub_hist[-1]:>12.4f}")
+                rows.append({"n": n, "denoise": denoise, "table": name, "nnz": nnz,
+                             "pivots": res.pivots, "path": d.solver, "lp_s": t_lp,
+                             "huber_s": t_hub, "sparsify_s": t_sp, "lp_l1": lp_l1,
+                             "huber_l1": hub_hist[-1]})
+    print(json.dumps(rows))
 
 
 def main():

@@ -4,8 +4,9 @@ Every command is a pure function of its inputs and flags: outputs are
 byte-identical across re-runs with the same seed. Exit codes: 0 success,
 1 failed diagnose/axioms/oracle-verify verdict, 2 input error (missing or
 empty inputs, parse errors, wrong JSON types, mixed n, non-finite effects,
-or a flag value out of range: the CLI's own check, which names the flag,
-or the library's ValueError, as one line).
+an output path that cannot be written, or a flag value out of range: the
+CLI's own check, which names the flag, or the library's ValueError, as one
+line).
 
 ``main`` may be called any number of times in one process: it parses with
 one parser, built on the first call. argparse keeps no state between
@@ -78,9 +79,13 @@ def _parse_orders(text: str) -> dict[int, float]:
     for part in text.split(","):
         try:
             k, w = part.split(":")
-            out[int(k)] = float(w)
+            order, weight = int(k), float(w)
         except ValueError as e:
             raise CliError(f"--orders wants order:weight pairs, got {part!r}") from e
+        if not 0.0 <= weight < float("inf"):
+            raise CliError(f"--orders must be order:weight pairs with finite weights >= 0, "
+                           f"got {part!r}")
+        out[order] = weight
     return out
 
 
@@ -97,6 +102,7 @@ def cmd_synth(args) -> int:
     _check_range("--overfit-fraction", args.overfit_fraction, 0.0, 1.0)
     _check_range("--overfit-pairs", args.overfit_pairs, 0)
     _check_range("--overfit-min-order", args.overfit_min_order, 1)
+    orders = _parse_orders(args.orders)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -106,7 +112,6 @@ def cmd_synth(args) -> int:
         aio.write_table(v, out / "table_0000.json")
         return 0
 
-    orders = _parse_orders(args.orders)
     rng = np.random.default_rng(args.seed)
     n_inject = round(args.overfit_fraction * args.samples)
     injected = set(rng.choice(args.samples, size=n_inject, replace=False).tolist())
@@ -350,8 +355,9 @@ def main(argv=None) -> int:
         # InteractionSet rejects; numpy's warning would be a second line.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (CliError, ValueError) as e:
-        # a ValueError here is the library rejecting a flag's value
+    except (CliError, ValueError, OSError) as e:
+        # a ValueError here is the library rejecting a flag's value; an
+        # OSError, an output path that cannot be written
         sys.stderr.write(f"error: {e}\n")
         return IO_ERROR
 

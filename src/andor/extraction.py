@@ -15,10 +15,11 @@ and the subset sums cancel against the Mobius transforms (see
 picks its solver from the table size n:
 
 - n <= LP_MAX_N: the exact L1 minimum, one HiGHS dual-simplex solve of that
-  LP (``_lp_sparsify``), in the row coordinates described below. At
-  n = LP_MAX_N the simplex gets 2**(n-1) pivots; a table whose LP needs more
-  goes to the Huber continuation below, from the same start, and comes out
-  exactly as it would without the LP attempt.
+  LP (``_lp_sparsify``). At n = LP_MAX_N the simplex gets 2**(n-1) pivots:
+  a sparse table (a few effects) needs a few dozen, a dense one (random or
+  net outputs) thousands. A table whose LP needs more goes to the Huber
+  continuation below, from the same start, and comes out exactly as it
+  would without the LP attempt.
 - n > LP_MAX_N: a smoothed-L1 (Huber) continuation with L-BFGS-B
   (``_smoothed_sparsify``), which stops near the minimum. In the raw gamma
   coordinates the objective's curvature spans a factor exponential in n and
@@ -27,81 +28,67 @@ picks its solver from the table size n:
   its adjoint, plus one batched difference transform each way when
   denoising.
 
-The LP does not give every effect cost 1. The effect on subset S costs
-1 + LP_ORDER_WEIGHT * |S|**2 (both signs, AND and OR alike; delta costs 0).
-Under unit costs the LP is heavily dual-degenerate: its minimum is often not
-unique, the dual simplex pays for the ties in pivots, and it returns
-whichever optimal vertex its pivoting reaches. With the weights, the
-optimum is a vertex of the unit-cost LP's optimal face when epsilon =
-LP_ORDER_WEIGHT is small enough (the perturbation method, Charnes 1952):
-among the L1 minima, the one of least sum |S|**2 * |I_S|, which puts the
-mass on the lowest orders. epsilon = 1e-6 sits between two bounds:
+``benchmarks/bench_transforms.py`` prints the pivots and times that set the
+cutoff and the budget, per table; CHANGES.md keeps the measurements.
+
+The order weights. The LP does not give every effect cost 1: the effect on
+subset S costs 1 + LP_ORDER_WEIGHT * |S|**2 (both signs, AND and OR alike;
+delta costs 0). Under unit costs the LP is heavily dual-degenerate: its
+minimum is often not unique, the dual simplex pays for the ties in pivots,
+and it returns whichever optimal vertex its pivoting reaches. With the
+weights, the optimum is a vertex of the unit-cost LP's optimal face when
+epsilon = LP_ORDER_WEIGHT is small enough (the perturbation method, Charnes
+1952): among the L1 minima, the one of least sum |S|**2 * |I_S|, which puts
+the mass on the lowest orders. epsilon = 1e-6 sits between two bounds:
 
 - the smallest weight step, epsilon * 1**2, is 10 times HiGHS's dual
-  feasibility tolerance of 1e-7, so the pricing sees every tie broken. At
-  epsilon = 1e-9, below it, the weights cut no pivots: criterion-4 games
-  0-9 (n = 10) took 2700, against 2417 under unit costs and 1322 at 1e-6;
+  feasibility tolerance of 1e-7, so the pricing sees every tie broken;
 - the weighted cost is at most 1 + epsilon * n**2 times the L1, so the
   returned L1 exceeds the minimum by at most epsilon * n**2 relative, 1e-4
   at n = 10.
 
-The square, not |S|, separates the tie of criterion-4 game 4074, where one
-order-3 effect trades against an order-2 and an order-4 effect of equal
-magnitude: 2**2 + 4**2 = 20 > 18 = 3**2 + 3**2, while 2 + 4 = 3 + 3. In
-practice the returned vertex is optimal for the unit-cost LP within
-HiGHS's tolerances: re-solved from its basis with unit costs, it took no
-pivot on every table tried (the tests check this), and its L1 was within
-6.5e-10 relative of the unit-cost vertex's on 30 sparse n = 10 games and
-within 3e-14 on 48 denoised n = 8 net tables.
+The square, not |S|, separates the tie where one order-3 effect trades
+against an order-2 and an order-4 effect of equal magnitude:
+2**2 + 4**2 = 20 > 18 = 3**2 + 3**2, while 2 + 4 = 3 + 3.
 
-The LP's equality rows over the nonempty subsets are, plainly,
-[S, -S, -I, I, K] times (p+, p-, q+, q-, delta), where S and K are n-fold
-kron products of 2x2 factors with 3**n nonzeros each (``_lp_matrix``).
-HiGHS gets them left-multiplied by R', the nonempty block of R = the kron
-of T = [[1,1],[0,-1]] on the top k = n // 2 bits and of I on the other
-n - k. T is an involution and R has no entry from a nonempty row to the
-empty column, so R' is its own inverse: the variables, bounds, costs,
+The row coordinates. The LP's equality rows over the nonempty subsets are,
+plainly, [S, -S, -I, I, K] times (p+, p-, q+, q-, delta), where S and K are
+n-fold kron products of 2x2 factors with 3**n nonzeros each
+(``_lp_matrix``). HiGHS gets them left-multiplied by R', the nonempty block
+of R = the kron of T = [[1,1],[0,-1]] on the top k bits and of I on the
+other n - k. T is an involution and R has no entry from a nonempty row to
+the empty column, so R' is its own inverse: the variables, bounds, costs,
 feasible set and minimum stay those of the plain rows, and only the
 coordinates of the rows change. Since S is kron^n T, the p+- blocks become
 R'S' with about 2**k * 3**(n-k) nonzeros, the q+- blocks +-R' with about
 3**k * 2**(n-k), and the delta block R'K' keeps 3**n (per bit T times K's
 factor is [[1,0],[-1,1]]). The two products are 6**n for every k, so by
-AM-GM their sum is least where they are equal, at k = n // 2. At n = 10
-the matrix has 30 976 nonzeros against 118 096 (89 992 against 177 143
-when denoising); at n = 8, denoising, 11 664 against 19 679. The sparser
-rows also cut pivots: 160 sparse criterion-4 games at n = 10 took 24-52
-instead of 62-228. In the plain rows their vertices held basic effect
-columns slightly below zero (down to -3.3e-12 on 30 games), which put up
-to 143 dust entries beside the 15 ground-truth effects; in these rows the
-same 30 games come out with exactly those 15. The L1 minimum is the same
-(the tests check it against linprog on the plain rows), but where it ties,
-as it can when denoising (delta costs 0), the simplex may reach another
-optimal vertex: on 16 denoised n = 8 net tables the L1 moved by at most
-1.1e-13 relative, and 8 tables' effects by 7e-4 to 2.0e-2.
+AM-GM their sum is least where they are equal, at k = n // 2: 30 976
+nonzeros at n = 10 against 118 096 in the plain rows, and fewer pivots.
+Where the minimum ties, as it can when denoising (delta costs 0), the
+simplex may reach another optimal vertex than on the plain rows.
+
+The written effects. On the LP path they are the vertex's own: p = p+ - p-
+(AND) and q = q+ - q- (OR), with the empty-set slots 0. A slot the vertex
+holds at zero is an exact 0.0, and the history's last entry is the L1 of
+what is written. The decomposition is theta = p - a + mobius_and(delta/2)
+(``_lp_solve``), gamma its subset sum; ``extract`` on it gives the same
+effects up to rounding. A basic delta column can pass its box by the
+solver's feasibility tolerance. Where it passes it by no more than the
+slack ``Decomposition.validate`` allows (``_box_slack``), the vertex's
+delta is kept. Beyond that, delta is clipped into the box and the clip
+Delta = delta_clipped - delta_raw is folded into the OR row as
+q -= mobius_or(Delta): the rows give q = S p - S a + b + K delta with
+K = -M_or, so the folded effects rebuild v - delta_clipped as the vertex's
+rebuilt v - delta_raw. Unfolded, they would miss the returned delta by the
+overshoot. The Huber path has no exact zeros to carry, and its effects,
+like those of the closed forms, are ``extract``'s.
 
 ``sparsify`` runs the whole solve in one place: the start at the even
-split, the solver choice, the best-iterate rule and its loss history, the
-all-AND fallback and the support mask (its docstring lists the steps). The
-solvers only return iterates: the LP its vertex, or None when the pivot
+split, the solver choice, the best-iterate rule and its loss history, and
+the all-AND fallback (its docstring lists the steps). The solvers only
+return iterates: the LP its vertex and its effects, or None when the pivot
 budget runs out; the continuation one iterate per stage.
-
-On the LP path the written effects are those of ``extract`` on the solved
-(gamma, delta), except that the rounding dust in the slots the LP's vertex
-holds at exactly zero is an exact 0.0. Recomputing the effects through gamma
-and two Mobius transforms leaves dust of 1e-16 to 2e-11 in those slots, and
-masking it keeps an effect file to the LP's support (the 15 ground-truth
-entries of 2046 on 30 sparse n = 10 games, against 1124-1789 with the
-dust). Only slots within the rounding bound 4**n * eps * max|u| are masked:
-each effect is a Mobius sum of 2**n entries of u, and each of those a subset
-sum of up to 2**n entries of theta, so two chained 2**n-term sums bound its
-rounding. On 241 LP vertices of n = 1..10 (random, sparse-game and net
-tables, both modes) the largest dust was 11% of that bound. A slot above it
-is not dust: when delta is clipped back into its box, the clip moves the
-effects by up to about the solver's feasibility tolerance (7e-9 on one
-n = 8 net table, 1700 times the bound), and zeroing such an effect would
-break the reconstruction v - delta by as much. The Huber path has no exact
-zeros to carry, and its effects, like those of the closed forms, are
-``extract``'s unmasked.
 
 scipy is imported on the first solve, not with the module: only ``sparsify``
 needs it. ``minimize`` stays a module attribute (see ``__getattr__``).
@@ -116,39 +103,12 @@ drops the previous solve's basis and solution, sets the pivot limit, runs
 it and reads the vertex and the status. The vertex and the pivot count are
 bit-identical to linprog's given the same costs (the tests pass linprog
 the model's costs and compare the two, also for solves of several modes
-interleaved in one process). linprog rebuilds the HiGHS model on every
-call, copying every nonzero of the matrix through the bindings, cleans and
-stacks its inputs, and builds bound marginals in a Python loop over the
-columns that andor never reads: on a sparse n = 10 game that was a third of
-each solve. A fresh HiGHS instance per solve builds and frees all of its
-working memory each time: about 450 minor page faults per sparse n = 10
-``extract``, against a median of 3 on the one instance. Passing the whole
-model again costs about 0.7 ms at n = 10; the bindings would set the row
-bounds only one row per call (``changeRowBounds``), at about 3.6 us a call,
-3.7 ms for the 1023 rows, as long as the simplex takes on a sparse game.
-The module is not scipy's public API, so ``_lp_model`` is the one function
-that imports it, and a scipy release that changes it fails the tests loudly.
-
-The cutoff and the budget were measured on one BLAS thread on a 2-core VM
-(``benchmarks/bench_transforms.py`` prints nonzeros, pivots and times per
-table), in the plain rows. Up to n = 9 the LP was faster on every table
-(0.02-0.45 s against 0.2-1.5 s at n = 9). At n = 10 it depends on how many
-pivots the table's LP needs: 160 sparse criterion-4 games needed 62-228
-(166-365 under unit costs), against 0.38 s for Huber, which stopped
-2.7-7.8% above their minimum; eight dense random and net tables, in both
-modes, needed 3372-10254 (3356-16093 under unit costs), and their uncapped
-LP took 1.1-5.8 s against 0.8-2.5 s for Huber. At n = 11 the LP took 7.5 s
-on a dense net table against 1.0 s for Huber. Re-measured in one session
-on the row-transformed LP, whose timings ran about 1.5 times slower than
-the ones above: the 160 sparse games took 24-52 pivots and 0.005-0.011 s,
-median 0.007 s (plain rows: 0.022-0.070 s, median 0.039 s); eight dense
-n = 10 tables still needed 3251-3829 pivots without denoising and
-3330-15840 with it, so the 2**(n-1) = 512-pivot budget still separates the
-two. A dense table's failed attempt now costs 0.06-0.08 s before its
-Huber solve without denoising and 0.12-0.17 s with it (plain rows:
-0.10-0.20 s and 0.16-0.25 s); the path and the output are unchanged. The
-plain LP's matrix grows as 3**n, this one's as 6**(n/2) without
-denoising; the continuation's work per evaluation grows as n * 2**n.
+interleaved in one process). linprog rebuilds the model and a fresh HiGHS
+instance on every call and builds bound marginals andor never reads; the
+bindings set row bounds only one row per call (``changeRowBounds``), which
+costs more than passing the whole model again. The module is not scipy's
+public API, so ``_lp_model`` is the one function that imports it, and a
+scipy release that changes it fails the tests loudly.
 """
 
 import sys
@@ -200,6 +160,11 @@ class NumericalError(RuntimeError):
     pass
 
 
+def _box_slack(zeta: float) -> float:
+    """How far delta may pass its box [-zeta, zeta] and still be valid."""
+    return 1e-12 * max(1.0, zeta)
+
+
 @dataclass
 class Decomposition:
     """Learnable AND/OR split (gamma) with box-bounded denoising (delta)."""
@@ -219,8 +184,7 @@ class Decomposition:
             raise ValueError("zeta_bound must be nonnegative")
 
     def validate(self, v: ValueTable) -> None:
-        tol = 1e-12 * max(1.0, self.zeta_bound)
-        if np.max(np.abs(self.delta)) > self.zeta_bound + tol:
+        if np.max(np.abs(self.delta)) > self.zeta_bound + _box_slack(self.zeta_bound):
             raise ValueError("delta leaves its box [-zeta, zeta]")
         if self.delta[0] != 0.0:
             raise ValueError("delta[empty] must be 0")
@@ -341,10 +305,6 @@ def _theta_effects(x: np.ndarray, base: np.ndarray, denoise: bool) -> np.ndarray
         effects[1] += shifts[1]
     effects[:, 0] = 0.0
     return effects
-
-
-def _l1(x: np.ndarray, base: np.ndarray, denoise: bool) -> float:
-    return float(np.abs(_theta_effects(x, base, denoise)).sum())
 
 
 def _loss_grad(x: np.ndarray, mu: float, base: np.ndarray, denoise: bool
@@ -560,10 +520,12 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
 def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
     """The exact L1 minimum as one linear program.
 
-    Returns the vertex as (x, support): x packs theta[1:], then delta[1:]
-    when denoising; support is a (2, 2**n) bool array, True where the
-    vertex's effect p = p+ - p- (AND row) or q = q+ - q- (OR row) is nonzero,
-    with the empty-set slots False. At n = LP_MAX_N the dual simplex gets
+    Returns the vertex as (x, effects): x packs theta[1:], then delta[1:]
+    when denoising; effects are the (2, 2**n) rows of the vertex's own
+    effects p = p+ - p- (AND) and q = q+ - q- (OR), with the empty-set slots
+    0, so a slot the vertex holds at zero is exactly 0.0. A delta entry past
+    its box by more than _box_slack is clipped into it, and the clip is
+    folded into q (module docstring). At n = LP_MAX_N the dual simplex gets
     2**(n-1) pivots, and None is returned when it needs more.
     """
     m = base.shape[-1] - 1
@@ -573,15 +535,24 @@ def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
         return None
     if res.status != 0:
         raise NumericalError(f"LP solve failed: HiGHS model status {res.message}")
-    delta = np.zeros(m + 1)
-    if denoise:
-        # basic variables can overshoot their bounds by the solver's tolerance
-        delta[1:] = np.clip(res.x[4 * m:], -zeta, zeta)
-    theta = res.x[:m] - res.x[m:2 * m] - base[0, 1:] + 0.5 * mobius_and(delta)[1:]
-    support = np.zeros((2, m + 1), dtype=bool)
+    effects = np.zeros((2, m + 1))
     p_q = res.x[:4 * m].reshape(2, 2, m)      # rows (p+, p-), (q+, q-)
-    support[:, 1:] = p_q[:, 0] != p_q[:, 1]
-    return np.concatenate([theta, delta[1:]]) if denoise else theta, support
+    effects[:, 1:] = p_q[:, 0] - p_q[:, 1]
+    theta = effects[0, 1:] - base[0, 1:]
+    if not denoise:
+        return theta, effects
+    delta = np.zeros(m + 1)
+    delta[1:] = raw = res.x[4 * m:]
+    # a basic delta can overshoot its bounds by the solver's tolerance
+    past = np.abs(raw) > zeta + _box_slack(zeta)
+    if past.any():
+        clipped = delta.copy()
+        clipped[1:][past] = np.clip(raw[past], -zeta, zeta)
+        effects[1] -= mobius_or(clipped - delta)
+        effects[1, 0] = 0.0
+        delta = clipped
+    theta += 0.5 * mobius_and(delta)[1:]
+    return np.concatenate([theta, delta[1:]]), effects
 
 
 def sparsify(v: ValueTable, denoise: bool = True
@@ -604,13 +575,9 @@ def sparsify(v: ValueTable, denoise: bool = True
        L1 after each iterate, so it never increases.
     4. If the all-AND closed form (always feasible) is below the best
        iterate, it is returned instead and its L1 ends the history.
-    5. The effects are ``extract(v, decomposition)``. When the LP's vertex
-       is returned, an effect it holds at exactly zero is set to 0.0 if its
-       magnitude is within the rounding bound 4**n * eps * max|u| (u the
-       u_and and u_or rows), which drops the transforms' rounding dust
-       there; all other effects keep extract's values, consistent with the
-       clipped delta. Huber and all-AND results are not masked. The loss
-       history is the unmasked L1.
+    5. When the LP's vertex is returned, the effects are the vertex's own,
+       with any delta clip folded in (module docstring), and its history
+       entry is their L1. Otherwise they are ``extract(v, decomposition)``.
     """
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
@@ -625,24 +592,26 @@ def sparsify(v: ValueTable, denoise: bool = True
     x = mobius_and(pin_only)[1:]
     if denoise:
         x = np.concatenate([x, np.zeros(size - 1)])
-    loss = _l1(x, base, denoise)
+    loss = float(np.abs(_theta_effects(x, base, denoise)).sum())
     if not np.isfinite(loss):
         # v is finite, so its effects overflow float64: an input error
         raise ValueError("the table's effects overflow float64")
-    history, support = [loss], None
+    history = [loss]
 
     vertex = _lp_sparsify(base, zeta, denoise) if v.n <= LP_MAX_N else None
     if vertex is None:
         solver = "huber"
-        iterates = [(it, None) for it in _smoothed_sparsify(v, denoise, base, zeta, x)]
+        iterates = ((it, _theta_effects(it, base, denoise))
+                    for it in _smoothed_sparsify(v, denoise, base, zeta, x))
     else:
         solver, iterates = "lp", [vertex]
-    for it, it_support in iterates:
-        it_loss = _l1(it, base, denoise)
+    effects = None
+    for it, it_effects in iterates:
+        it_loss = float(np.abs(it_effects).sum())
         if not np.isfinite(it_loss):
             raise NumericalError("non-finite loss during continuation")
         if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
-            loss, x, support = it_loss, it, it_support
+            loss, x, effects = it_loss, it, it_effects
         history.append(loss)
 
     theta = np.empty(size)
@@ -652,19 +621,21 @@ def sparsify(v: ValueTable, denoise: bool = True
     delta = np.zeros(size)
     if denoise:
         delta[1:] = x[size - 1:]
-    alland = all_and_decomposition(v)
-    alland_loss = extract(v, alland).total_l1()
+    # the all-AND effects are mobius_and(v) = 2 * base[0]
+    alland_and = np.abs(2.0 * base[0])
+    alland_and[0] = 0.0
+    alland_loss = float(alland_and.sum())
     if alland_loss < loss:
-        gamma, delta, support = alland.gamma, alland.delta, None
+        alland = all_and_decomposition(v)
+        gamma, delta, effects = alland.gamma, alland.delta, None
         history.append(alland_loss)
 
     decomposition = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta,
                                   solver=solver)
-    iset = extract(v, decomposition)
-    if support is not None:
-        u = np.stack(split_components(v, decomposition))
-        dust = 4.0 ** v.n * np.finfo(np.float64).eps * float(np.max(np.abs(u)))
-        iset.effects[~support & (np.abs(iset.effects) <= dust)] = 0.0
+    if solver == "lp" and effects is not None:
+        iset = InteractionSet(n=v.n, effects=effects, bias=float(values[0]), label=v.label)
+    else:
+        iset = extract(v, decomposition)
     return decomposition, iset, history
 
 

@@ -30,7 +30,9 @@ BAD_LABELS = {"batch": "batch", "ground_truth": "ground_truth", "slash": "a/b",
 NAMED_FLAGS = {"axioms-n": "--n", "axioms-n-zero": "--n", "axioms-n-one": "--n",
                "synth-samples": "--samples", "synth-overfit-fraction": "--overfit-fraction",
                "synth-negative-m": "--m", "synth-negative-overfit-pairs": "--overfit-pairs",
-               "synth-overfit-min-order-zero": "--overfit-min-order"}
+               "synth-overfit-min-order-zero": "--overfit-min-order",
+               "synth-orders-nan": "--orders", "synth-orders-inf": "--orders",
+               "synth-orders-negative": "--orders"}
 
 
 # Every subcommand's arguments and their choices (None: any value). A new
@@ -404,7 +406,17 @@ def malformed_inputs(tmp_path_factory):
         ("25", ()), ("25", ("--interaction", "or")),
         # more effects than distinct (kind, T) slots, or than antichain masks
         ("2", ("--m", "3", "--orders", "1:1.0", "--kinds", "and,and")),
-        ("4", ("--m", "7", "--orders", "2:1.0", "--antichain")))),
+        ("4", ("--m", "7", "--orders", "2:1.0", "--antichain")),
+        ("4", ("--orders", "2:nan")), ("4", ("--orders", "2:0.5,3:inf")),
+        ("4", ("--orders", "2:-1")))),
+    # output paths that cannot be written: an existing file, a missing directory
+    ("extract", "--in", "{tabs}", "--out", "{tabs}/table_0000.json", "--mode", "all-and"),
+    ("profile", "--in", "{isets}", "--out", "{out}/missing/p.csv"),
+    ("similarity", "--train", "{isets}", "--test", "{isets}", "--out", "{out}/missing/s.csv"),
+    ("compare", "--a", "{isets}", "--b", "{isets}", "--out", "{out}/missing/c.csv"),
+    ("diagnose", "--table", "{tabs}/table_0000.json",
+     "--interactions", "{isets}/sample_0000.json", "--out", "{out}/missing/d.txt"),
+    ("axioms", "--n", "2", "--trials", "1", "--out", "{out}/missing/a.txt"),
 ], ids=["verify-without-interactions", "verify-missing-table",
         "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
         *(f"extract-label-{name}" for name in BAD_LABELS),
@@ -422,7 +434,10 @@ def malformed_inputs(tmp_path_factory):
         "synth-orders", "synth-mask", "synth-effect-range", "synth-overfit-fraction",
         "synth-samples", "synth-negative-m", "synth-negative-overfit-pairs",
         "synth-overfit-min-order-zero", "synth-n-above-max", "synth-interaction-n-above-max",
-        "synth-duplicate-kinds", "synth-antichain-full"])
+        "synth-duplicate-kinds", "synth-antichain-full",
+        "synth-orders-nan", "synth-orders-inf", "synth-orders-negative",
+        "extract-out-is-a-file", "profile-out-dir-missing", "similarity-out-dir-missing",
+        "compare-out-dir-missing", "diagnose-out-dir-missing", "axioms-out-dir-missing"])
 def test_malformed_input_exit_2_without_traceback(malformed_inputs, tmp_path, argv, request):
     args = [a.format(out=tmp_path, **malformed_inputs) for a in argv]
     proc = fresh_process(*args)
