@@ -1,5 +1,5 @@
-"""Time the subset-transform kernels, one sparsify objective evaluation, and
-one sparsify solve on each solver path.
+"""Time the subset-transform kernels, one sparsify objective evaluation, one
+sparsify solve on each solver path, and the first solve of a fresh process.
 
 Run directly: python benchmarks/bench_transforms.py [max_n]
 
@@ -26,21 +26,32 @@ process during the call (``resource.getrusage``). Every solve of one
 for it, built before the row is timed. At n = 10 every uncapped LP but
 the first of its mode follows a capped solve (inside an earlier row's
 ``sparsify``) on that instance, and the script stops if one does not reach
-the optimum. The last line of output holds the solver rows again as one
+the optimum. The solver rows end with one line that holds them again as a
 JSON list, one object per solve with the keys n, denoise, table, nnz,
 pivots, path, lp_s, huber_s, sparsify_s, lp_l1 and huber_l1, so that the
 LP cutoff and pivot budget (``extraction.LP_MAX_N``, set from these rows)
 can be re-derived by script. Set OPENBLAS_NUM_THREADS=1 to time the
 solvers on one BLAS thread. The n = 10 rows take about half a minute.
+
+The fresh-process rows run one ``sparsify`` of the sparse game per
+(n, denoise) in a new interpreter: what a user's first ``extract`` pays.
+Each prints the solve's wall time, which includes loading the solver's
+modules, the process's peak RSS and the number of scipy modules loaded,
+and the rows end with one JSON line with the keys n, denoise, first_s,
+peak_rss_mb and scipy_modules (their names).
+
 ``tests/test_bench_transforms.py`` runs the kernel and objective rows, and
-the solver rows at n = 6, as a smoke test; the full solver rows are run by
-hand.
+the solver and fresh-process rows at n = 6, as a smoke test; the full
+solver rows are run by hand.
 """
 
 import json
+import os
 import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -132,7 +143,7 @@ def solvers(rng, ns=(8, 9, 10)):
         for name, v in tables.items():
             for denoise in (False, True):
                 _lp_model(n, denoise)            # one instance per (n, denoise)
-                nnz = _lp_matrix(n, denoise).nnz
+                nnz = _lp_matrix(n, denoise).data.size
                 zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
                 base = _objective_base(v.values)
                 t_lp, f_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
@@ -151,12 +162,56 @@ def solvers(rng, ns=(8, 9, 10)):
     print(json.dumps(rows))
 
 
+# One sparsify in a new interpreter: the sparse game of the solver rows,
+# then the solve's wall time, the peak RSS and the scipy modules loaded.
+FRESH_SOLVE = """
+import json, resource, sys, time
+from andor.extraction import sparsify
+from andor.models import realize_table, sample_sparse_game
+n, denoise = {n}, {denoise}
+v = realize_table(sample_sparse_game(n, 15, {{3: 1.0}}, effect_range=4.0, rng_seed=n,
+                                     magnitude_floor=3.2, antichain=True))
+t0 = time.perf_counter()
+sparsify(v, denoise)
+first_s = time.perf_counter() - t0
+print(json.dumps({{"first_s": first_s,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "scipy_modules": sorted(m for m in sys.modules
+                                          if m.split(".")[0] == "scipy")}}))
+"""
+
+
+def fresh_solves(ns=(8, 9, 10)):
+    """Print one row per (n, denoise) of ns: one sparsify of the sparse game
+    in a new interpreter that imports this andor, with the first solve's
+    wall time, the process's peak RSS and the count of scipy modules loaded;
+    then all rows as one JSON line, a list of objects with the keys n,
+    denoise, first_s, peak_rss_mb and scipy_modules (the modules' names)."""
+    src = str(Path(extraction.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    print("\nfirst sparsify in a fresh process (the sparse game)")
+    print(f"{'n':>4} {'denoise':>8} {'first':>9} {'peak rss':>10} {'scipy mods':>11}")
+    rows = []
+    for n in ns:
+        for denoise in (False, True):
+            proc = subprocess.run(
+                [sys.executable, "-c", FRESH_SOLVE.format(n=n, denoise=denoise)],
+                capture_output=True, text=True, env=env, check=True)
+            row = {"n": n, "denoise": denoise, **json.loads(proc.stdout)}
+            print(f"{n:>4} {str(denoise):>8} {row['first_s']:>8.3f}s "
+                  f"{row['peak_rss_mb']:>8.1f}MB {len(row['scipy_modules']):>11}")
+            rows.append(row)
+    print(json.dumps(rows))
+
+
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     rng = np.random.default_rng(0)
     kernels(max_n, rng)
     objective(rng)
     solvers(rng)
+    fresh_solves()
 
 
 if __name__ == "__main__":

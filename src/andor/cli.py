@@ -96,12 +96,23 @@ def _check_range(flag: str, value, low, high=None) -> None:
         raise CliError(f"{flag} must be {span}, got {value}")
 
 
+def _check_positive(flag: str, value) -> None:
+    """A CliError naming flag unless value is finite and > 0."""
+    if not 0 < value < float("inf"):
+        raise CliError(f"{flag} must be finite and > 0, got {value}")
+
+
 def cmd_synth(args) -> int:
+    _check_range("--seed", args.seed, 0)
     _check_range("--samples", args.samples, 1)
     _check_range("--m", args.m, 0)
     _check_range("--overfit-fraction", args.overfit_fraction, 0.0, 1.0)
     _check_range("--overfit-pairs", args.overfit_pairs, 0)
     _check_range("--overfit-min-order", args.overfit_min_order, 1)
+    _check_positive("--effect-range", args.effect_range)
+    if args.magnitude_floor is not None:
+        _check_positive("--magnitude-floor", args.magnitude_floor)
+    _check_positive("--overfit-magnitude", args.overfit_magnitude)
     orders = _parse_orders(args.orders)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,6 +250,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_axioms(args) -> int:
     _check_range("--n", args.n, AXIOM_MIN_N, AXIOM_MAX_N)
+    _check_range("--seed", args.seed, 0)
     results = axiom_suite(args.n, args.trials, args.seed)
     lines = [f"{r.name}: {'pass' if r.passed else 'FAIL'} "
              f"(trials {r.trials}, max error {r.max_error:.3e})" for r in results]

@@ -90,8 +90,11 @@ the all-AND fallback (its docstring lists the steps). The solvers only
 return iterates: the LP its vertex and its effects, or None when the pivot
 budget runs out; the continuation one iterate per stage.
 
-scipy is imported on the first solve, not with the module: only ``sparsify``
-needs it. ``minimize`` stays a module attribute (see ``__getattr__``).
+scipy is loaded on the first solve, not with the module, and only what
+the solve needs: the LP path loads one extension module (``_highs_core``)
+and builds its matrix in numpy, importing neither ``scipy.optimize`` nor
+``scipy.sparse``; the Huber path imports ``scipy.optimize`` for
+``minimize``, a module attribute (see ``__getattr__``).
 
 The LP reaches HiGHS through the bindings scipy ships in its private module
 ``scipy.optimize._highspy._core``, not through ``linprog``. ``_lp_model``
@@ -100,17 +103,21 @@ options of ``linprog(method="highs-ds")`` with presolve off, and one HiGHS
 model holding the matrix and the costs. Each solve writes the table's row
 bounds (and delta box) into the model, passes it to the instance, which
 drops the previous solve's basis and solution, sets the pivot limit, runs
-it and reads the vertex and the status. The vertex and the pivot count are
-bit-identical to linprog's given the same costs (the tests pass linprog
-the model's costs and compare the two, also for solves of several modes
+it and reads the vertex and the status. The matrix's arrays and the row
+bounds are bit for bit those scipy.sparse builds, so the vertex and the
+pivot count are linprog's given the same costs (the tests pass linprog the
+model's costs and compare the two, also for solves of several modes
 interleaved in one process). linprog rebuilds the model and a fresh HiGHS
 instance on every call and builds bound marginals andor never reads; the
 bindings set row bounds only one row per call (``changeRowBounds``), which
 costs more than passing the whole model again. The module is not scipy's
-public API, so ``_lp_model`` is the one function that imports it, and a
+public API, so ``_highs_core`` is the one function that names it, and a
 scipy release that changes it fails the tests loudly.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -354,8 +361,34 @@ def _smoothed_sparsify(v: ValueTable, denoise: bool, base: np.ndarray,
     return iterates
 
 
+class _CscMatrix(NamedTuple):
+    """A sparse matrix in compressed-column form, the arrays HiGHS takes:
+    column j holds data[indptr[j]:indptr[j + 1]] in the rows
+    indices[indptr[j]:indptr[j + 1]], ascending."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _kron_entries(factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzeros of the kron of the 2x2 factors,
+    the first factor on the top bit, as the nonempty block: rows and cols
+    count from subset 1."""
+    rows = cols = np.zeros(1, dtype=np.int64)
+    values = np.ones(1)
+    for factor in factors:
+        fr, fc = np.nonzero(factor)
+        rows = (2 * rows[:, None] + fr).ravel()
+        cols = (2 * cols[:, None] + fc).ravel()
+        values = (values[:, None] * factor[fr, fc]).ravel()
+    keep = (rows > 0) & (cols > 0)
+    return rows[keep] - 1, cols[keep] - 1, values[keep]
+
+
 @lru_cache(maxsize=None)
-def _lp_matrix(n: int, denoise: bool):
+def _lp_matrix(n: int, denoise: bool) -> _CscMatrix:
     """Equality matrix R'[S, -S, -I, I] (then R'K when denoising) of _lp_sparsify.
 
     Rows and columns run over the nonempty subsets. S = kron^n T with
@@ -367,21 +400,31 @@ def _lp_matrix(n: int, denoise: bool):
     feasible set; R'S' has 2**k * 3**(n-k) nonzeros, R' 3**k * 2**(n-k) and
     R'K' 3**n (per bit T @ K's factor is [[1,0],[-1,1]]), against 3**n per
     block for S' and K'. The first two multiply to 6**n, so k = n // 2
-    minimizes their sum (AM-GM). The q- block is R' itself. Cached per
-    (n, denoise), read-only.
+    minimizes their sum (AM-GM). The q- block is R' itself.
+
+    The blocks are kron products of the per-bit factors, built on their
+    nonzeros' indices; every entry is +-1. Each column's rows are ascending,
+    int32 indices, as scipy.sparse builds them. Cached per (n, denoise),
+    read-only.
     """
-    import scipy.sparse as sp
     t = np.array([[1.0, 1.0], [0.0, -1.0]])
     k_bit = np.array([[0.0, 1.0], [1.0, -1.0]])
-    rs = r = rk = sp.csr_array(np.ones((1, 1)))
-    for bit in range(n):
-        r_bit = t if bit < n // 2 else np.eye(2)
-        rs = sp.kron(rs, sp.csr_array(r_bit @ t), format="csr")
-        r = sp.kron(r, sp.csr_array(r_bit), format="csr")
-        rk = sp.kron(rk, sp.csr_array(r_bit @ k_bit), format="csr")
-    rs, r = rs[1:, 1:], r[1:, 1:]
-    matrix = sp.hstack([rs, -rs, -r, r] + ([rk[1:, 1:]] if denoise else []), format="csc")
-    for arr in (matrix.data, matrix.indices, matrix.indptr):
+    r_bits = [t if bit < n // 2 else np.eye(2) for bit in range(n)]
+    rs, r = (_kron_entries([r_bit @ f for r_bit in r_bits]) for f in (t, np.eye(2)))
+    # the column blocks p+, p-, q+, q- (then delta), each with its sign
+    blocks = [(rs, 1.0), (rs, -1.0), (r, -1.0), (r, 1.0)]
+    if denoise:
+        blocks.append((_kron_entries([r_bit @ k_bit for r_bit in r_bits]), 1.0))
+    m = (1 << n) - 1
+    rows = np.concatenate([b[0] for b, _ in blocks])
+    cols = np.concatenate([b[1] + i * m for i, (b, _) in enumerate(blocks)])
+    values = np.concatenate([sign * b[2] for b, sign in blocks])
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(len(blocks) * m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=len(blocks) * m), out=indptr[1:])
+    matrix = _CscMatrix(values[order], rows[order].astype(np.int32), indptr,
+                        (m, len(blocks) * m))
+    for arr in matrix[:3]:
         arr.flags.writeable = False
     return matrix
 
@@ -403,16 +446,60 @@ class _LpResult(NamedTuple):
 class _LpModel(NamedTuple):
     """The HiGHS instance of one (n, denoise) and what _lp_solve needs with it.
 
-    core is scipy's private module ``scipy.optimize._highspy._core``; highs
-    is the instance, holding the options; lp is the HighsLp of _lp_matrix
-    that each solve fills in and passes to it; p_block and q_block are the
-    p+ and q+ column blocks of the matrix, which give the row bounds."""
+    core is scipy's private module ``scipy.optimize._highspy._core``
+    (_highs_core); highs is the instance, holding the options; lp is the
+    HighsLp of _lp_matrix that each solve fills in and passes to it;
+    rhs_index and rhs_rows are the _rhs_terms of the matrix, which give the
+    row bounds (_lp_rhs)."""
 
     core: object
     highs: object
     lp: object
-    p_block: object
-    q_block: object
+    rhs_index: np.ndarray
+    rhs_rows: np.ndarray
+
+
+def _highs_core():
+    """scipy's private HiGHS bindings, ``scipy.optimize._highspy._core``,
+    loaded alone: ``import scipy.optimize`` loads 321 scipy modules
+    (scipy 1.17), ``scipy.sparse`` among them.
+
+    The extension is found in scipy's package directory
+    (``find_spec("scipy")`` imports nothing) and registered in sys.modules
+    under its own name before it runs, so a later ``import scipy.optimize``
+    reuses it, as it must: pybind11 cannot register its types twice. A
+    module loaded already, say by the Huber path, is returned as it is.
+    """
+    name = "scipy.optimize._highspy._core"
+    core = sys.modules.get(name)
+    if core is not None:
+        return core
+    # the package directory of the module, scipy/optimize/_highspy
+    dirs = [os.path.join(d, *name.split(".")[1:-1])
+            for d in importlib.util.find_spec("scipy").submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"no {name} in {dirs}")
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[name] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return core
+
+
+def _rhs_terms(matrix: _CscMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the p+ and q+ column blocks of _lp_matrix, in its
+    column order, as (index, rows): each one's column as an index into
+    (a, -a, b, -b), its +-1 entry's sign folded in, and its row, offset by m
+    in the q+ block (see _lp_rhs)."""
+    m = matrix.shape[0]
+    cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+    terms = (cols < m) | ((2 * m <= cols) & (cols < 3 * m))
+    index = cols[terms] + m * (matrix.data[terms] < 0)
+    return index, matrix.indices[terms] + m * (cols[terms] >= 2 * m)
 
 
 @lru_cache(maxsize=None)
@@ -433,15 +520,14 @@ def _lp_model(n: int, denoise: bool) -> _LpModel:
     other than kOk raises NumericalError: an instance whose passModel failed
     holds no valid model, and further calls on it can crash the process
     (changeRowBounds did).
-    This is the one function that imports the module.
     """
-    from scipy.optimize._highspy import _core
+    core = _highs_core()
     matrix = _lp_matrix(n, denoise)
     rows, cols = matrix.shape
-    lp = _core.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = cols
     lp.num_row_ = lp.a_matrix_.num_row_ = rows
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.a_matrix_.start_ = matrix.indptr
     lp.a_matrix_.index_ = matrix.indices
     lp.a_matrix_.value_ = matrix.data
@@ -451,15 +537,15 @@ def _lp_model(n: int, denoise: bool) -> _LpModel:
     lp.col_cost_ = cost
     lp.col_lower_, lp.col_upper_ = _lp_col_bounds(rows, cols, 0.0)
     lp.row_lower_ = lp.row_upper_ = np.zeros(rows)
-    options = _core.HighsOptions()
+    options = core.HighsOptions()
     options.presolve = "off"
     options.solver = "simplex"
-    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = options.log_to_console = False
-    highs = _core._Highs()
-    _highs_ok(_core, highs.passOptions(options), "passOptions")
-    _highs_ok(_core, highs.passModel(lp), "passModel")
-    return _LpModel(_core, highs, lp, matrix[:, :rows], matrix[:, 2 * rows:3 * rows])
+    highs = core._Highs()
+    _highs_ok(core, highs.passOptions(options), "passOptions")
+    _highs_ok(core, highs.passModel(lp), "passModel")
+    return _LpModel(core, highs, lp, *_rhs_terms(matrix))
 
 
 def _lp_col_bounds(m: int, cols: int, zeta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -472,6 +558,20 @@ def _lp_col_bounds(m: int, cols: int, zeta: float) -> tuple[np.ndarray, np.ndarr
 def _highs_ok(core, status, call: str) -> None:
     if status != core.HighsStatus.kOk:
         raise NumericalError(f"HiGHS {call} returned {status}")
+
+
+def _lp_rhs(model: _LpModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The p+ block of _lp_matrix times a plus its q+ block times b.
+
+    Each row sums its terms in column order, from 0.0, as scipy.sparse's
+    csc @ x does, so the result is bit for bit that of
+    M[:, :m] @ a + M[:, 2m:3m] @ b. The entries are +-1, so each term is
+    the gathered +-a or +-b entry, exactly the product.
+    """
+    m = a.size
+    sums = np.bincount(model.rhs_rows, minlength=2 * m,
+                       weights=np.concatenate([a, -a, b, -b])[model.rhs_index])
+    return sums[:m] + sums[m:]
 
 
 def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None = None
@@ -499,8 +599,9 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
     pivots are linprog's exactly when linprog gets the same costs.
     """
     a, b = base[:, 1:]
-    core, highs, lp, p_block, q_block = _lp_model(a.size.bit_length(), denoise)
-    lp.row_lower_ = lp.row_upper_ = p_block @ a + q_block @ b
+    model = _lp_model(a.size.bit_length(), denoise)
+    core, highs, lp = model[:3]
+    lp.row_lower_ = lp.row_upper_ = _lp_rhs(model, a, b)
     if denoise:
         lp.col_lower_, lp.col_upper_ = _lp_col_bounds(a.size, lp.num_col_, zeta)
     _highs_ok(core, highs.passModel(lp), "passModel")

@@ -1,7 +1,7 @@
 """Smoke tests of benchmarks/bench_transforms.py: its kernel and objective
-rows run against the current helpers, and its solver rows end with one JSON
-line. The full solver rows (n = 8, 9, 10) take tens of seconds and are run
-by hand; the JSON test runs them at n = 6."""
+rows run against the current helpers, and its solver and fresh-process rows
+each end with one JSON line. The full solver rows (n = 8, 9, 10) take tens
+of seconds and are run by hand; the JSON tests run them at n = 6."""
 
 import importlib.util
 import json
@@ -45,3 +45,19 @@ def test_bench_transforms_solver_rows_end_with_one_json_line(capsys, huber_max_i
         assert row["pivots"] == int(cells[5]) and row["path"] == cells[10]
         assert min(row["lp_s"], row["huber_s"], row["sparsify_s"]) > 0
         assert row["lp_l1"] <= row["huber_l1"] * (1 + 1e-9)
+
+
+def test_bench_transforms_fresh_rows_end_with_one_json_line(capsys):
+    load_bench().fresh_solves(ns=(6,))
+    lines = capsys.readouterr().out.splitlines()
+    rows = json.loads(lines[-1])
+    printed = [line.split() for line in lines[:-1] if line.split()[:1] == ["6"]]
+    assert [(r["n"], r["denoise"]) for r in rows] == [(6, False), (6, True)]
+    for row, cells in zip(rows, printed, strict=True):
+        assert set(row) == {"n", "denoise", "first_s", "peak_rss_mb", "scipy_modules"}
+        assert cells[1] == str(row["denoise"])
+        assert int(cells[4]) == len(row["scipy_modules"])
+        assert row["first_s"] > 0 and row["peak_rss_mb"] > 0
+        assert row["scipy_modules"] == ["scipy.optimize._highspy._core",
+                                        "scipy.optimize._highspy._core.cb",
+                                        "scipy.optimize._highspy._core.simplex_constants"]

@@ -32,7 +32,15 @@ NAMED_FLAGS = {"axioms-n": "--n", "axioms-n-zero": "--n", "axioms-n-one": "--n",
                "synth-negative-m": "--m", "synth-negative-overfit-pairs": "--overfit-pairs",
                "synth-overfit-min-order-zero": "--overfit-min-order",
                "synth-orders-nan": "--orders", "synth-orders-inf": "--orders",
-               "synth-orders-negative": "--orders"}
+               "synth-orders-negative": "--orders", "synth-effect-range": "--effect-range",
+               "synth-effect-range-inf": "--effect-range",
+               "synth-effect-range-nan": "--effect-range",
+               "synth-magnitude-floor-zero": "--magnitude-floor",
+               "synth-magnitude-floor-nan": "--magnitude-floor",
+               "synth-overfit-magnitude-nan": "--overfit-magnitude",
+               "synth-overfit-magnitude-inf": "--overfit-magnitude",
+               "synth-overfit-magnitude-zero": "--overfit-magnitude",
+               "synth-negative-seed": "--seed", "axioms-negative-seed": "--seed"}
 
 
 # Every subcommand's arguments and their choices (None: any value). A new
@@ -396,6 +404,7 @@ def malformed_inputs(tmp_path_factory):
     ("axioms", "--n", "0"),
     ("axioms", "--n", "1"),
     ("axioms", "--trials", "0"),
+    ("axioms", "--n", "2", "--trials", "1", "--seed", "-1"),
     *(("synth", "--out", "{out}/synth", "--n", n, *flags) for n, flags in (
         ("4", ("--m", "500")), ("4", ("--orders", "7:1")),
         ("4", ("--interaction", "and", "--mask", "99")), ("4", ("--effect-range", "-1")),
@@ -408,7 +417,14 @@ def malformed_inputs(tmp_path_factory):
         ("2", ("--m", "3", "--orders", "1:1.0", "--kinds", "and,and")),
         ("4", ("--m", "7", "--orders", "2:1.0", "--antichain")),
         ("4", ("--orders", "2:nan")), ("4", ("--orders", "2:0.5,3:inf")),
-        ("4", ("--orders", "2:-1")))),
+        ("4", ("--orders", "2:-1")),
+        ("4", ("--effect-range", "inf", "--magnitude-floor", "1")),
+        ("4", ("--effect-range", "nan")),
+        ("4", ("--magnitude-floor", "0")), ("4", ("--magnitude-floor", "nan")),
+        ("10", ("--samples", "4", "--overfit-fraction", "0.5", "--overfit-pairs", "2",
+                "--overfit-magnitude", "nan")),
+        ("4", ("--overfit-magnitude", "inf")), ("4", ("--overfit-magnitude", "0")),
+        ("4", ("--seed", "-1")))),
     # output paths that cannot be written: an existing file, a missing directory
     ("extract", "--in", "{tabs}", "--out", "{tabs}/table_0000.json", "--mode", "all-and"),
     ("profile", "--in", "{isets}", "--out", "{out}/missing/p.csv"),
@@ -430,12 +446,16 @@ def malformed_inputs(tmp_path_factory):
         "extract-overflow-all-and", "extract-overflow-no-denoise",
         "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
         "profile-repeated-mask",
-        "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials", "synth-m",
+        "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials",
+        "axioms-negative-seed", "synth-m",
         "synth-orders", "synth-mask", "synth-effect-range", "synth-overfit-fraction",
         "synth-samples", "synth-negative-m", "synth-negative-overfit-pairs",
         "synth-overfit-min-order-zero", "synth-n-above-max", "synth-interaction-n-above-max",
         "synth-duplicate-kinds", "synth-antichain-full",
         "synth-orders-nan", "synth-orders-inf", "synth-orders-negative",
+        "synth-effect-range-inf", "synth-effect-range-nan", "synth-magnitude-floor-zero",
+        "synth-magnitude-floor-nan", "synth-overfit-magnitude-nan",
+        "synth-overfit-magnitude-inf", "synth-overfit-magnitude-zero", "synth-negative-seed",
         "extract-out-is-a-file", "profile-out-dir-missing", "similarity-out-dir-missing",
         "compare-out-dir-missing", "diagnose-out-dir-missing", "axioms-out-dir-missing"])
 def test_malformed_input_exit_2_without_traceback(malformed_inputs, tmp_path, argv, request):
@@ -448,6 +468,8 @@ def test_malformed_input_exit_2_without_traceback(malformed_inputs, tmp_path, ar
     assert not any((tmp_path / name).exists() for name in BAD_LABELS)
     flag = NAMED_FLAGS.get(request.node.callspec.id)
     assert flag is None or proc.stderr.startswith(f"error: {flag} must be ")
+    # a flag the CLI checks itself is rejected before synth creates --out
+    assert flag is None or not (tmp_path / "synth").exists()
 
 
 def _dense_table(directory, n):

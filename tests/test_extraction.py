@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from andor import extraction
 from andor.extraction import (ZETA_FRACTION, NumericalError, _highs_ok, _loss_grad,
-                              _lp_matrix, _lp_model, _lp_solve, _lp_sparsify,
+                              _lp_matrix, _lp_model, _lp_rhs, _lp_solve, _lp_sparsify,
                               _objective_base, _theta_effects, all_and_decomposition,
                               even_split_decomposition, extract, filter_salient,
                               salience_threshold, sparsify, split_components)
@@ -258,7 +264,7 @@ def test_lp_matrix_matches_theta_effects(n, denoise):
     delta = np.zeros(m + 1)
     if denoise:
         delta[1:] = x[m:]
-    matrix = _lp_matrix(n, denoise)
+    matrix = lp_matrix(n, denoise)
     z = np.concatenate([np.maximum(p, 0), np.maximum(-p, 0),
                         np.maximum(q, 0), np.maximum(-q, 0), delta[1:] if denoise else []])
     np.testing.assert_allclose(matrix @ z, matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b,
@@ -267,10 +273,15 @@ def test_lp_matrix_matches_theta_effects(n, denoise):
     np.testing.assert_allclose(theta, x[:m], atol=1e-10)
 
 
+def lp_matrix(n, denoise):
+    """_lp_matrix as a scipy.sparse array."""
+    matrix = _lp_matrix(n, denoise)
+    return sp.csc_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def plain_lp_matrix(n, denoise):
     """[S, -S, -I, I] (then K when denoising) over the nonempty subsets: the
     L1 LP's rows before _lp_matrix's row transform."""
-    import scipy.sparse as sp
     s = k = sp.csr_array(np.ones((1, 1)))
     for _ in range(n):
         s = sp.kron(s, sp.csr_array([[1.0, 1.0], [0.0, -1.0]]), format="csr")
@@ -280,13 +291,75 @@ def plain_lp_matrix(n, denoise):
     return sp.hstack([s, -s, -eye, eye] + ([k[1:, 1:]] if denoise else []), format="csc")
 
 
+def scipy_lp_matrix(n, denoise):
+    """_lp_matrix's rows R'[S, -S, -I, I] (then R'K), built by scipy.sparse's
+    kron and hstack."""
+    t = np.array([[1.0, 1.0], [0.0, -1.0]])
+    k_bit = np.array([[0.0, 1.0], [1.0, -1.0]])
+    rs = r = rk = sp.csr_array(np.ones((1, 1)))
+    for bit in range(n):
+        r_bit = t if bit < n // 2 else np.eye(2)
+        rs = sp.kron(rs, sp.csr_array(r_bit @ t), format="csr")
+        r = sp.kron(r, sp.csr_array(r_bit), format="csr")
+        rk = sp.kron(rk, sp.csr_array(r_bit @ k_bit), format="csr")
+    rs, r = rs[1:, 1:], r[1:, 1:]
+    return sp.hstack([rs, -rs, -r, r] + ([rk[1:, 1:]] if denoise else []), format="csc")
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lp_matrix_and_rhs_are_scipy_sparse_bit_for_bit(n, denoise):
+    """The numpy-built matrix holds scipy.sparse's CSC arrays entry for
+    entry, and _lp_rhs is its p+ and q+ column blocks' csc @ x bit for bit,
+    signed zeros included."""
+    matrix, ref = _lp_matrix(n, denoise), scipy_lp_matrix(n, denoise)
+    assert matrix.shape == ref.shape
+    for arr, ref_arr in ((matrix.data, ref.data), (matrix.indices, ref.indices),
+                         (matrix.indptr, ref.indptr)):
+        assert arr.dtype == ref_arr.dtype
+        np.testing.assert_array_equal(arr, ref_arr)
+    m = (1 << n) - 1
+    rng = np.random.default_rng(70 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        a, b = _objective_base(scale * rng.normal(size=m + 1))[:, 1:]
+        b[: m // 2] = 0.0
+        rhs = _lp_rhs(_lp_model(n, denoise), a, b)
+        expected = ref[:, :m] @ a + ref[:, 2 * m:3 * m] @ b
+        np.testing.assert_array_equal(rhs, expected)
+        np.testing.assert_array_equal(np.signbit(rhs), np.signbit(expected))
+
+
+def test_lp_path_loads_only_the_highs_extension():
+    """A fresh interpreter's sparsify, both modes, loads scipy's HiGHS
+    extension and no other scipy module; a later scipy.optimize reuses that
+    module object, and linprog runs on it."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from andor.extraction import _lp_model, sparsify",
+        "from andor.models import ValueTable",
+        "v = ValueTable(n=8, values=np.random.default_rng(8).normal(size=256))",
+        "assert [sparsify(v, d)[0].solver for d in (False, True)] == ['lp', 'lp']",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "from scipy.optimize import linprog",
+        "res = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method='highs-ds')",
+        "assert res.status == 0 and list(res.x) == [1.0, 0.0], res",
+        "print(sys.modules['scipy.optimize._highspy._core'] is _lp_model(8, True).core)"])
+    src = str(Path(extraction.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines() == [
+        "['scipy.optimize._highspy._core', 'scipy.optimize._highspy._core.cb', "
+        "'scipy.optimize._highspy._core.simplex_constants']", "True"]
+
+
 @pytest.mark.parametrize("denoise", [False, True])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lp_matrix_is_the_plain_rows_transformed(n, denoise):
     """The q- block of _lp_matrix is the row transform R', its own inverse:
     R' times the matrix gives the plain rows entry for entry."""
     m = (1 << n) - 1
-    matrix = _lp_matrix(n, denoise)
+    matrix = lp_matrix(n, denoise)
     r = matrix[:, 3 * m:4 * m]
     np.testing.assert_array_equal((r @ r).toarray(), np.eye(m))
     np.testing.assert_array_equal((r @ matrix).toarray(),
@@ -296,7 +369,7 @@ def test_lp_matrix_is_the_plain_rows_transformed(n, denoise):
 def test_lp_matrix_nonzeros_at_n10():
     assert (plain_lp_matrix(10, False).nnz, plain_lp_matrix(10, True).nnz) == \
         (118096, 177143)
-    assert (_lp_matrix(10, False).nnz, _lp_matrix(10, True).nnz) == (30976, 89992)
+    assert (lp_matrix(10, False).nnz, lp_matrix(10, True).nnz) == (30976, 89992)
 
 
 @pytest.mark.parametrize("denoise", [False, True])
@@ -432,7 +505,7 @@ def linprog_reference(base, zeta, denoise, maxiter=None, matrix=None):
     a, b = base[:, 1:]
     m = a.size
     if matrix is None:
-        matrix = _lp_matrix(m.bit_length(), denoise)
+        matrix = lp_matrix(m.bit_length(), denoise)
     cost = np.array(_lp_model(m.bit_length(), denoise).lp.col_cost_)
     bounds = np.zeros((matrix.shape[1], 2))
     bounds[:4 * m, 1] = np.inf

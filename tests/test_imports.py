@@ -29,21 +29,40 @@ def test_no_unused_imports():
     assert [hit for p in modules for hit in unused_imports(p)] == []
 
 
+def names_highspy(node: ast.AST) -> bool:
+    """Whether node imports from, or is a string naming, scipy's ``_highspy``."""
+    if isinstance(node, ast.ImportFrom):
+        return "_highspy" in (node.module or "")
+    if isinstance(node, ast.Import):
+        return any("_highspy" in alias.name for alias in node.names)
+    return isinstance(node, ast.Constant) and "_highspy" in str(node.value)
+
+
+def highs_names(node: ast.AST, path: Path, scope: str = "") -> list[str]:
+    """``file:function`` (``file:`` at module level) for each node under node,
+    docstrings aside, that names scipy's private ``_highspy``."""
+    body = getattr(node, "body", None)
+    docstring = body[0] if isinstance(body, list) and body and isinstance(body[0], ast.Expr) \
+        and isinstance(body[0].value, ast.Constant) else None
+    hits = [f"{path.name}:{scope}"] if names_highspy(node) else []
+    for child in ast.iter_child_nodes(node):
+        if child is not docstring:
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else scope
+            hits += highs_names(child, path, inner)
+    return hits
+
+
 def test_one_function_imports_the_private_highs_bindings():
-    """scipy's private HiGHS module is imported in one function of the
-    package, and linprog nowhere."""
-    importers, linprog = [], []
+    """scipy's private HiGHS module is named, to import or load it, in exactly
+    one function of the package, and linprog nowhere."""
+    names, linprog = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, ast.ImportFrom) and "_highspy" in (node.module or ""):
-                    importers.append(f"{path.name}:{func.name}")
+        names += highs_names(tree, path)
         linprog += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, (ast.Name, ast.alias, ast.Attribute))
                     and "linprog" in (getattr(node, "id", None) or getattr(node, "name", None)
                                       or getattr(node, "attr", ""))]
-    assert importers == ["extraction.py:_lp_model"]
+    assert names == ["extraction.py:_highs_core"]
     assert linprog == []
