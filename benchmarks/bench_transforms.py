@@ -1,5 +1,6 @@
 """Time the subset-transform kernels, one sparsify objective evaluation, one
-sparsify solve on each solver path, and the first solve of a fresh process.
+sparsify solve on each solver path, the first solve of a fresh process, and
+the oracle's reconstruction of sparse and dense effect sets.
 
 Run directly: python benchmarks/bench_transforms.py [max_n]
 
@@ -40,9 +41,17 @@ modules, the process's peak RSS and the number of scipy modules loaded,
 and the rows end with one JSON line with the keys n, denoise, first_s,
 peak_rss_mb and scipy_modules (their names).
 
+The oracle rows time ``oracle.reconstruct`` at n = 8, 10, 12 and 14 on the
+solver rows' sparse game (15 effects) and on a dense normal effect set.
+Each prints the nonzero effects, the pairs ``reconstruct`` sums for them
+(the supersets of their masks), the first call, which builds the oracle's
+pair table, and the steady state (the best of several repeats). The rows
+end with one JSON line with the keys n, effects ("sparse" or "dense"),
+nonzero, pairs, first_s and steady_s.
+
 ``tests/test_bench_transforms.py`` runs the kernel and objective rows, and
-the solver and fresh-process rows at n = 6, as a smoke test; the full
-solver rows are run by hand.
+the solver, fresh-process and oracle rows at n = 6, as a smoke test; the
+full solver rows are run by hand.
 """
 
 import json
@@ -55,12 +64,13 @@ from pathlib import Path
 
 import numpy as np
 
-from andor import extraction
+from andor import extraction, oracle
 from andor.extraction import (LP_MAX_N, ZETA_FRACTION, _loss_grad, _lp_matrix,
                               _lp_model, _lp_solve, _objective_base, sparsify)
-from andor.lattice import _diff_transform, _sum_transform
+from andor.lattice import _diff_transform, _sum_transform, order_counts
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
+from andor.oracle import reconstruct
 
 
 def best_time(fn, make_arg, repeats):
@@ -205,6 +215,51 @@ def fresh_solves(ns=(8, 9, 10)):
     print(json.dumps(rows))
 
 
+def game_rows(n):
+    """The (2, 2**n) AND and OR rows of the solver rows' sparse game: 15
+    order-3 effects on an antichain."""
+    game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
+                              magnitude_floor=3.2, antichain=True)
+    rows = np.zeros((2, 1 << n))
+    for row, effects in enumerate((game.and_effects, game.or_effects)):
+        for mask, effect in effects.items():
+            rows[row, mask] = effect
+    return rows
+
+
+def oracle_rows(rng, ns=(8, 10, 12, 14)):
+    """Print one row per (n, effect set) of ns: ``oracle.reconstruct`` of
+    the sparse game's effects and of a dense normal set (its empty-set
+    slots zero, as in an effect file), with the nonzero effects, the pairs it
+    sums, its first call (which builds the pair table: the table caches are
+    cleared before it) and its steady state (the best of several repeats);
+    then all rows as one JSON line, a list of objects with the keys n,
+    effects, nonzero, pairs, first_s and steady_s."""
+    def call(effects):
+        return reconstruct(effects[0], effects[1], 0.5)
+
+    print("\noracle.reconstruct (first call builds the pair table)")
+    print(f"{'n':>4} {'effects':>8} {'nonzero':>8} {'pairs':>9} {'first':>10} {'steady':>10}")
+    rows = []
+    for n in ns:
+        dense = rng.normal(size=(2, 1 << n))
+        dense[:, 0] = 0.0                   # as in an effect file
+        for name, effects in (("sparse", game_rows(n)), ("dense", dense)):
+            oracle._submask_pairs.cache_clear()
+            oracle._blocks.cache_clear()
+            first_s = best_time(call, lambda: effects, 1)
+            steady_s = best_time(call, lambda: effects, repeats_for(n + 2))
+            nonzero = (effects[0] != 0) | (effects[1] != 0)
+            # the supersets of each nonzero effect's mask: 2**(n - |L|)
+            pairs = int((1 << (n - order_counts(n)[nonzero].astype(np.int64))).sum())
+            row = {"n": n, "effects": name, "nonzero": int(nonzero.sum()), "pairs": pairs,
+                   "first_s": first_s, "steady_s": steady_s}
+            print(f"{n:>4} {name:>8} {row['nonzero']:>8} {pairs:>9} "
+                  f"{first_s * 1e3:>8.3f}ms {steady_s * 1e3:>8.3f}ms")
+            rows.append(row)
+    print(json.dumps(rows))
+
+
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     rng = np.random.default_rng(0)
@@ -212,6 +267,7 @@ def main():
     objective(rng)
     solvers(rng)
     fresh_solves()
+    oracle_rows(rng)
 
 
 if __name__ == "__main__":

@@ -670,7 +670,9 @@ def sparsify(v: ValueTable, denoise: bool = True
        minimum of least sum |S|**2 * |I_S| (module docstring). For
        n > LP_MAX_N, or when the LP exhausts its pivot budget, run the Huber
        continuation from the start; each stage gives one iterate. The
-       decomposition's ``solver`` names the path, "lp" or "huber".
+       decomposition's ``solver`` names the path, "lp" or "huber". At
+       n = 0 the even split is the only split: no solver runs, and
+       ``solver`` is empty.
     3. An iterate replaces the best one so far only if its L1 is lower by
        more than CONVERGENCE_EPS (relative); the history records the best
        L1 after each iterate, so it never increases.
@@ -699,8 +701,11 @@ def sparsify(v: ValueTable, denoise: bool = True
         raise ValueError("the table's effects overflow float64")
     history = [loss]
 
-    vertex = _lp_sparsify(base, zeta, denoise) if v.n <= LP_MAX_N else None
-    if vertex is None:
+    vertex = _lp_sparsify(base, zeta, denoise) if 0 < v.n <= LP_MAX_N else None
+    if v.n == 0:
+        # one mask, so one split: the even split, with no effect to solve for
+        solver, iterates = "", []
+    elif vertex is None:
         solver = "huber"
         iterates = ((it, _theta_effects(it, base, denoise))
                     for it in _smoothed_sparsify(v, denoise, base, zeta, x))

@@ -3,11 +3,13 @@
 Every function here evaluates its defining sum literally and shares no code
 with the fast transforms in ``lattice``. The sums run over every pair
 ``(S, L)`` with ``L`` a submask of ``S``: ``_submask_pairs`` lists those 3**n
-pairs once per n, with the sign ``(-1)**(|S|-|L|)``, and ``_pair_sums`` adds
-each pair's term into its ``S`` slot, one term at a time in the pair order.
-No partial sums are shared between masks, unlike the O(n * 2**n) fast
-transforms these paths certify. Size is capped at n <= 14, where the pairs
-take about 43 MB (int32 indices, int8 signs).
+pairs once per n, with the sign ``(-1)**(|S|-|L|)``, grouped by ``L`` in
+descending ``L`` order, so the supersets of each ``L`` lie in one block of
+the table, found by its offset in ``_blocks``. ``_pair_sums`` adds each
+pair's term into its ``S`` slot, one term at a time in the table order, so
+each ``S`` receives its terms in descending ``L`` order. No partial sums
+are shared between masks, unlike the O(n * 2**n) fast transforms these
+paths certify. Size is capped at n <= 14.
 
 ``_pair_sums`` gathers the terms PAIR_CHUNK pairs at a time, not all 3**n at
 once. One gather of all of them allocates a float64 array of 3**n entries
@@ -18,9 +20,23 @@ about 370 minor faults per ``oracle verify`` of an n = 10 table. A chunk's
 terms take at most 64 KB, which the heap reuses. ``np.add.at`` adds term by
 term, in the order and with the rounding of one ``np.bincount`` over all
 the pairs, so the results are bit-identical to the unchunked sums.
-``reconstruct`` runs its AND and OR sums as one pass over complex terms.
+
+``brute_and`` and ``brute_or`` walk the whole table. ``reconstruct`` runs
+its AND and OR sums as one pass over complex terms, and gathers only the
+blocks of the ``L`` whose AND or OR effect is nonzero, so its cost follows
+the supersets of the nonzero effects: 15 order-3 effects at n = 10 take
+15 * 2**7 = 1920 of the 59049 pairs. A gathered pair costs more than a
+walked one (two more index gathers, and adds that jump about), so where the
+kept blocks hold more than GATHER_SHARE of the pairs it walks the whole
+table instead: on random sets at n = 8 and 10, gathering broke even at
+about half of the pairs. Denoised n = 8 net files keep 42-64% of the
+pairs, and dense files all but the empty set's block, so both walk.
+A skipped term is +0.0 or -0.0. Adding either to a partial sum that starts
+at +0.0 leaves it as it was, since such a sum is never -0.0, so skipping
+changes no bit of the result.
 """
 
+from bisect import bisect_left, bisect_right
 from functools import cache
 
 import numpy as np
@@ -30,6 +46,9 @@ from .lattice import LatticeSizeError, infer_n
 ORACLE_MAX_N = 14
 # Pairs per chunk of _pair_sums: 32 KB of float64 terms, 64 KB of complex.
 PAIR_CHUNK = 4096
+# The largest share of the pairs that _pair_sums gathers block by block
+# rather than walking the whole table (module docstring).
+GATHER_SHARE = 0.25
 
 
 def _check_size(values: np.ndarray) -> int:
@@ -41,30 +60,102 @@ def _check_size(values: np.ndarray) -> int:
 
 @cache
 def _submask_pairs(n: int):
-    """All 3**n pairs (S, L subset S) as read-only (s, l, sign) arrays.
+    """All 3**n pairs (S, L subset S) as read-only (s, l, sign) arrays,
+    grouped by L in descending L order, each block in ascending S order.
 
-    Built one variable at a time: each variable is absent from S, in both S
-    and L, or in S only (flipping the sign). That order lists the L of each S
-    in descending order, the order of the usual ``l = (l - 1) & s`` submask
-    walk, so the sums accumulate term by term in that order.
+    Built one variable at a time, each new one above the ones before: the
+    blocks of the L that hold it (the old blocks, with it added to S and L)
+    come first, then each old block twice, without it and with it added to
+    S. So the L of each S appear in descending order, the order of the usual
+    ``l = (l - 1) & s`` submask walk, and the sums accumulate term by term
+    in that order. The table takes 9 bytes per pair (int32 s and l, int8
+    sign): 0.5 MB at n = 10, 4.6 MB at n = 12 and 43 MB at n = 14, where
+    building it peaks at about 55 MB (tracemalloc).
     """
     s = np.zeros(1, dtype=np.int32)
-    l = np.zeros(1, dtype=np.int32)
     sign = np.ones(1, dtype=np.int8)
     for i in range(n):
         bit = np.int32(1 << i)
-        s = np.concatenate((s, s | bit, s | bit))
-        l = np.concatenate((l, l | bit, l))
-        sign = np.concatenate((sign, sign, -sign))
+        p = s.size
+        old_s, s = s, np.empty(3 * p, dtype=np.int32)
+        old_sign, sign = sign, np.empty(3 * p, dtype=np.int8)
+        np.bitwise_or(old_s, bit, out=s[:p])
+        sign[:p] = old_sign
+        # old pair k of the block that starts at b goes to p + b + k, and
+        # its copy with the bit in S one block width further
+        start, width = _blocks(i)
+        at = np.repeat(start[:-1] + p, width)
+        at += np.arange(p, dtype=np.int32)
+        s[at] = old_s
+        sign[at] = old_sign
+        at += np.repeat(width, width)
+        s[at] = old_s | bit
+        sign[at] = -old_sign
+    l = np.repeat(np.arange((1 << n) - 1, -1, -1, dtype=np.int32), _blocks(n)[1])
     for a in (s, l, sign):
         a.setflags(write=False)
     return s, l, sign
 
 
-def _pair_sums(values: np.ndarray, n: int, signed: bool, complement: bool = False
-               ) -> np.ndarray:
+@cache
+def _blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (start, width) of the blocks of _submask_pairs(n), in table
+    order: the supersets of L are the width[k] = 2**(n - |L|) pairs from
+    start[k] on, k = 2**n - 1 - L; start has a last entry, 3**n."""
+    width = np.ones(1, dtype=np.int32)
+    for _ in range(n):
+        width = np.concatenate((width, 2 * width))
+    start = np.zeros(width.size + 1, dtype=np.int32)
+    np.cumsum(width, out=start[1:])
+    for a in (start, width):
+        a.setflags(write=False)
+    return start, width
+
+
+def _chunks(n: int, keep: np.ndarray | None):
+    """Index the pair table PAIR_CHUNK pairs at a time, in table order: only
+    the blocks of the L where keep[L] is True when they hold at most
+    GATHER_SHARE of the pairs, else all of it, as slices."""
+    if keep is not None:
+        start, width = _blocks(n)
+        if np.dot(width, keep[::-1]) <= GATHER_SHARE * 3 ** n:
+            # runs of kept blocks begin and end where keep changes
+            flags = np.zeros(keep.size + 2, dtype=bool)
+            flags[1:-1] = keep[::-1]
+            bounds = start[np.flatnonzero(flags[1:] != flags[:-1])]
+            yield from _gather_chunks(bounds[0::2], bounds[1::2])
+            return
+    for c in range(0, 3 ** n, PAIR_CHUNK):
+        yield slice(c, c + PAIR_CHUNK)
+
+
+def _gather_chunks(lo: np.ndarray, hi: np.ndarray):
+    """Index the pairs of the runs lo[r] to hi[r] - 1, PAIR_CHUNK at a time:
+    a chunk inside one run is a slice, one that spans runs an index array."""
+    # the kept pairs are numbered 0, 1, ... in table order; run r holds the
+    # numbers first[r] to ends[r] - 1, which lie shift[r] further on
+    ends = np.cumsum(hi - lo)
+    first = ends - (hi - lo)
+    shift = lo - first
+    ends_at, shift_at = ends.tolist(), shift.tolist()
+    total = ends_at[-1] if ends_at else 0
+    for c in range(0, total, PAIR_CHUNK):
+        d = min(c + PAIR_CHUNK, total)
+        r, last = bisect_right(ends_at, c), bisect_left(ends_at, d)
+        if r == last:
+            yield slice(c + shift_at[r], d + shift_at[r])
+        else:
+            runs = slice(r, last + 1)
+            counts = np.minimum(ends[runs], d) - np.maximum(first[runs], c)
+            yield np.arange(c, d) + np.repeat(shift[runs], counts)
+
+
+def _pair_sums(values: np.ndarray, n: int, signed: bool, complement: bool = False,
+               keep: np.ndarray | None = None) -> np.ndarray:
     """out[S] = sum over L subset S of values[L], times (-1)^(|S|-|L|) when
-    signed, and of values[N\\L] instead when complement.
+    signed, and of values[N\\L] instead when complement. Where keep is
+    given, the terms of the L where keep[L] is False must be +0.0 or -0.0,
+    and they may be skipped (module docstring).
 
     The terms are gathered PAIR_CHUNK pairs at a time and added one by one
     in the pair order of _submask_pairs (module docstring).
@@ -72,8 +163,7 @@ def _pair_sums(values: np.ndarray, n: int, signed: bool, complement: bool = Fals
     s, l, sign = _submask_pairs(n)
     full = values.size - 1
     out = np.zeros(values.size, dtype=values.dtype)
-    for start in range(0, s.size, PAIR_CHUNK):
-        chunk = slice(start, start + PAIR_CHUNK)
+    for chunk in _chunks(n, keep):
         terms = values[full ^ l[chunk] if complement else l[chunk]]
         if signed:
             terms *= sign[chunk]
@@ -98,6 +188,8 @@ def reconstruct(i_and, i_or, bias: float) -> np.ndarray:
 
     h(x_S) = b + sum_{0 != T subset S} I_and[T] + sum_{T & S != 0} I_or[T],
     the OR sum evaluated as (total - sum over submasks of the complement).
+    Where the nonzero effects have few supersets, only their pairs are
+    summed (module docstring).
     """
     ia = np.asarray(i_and, dtype=np.float64)
     io = np.asarray(i_or, dtype=np.float64)
@@ -112,7 +204,7 @@ def reconstruct(i_and, i_or, bias: float) -> np.ndarray:
     terms.real = ia
     terms.real[0] = 0.0
     terms.imag = io
-    sums = _pair_sums(terms, n, signed=False)
+    sums = _pair_sums(terms, n, signed=False, keep=terms != 0)
     and_sum = sums.real
     or_miss = sums.imag[(size - 1) ^ np.arange(size)]
     return float(bias) + and_sum + io.sum() - or_miss

@@ -1,7 +1,8 @@
 """Smoke tests of benchmarks/bench_transforms.py: its kernel and objective
-rows run against the current helpers, and its solver and fresh-process rows
-each end with one JSON line. The full solver rows (n = 8, 9, 10) take tens
-of seconds and are run by hand; the JSON tests run them at n = 6."""
+rows run against the current helpers, and its solver, fresh-process and
+oracle rows each end with one JSON line. The full solver rows (n = 8, 9,
+10) take tens of seconds and are run by hand; the JSON tests run them at
+n = 6."""
 
 import importlib.util
 import json
@@ -61,3 +62,18 @@ def test_bench_transforms_fresh_rows_end_with_one_json_line(capsys):
         assert row["scipy_modules"] == ["scipy.optimize._highspy._core",
                                         "scipy.optimize._highspy._core.cb",
                                         "scipy.optimize._highspy._core.simplex_constants"]
+
+
+def test_bench_transforms_oracle_rows_end_with_one_json_line(capsys):
+    load_bench().oracle_rows(np.random.default_rng(0), ns=(6,))
+    lines = capsys.readouterr().out.splitlines()
+    rows = json.loads(lines[-1])
+    printed = [line.split() for line in lines[:-1] if line.split()[:1] == ["6"]]
+    assert [(r["n"], r["effects"]) for r in rows] == [(6, "sparse"), (6, "dense")]
+    for row, cells in zip(rows, printed, strict=True):
+        assert set(row) == {"n", "effects", "nonzero", "pairs", "first_s", "steady_s"}
+        assert [str(row[k]) for k in ("effects", "nonzero", "pairs")] == cells[1:4]
+        assert row["first_s"] > 0 and row["steady_s"] > 0
+    # 15 order-3 effects have 2**3 supersets each; a dense set sums every
+    # pair but those of the empty set's block
+    assert [(r["nonzero"], r["pairs"]) for r in rows] == [(15, 15 * 8), (63, 3 ** 6 - 2 ** 6)]

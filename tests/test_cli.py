@@ -496,6 +496,28 @@ def test_extract_records_the_solver(tmp_path, huber_max_iters, n, table, solver)
     assert set(batch["loss_history"]) == set(batch["solver"])
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-denoise"]])
+def test_extract_n0_table_writes_the_all_and_file(tmp_path, capsys, flags):
+    """An n = 0 table has one split, bias v[0] and no effects: sparsify
+    returns it without a solve, so extract writes what --mode all-and
+    writes, and oracle verify accepts it."""
+    tabs = tmp_path / "tabs"
+    tabs.mkdir()
+    (tabs / "t.json").write_text(
+        '{"n": 0, "label": "sample_0000", "values": [1.5], "meta": ""}')
+    assert run("extract", "--in", tabs, "--out", tmp_path / "all-and",
+               "--mode", "all-and") == 0
+    assert run("extract", "--in", tabs, "--out", tmp_path / "sparsify", *flags) == 0
+    written = (tmp_path / "sparsify" / "sample_0000.json").read_bytes()
+    assert written == (tmp_path / "all-and" / "sample_0000.json").read_bytes()
+    batch = json.loads((tmp_path / "sparsify" / "batch.json").read_text())
+    assert batch["solver"] == {"sample_0000": ""}
+    assert batch["loss_history"] == {"sample_0000": [0.0]}
+    assert run("oracle", "verify", "--table", tabs / "t.json",
+               "--interactions", tmp_path / "sparsify" / "sample_0000.json") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_unlabeled_table_is_keyed_by_its_file_name(tmp_path):
     tabs, isets = tmp_path / "tabs", tmp_path / "isets"
     tabs.mkdir()

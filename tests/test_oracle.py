@@ -56,17 +56,71 @@ def one_shot(n, u, i_and, i_or, bias):
             bias + np.bincount(s, weights=ia[l], minlength=size) + i_or.sum() - or_miss)
 
 
-@pytest.mark.parametrize("n, chunk", [(4, 7), (4, PAIR_CHUNK), (10, PAIR_CHUNK),
-                                      (12, PAIR_CHUNK)])
-def test_chunked_sums_match_one_shot_evaluation(monkeypatch, n, chunk):
-    """Summed chunk by chunk, the oracle matches one sum over all pairs; at
-    n = 4 also with a chunk that splits the pairs unevenly."""
+def effect_rows(kind, n, rng):
+    """(i_and, i_or) of one test case: dense normal rows; "sparse", 15
+    effects on random nonempty masks, each an AND or an OR effect;
+    "last-block", one OR effect on the empty set, whose supersets are the
+    last block of the pair table; "negative-zero", the sparse set with -0.0
+    on 30 more slots, some of them beside a nonzero effect of the same L."""
+    size = 1 << n
+    if kind == "dense":
+        return rng.normal(size=(2, size))
+    rows = np.zeros((2, size))
+    if kind == "last-block":
+        rows[1, 0] = rng.normal()
+        return rows
+    masks = rng.choice(np.arange(1, size), size=15, replace=False)
+    rows[rng.integers(0, 2, size=15), masks] = rng.normal(size=15)
+    if kind == "negative-zero":
+        rows[rng.integers(0, 2, size=30), rng.integers(0, size, size=30)] = -0.0
+        rows[:, masks[:5]] = np.where(rows[:, masks[:5]] == 0, -0.0, rows[:, masks[:5]])
+    return rows
+
+
+CHUNKED_CASES = [
+    (4, 7, "dense"), (4, PAIR_CHUNK, "dense"), (10, PAIR_CHUNK, "dense"),
+    (12, PAIR_CHUNK, "dense"), (10, PAIR_CHUNK, "sparse"), (12, PAIR_CHUNK, "sparse"),
+    (10, 100, "sparse"), (6, PAIR_CHUNK, "last-block"), (6, 50, "last-block"),
+    (8, PAIR_CHUNK, "negative-zero"), (8, 5, "negative-zero")]
+
+
+@pytest.mark.parametrize("n, chunk, kind", CHUNKED_CASES, ids=[
+    f"{n}-{chunk}" + ("" if kind == "dense" else f"-{kind}") for n, chunk, kind in CHUNKED_CASES])
+def test_chunked_sums_match_one_shot_evaluation(monkeypatch, n, chunk, kind):
+    """Summed chunk by chunk, and in reconstruct over the blocks of the
+    nonzero effects only, the oracle matches one sum over all pairs bit for
+    bit. A chunk of 7 splits the n = 4 pairs unevenly; chunks of 100, 50 and
+    5 split blocks (128 pairs per order-3 effect at n = 10)."""
     monkeypatch.setattr(oracle, "PAIR_CHUNK", chunk)
-    u, i_and, i_or = np.random.default_rng(100 + n).normal(size=(3, 1 << n))
+    rng = np.random.default_rng(100 + n)
+    u = rng.normal(size=1 << n)
+    i_and, i_or = effect_rows(kind, n, rng)
     got = (brute_and(u), brute_or(u), reconstruct(i_and, i_or, 0.25))
     for value, want in zip(got, one_shot(n, u, i_and, i_or, 0.25)):
-        # term by term, in the same order: the same rounding
-        np.testing.assert_array_equal(value, want)
+        # term by term, in the same order: the same rounding, signed zeros too
+        np.testing.assert_array_equal(value.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind, pairs", [
+    ("sparse", None), ("last-block", 1 << 10), ("dense", 3 ** 10)])
+def test_reconstruct_sums_only_the_pairs_of_nonzero_effects(monkeypatch, kind, pairs):
+    """reconstruct sums the 2**(n - |L|) supersets of each L with a nonzero
+    effect, and every pair of a dense set."""
+    summed = []
+    chunks = oracle._chunks
+
+    def counting(n, keep):
+        for chunk in chunks(n, keep):
+            summed.append(np.arange(3 ** n)[chunk].size)
+            yield chunk
+
+    monkeypatch.setattr(oracle, "_chunks", counting)
+    i_and, i_or = effect_rows(kind, 10, np.random.default_rng(10))
+    reconstruct(i_and, i_or, 0.0)
+    if pairs is None:
+        kept = np.flatnonzero((i_and != 0) | (i_or != 0))
+        pairs = int((1 << (10 - np.bitwise_count(kept))).sum())
+    assert sum(summed) == pairs
 
 
 def test_reconstruct_at_n12_allocates_chunks_not_pair_arrays():
