@@ -49,9 +49,17 @@ pair table, and the steady state (the best of several repeats). The rows
 end with one JSON line with the keys n, effects ("sparse" or "dense"),
 nonzero, pairs, first_s and steady_s.
 
+The I/O rows time ``io.read_table``, ``io.read_interactions`` and
+``io.write_interactions`` at n = 8 and 10, on the sparse game (its table
+and its 15 effects) and on a dense normal table and effect set, each the
+best of several repeats on files in a temporary directory. Each prints the
+nonzero effects and the bytes of the table and effect files, and the rows
+end with one JSON line with the keys n, effects, nonzero, table_bytes,
+effects_bytes, read_table_s, read_interactions_s and write_interactions_s.
+
 ``tests/test_bench_transforms.py`` runs the kernel and objective rows, and
-the solver, fresh-process and oracle rows at n = 6, as a smoke test; the
-full solver rows are run by hand.
+the solver, fresh-process, oracle and I/O rows at n = 6, as a smoke test;
+the full solver rows are run by hand.
 """
 
 import json
@@ -59,14 +67,17 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 from andor import extraction, oracle
-from andor.extraction import (LP_MAX_N, ZETA_FRACTION, _loss_grad, _lp_matrix,
-                              _lp_model, _lp_solve, _objective_base, sparsify)
+from andor import io as aio
+from andor.extraction import (LP_MAX_N, ZETA_FRACTION, InteractionSet, _loss_grad,
+                              _lp_matrix, _lp_model, _lp_solve, _objective_base,
+                              sparsify)
 from andor.lattice import _diff_transform, _sum_transform, order_counts
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
@@ -260,6 +271,52 @@ def oracle_rows(rng, ns=(8, 10, 12, 14)):
     print(json.dumps(rows))
 
 
+def io_rows(rng, ns=(8, 10)):
+    """Print one row per (n, effect set) of ns: the best of several repeats
+    of ``io.read_table`` of a table file, and of ``io.read_interactions``
+    and ``io.write_interactions`` of an effect file, for the sparse game
+    (its table and its effects) and for a dense normal table and effect set,
+    with the nonzero effects and the two files' sizes; then all rows as one
+    JSON line, a list of objects with the keys n, effects, nonzero,
+    table_bytes, effects_bytes, read_table_s, read_interactions_s and
+    write_interactions_s."""
+    print("\nio (best of several repeats)")
+    print(f"{'n':>4} {'effects':>8} {'nonzero':>8} {'table B':>9} {'effects B':>10} "
+          f"{'read tab':>10} {'read eff':>10} {'write eff':>10}")
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        table_file, effects_file = Path(tmp) / "table.json", Path(tmp) / "effects.json"
+        for n in ns:
+            game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
+                                      magnitude_floor=3.2, antichain=True)
+            dense = rng.normal(size=(2, 1 << n))
+            dense[:, 0] = 0.0                   # as in an effect file
+            for name, table, effects in (
+                    ("sparse", realize_table(game), game_rows(n)),
+                    ("dense", ValueTable(n=n, values=rng.normal(size=1 << n)), dense)):
+                iset = InteractionSet(n=n, effects=effects, bias=0.5, label="sample_0000")
+                aio.write_table(table, table_file)
+                aio.write_interactions(iset, effects_file)
+                repeats = repeats_for(n + 2)
+                row = {"n": n, "effects": name,
+                       "nonzero": int(np.count_nonzero(effects)),
+                       "table_bytes": table_file.stat().st_size,
+                       "effects_bytes": effects_file.stat().st_size,
+                       "read_table_s": best_time(aio.read_table, lambda: table_file,
+                                                 repeats),
+                       "read_interactions_s": best_time(aio.read_interactions,
+                                                        lambda: effects_file, repeats),
+                       "write_interactions_s": best_time(
+                           lambda s: aio.write_interactions(s, effects_file),
+                           lambda: iset, repeats)}
+                print(f"{n:>4} {name:>8} {row['nonzero']:>8} {row['table_bytes']:>9} "
+                      f"{row['effects_bytes']:>10} " + " ".join(
+                          f"{row[k] * 1e3:>8.3f}ms" for k in
+                          ("read_table_s", "read_interactions_s", "write_interactions_s")))
+                rows.append(row)
+    print(json.dumps(rows))
+
+
 def main():
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     rng = np.random.default_rng(0)
@@ -268,6 +325,7 @@ def main():
     solvers(rng)
     fresh_solves()
     oracle_rows(rng)
+    io_rows(rng)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ parses, so each call behaves as in a fresh process.
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from functools import cache
@@ -65,13 +66,22 @@ def _load_dir(path, reader, suffix=".json"):
 
 
 def _load_dirs(reader, *paths):
-    """One list of parsed files per directory; all of them must share one n."""
-    loaded = [_load_dir(path, reader) for path in paths]
-    ns = sorted({x.n for files in loaded for x in files})
+    """One list of parsed files per directory; all of them must share one n.
+
+    Each distinct directory is read once: paths that resolve to the same
+    directory (``d``, ``d/.``, a symlink to ``d``) get the same list object.
+    """
+    # realpath, unlike Path.resolve, does not raise on a symlink loop
+    keys = [os.path.realpath(path) for path in paths]
+    by_dir = {}
+    for path, key in zip(paths, keys):
+        if key not in by_dir:
+            by_dir[key] = _load_dir(path, reader)
+    ns = sorted({x.n for files in by_dir.values() for x in files})
     if len(ns) > 1:
         raise CliError(f"the files in {' and '.join(map(str, dict.fromkeys(paths)))} "
                        f"mix n = {', '.join(map(str, ns))}")
-    return loaded
+    return [by_dir[key] for key in keys]
 
 
 def _parse_orders(text: str) -> dict[int, float]:
@@ -205,8 +215,10 @@ def cmd_compare(args) -> int:
     sets_a, sets_b = _load_dirs(aio.read_interactions, args.a, args.b)
     if not {s.label for s in sets_a} & {s.label for s in sets_b}:
         raise CliError(f"{args.a} and {args.b} share no sample label")
-    cmp = compare_models(_reports(sets_a, args.tau_absolute, args.theta),
-                         _reports(sets_b, args.tau_absolute, args.theta))
+    reports_a = _reports(sets_a, args.tau_absolute, args.theta)
+    reports_b = reports_a if sets_b is sets_a else \
+        _reports(sets_b, args.tau_absolute, args.theta)
+    cmp = compare_models(reports_a, reports_b)
     aio.write_comparison(cmp, args.out)
     return 0
 

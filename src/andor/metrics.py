@@ -131,9 +131,11 @@ def per_order_jaccard(sets_a: list[InteractionSet], sets_b: list[InteractionSet]
 
     Each sample goes through ``filter_salient`` before averaging, so the
     distributions carry exactly the slots that survive in either collection.
+    A collection passed as both arguments is averaged once.
     """
     da = mean_distribution([filter_salient(s, tau) for s in sets_a])
-    db = mean_distribution([filter_salient(s, tau) for s in sets_b])
+    db = da if sets_b is sets_a else \
+        mean_distribution([filter_salient(s, tau) for s in sets_b])
     if da.shape != db.shape:
         raise ValueError("the two collections must share n")
     n = sets_a[0].n

@@ -1,6 +1,6 @@
 """Smoke tests of benchmarks/bench_transforms.py: its kernel and objective
-rows run against the current helpers, and its solver, fresh-process and
-oracle rows each end with one JSON line. The full solver rows (n = 8, 9,
+rows run against the current helpers, and its solver, fresh-process,
+oracle and I/O rows each end with one JSON line. The full solver rows (n = 8, 9,
 10) take tens of seconds and are run by hand; the JSON tests run them at
 n = 6."""
 
@@ -77,3 +77,21 @@ def test_bench_transforms_oracle_rows_end_with_one_json_line(capsys):
     # 15 order-3 effects have 2**3 supersets each; a dense set sums every
     # pair but those of the empty set's block
     assert [(r["nonzero"], r["pairs"]) for r in rows] == [(15, 15 * 8), (63, 3 ** 6 - 2 ** 6)]
+
+
+def test_bench_transforms_io_rows_end_with_one_json_line(capsys):
+    load_bench().io_rows(np.random.default_rng(0), ns=(6,))
+    lines = capsys.readouterr().out.splitlines()
+    rows = json.loads(lines[-1])
+    printed = [line.split() for line in lines[:-1] if line.split()[:1] == ["6"]]
+    assert [(r["n"], r["effects"]) for r in rows] == [(6, "sparse"), (6, "dense")]
+    for row, cells in zip(rows, printed, strict=True):
+        assert set(row) == {"n", "effects", "nonzero", "table_bytes", "effects_bytes",
+                            "read_table_s", "read_interactions_s", "write_interactions_s"}
+        assert [str(row[k]) for k in ("effects", "nonzero", "table_bytes",
+                                      "effects_bytes")] == cells[1:5]
+        assert min(row["read_table_s"], row["read_interactions_s"],
+                   row["write_interactions_s"]) > 0
+    # 15 order-3 effects; a dense set has every slot but the two empty-set ones
+    assert [r["nonzero"] for r in rows] == [15, 2 * 64 - 2]
+    assert rows[0]["effects_bytes"] < rows[1]["effects_bytes"]

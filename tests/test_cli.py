@@ -236,6 +236,45 @@ def test_report_schemas_match_golden(pipeline, tmp_path):
     assert cmp_.read_bytes() == (GOLDEN / "compare.csv").read_bytes()
 
 
+# The two-sided commands; {x} and {y} are the directories their sides name.
+TWO_SIDED = {"similarity": ["similarity", "--train", "{x}", "--test", "{y}"],
+             "compare": ["compare", "--a", "{x}", "--b", "{y}", "--tau-absolute", "0.05"]}
+
+
+@pytest.mark.parametrize("command", TWO_SIDED)
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+def test_a_directory_named_twice_is_read_once(pipeline, monkeypatch, tmp_path,
+                                               command, spelling):
+    """Both sides naming one directory, by any path to it, read each of its
+    files once."""
+    _, _, isets = pipeline
+    second = {"same": isets, "dot": isets / ".", "symlink": tmp_path / "link"}[spelling]
+    if spelling == "symlink":
+        second.symlink_to(isets, target_is_directory=True)
+    reads = []
+    read = aio.read_interactions
+    monkeypatch.setattr(aio, "read_interactions",
+                        lambda path: reads.append(Path(path).name) or read(path))
+    argv = [a.format(x=isets, y=second) for a in TWO_SIDED[command]]
+    assert run(*argv, "--out", tmp_path / "out.csv") == 0
+    assert sorted(reads) == sorted(f.name for f in isets.glob("sample_*.json"))
+
+
+@pytest.mark.parametrize("command", TWO_SIDED)
+def test_a_shared_directory_writes_what_a_copy_writes(pipeline, tmp_path, command):
+    """A directory named on both sides, read and reported once, writes the
+    bytes that it and a byte-for-byte copy of it, each read on its own, write."""
+    _, _, isets = pipeline
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in isets.iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    for name, second in (("shared", isets), ("copied", copy)):
+        argv = [a.format(x=isets, y=second) for a in TWO_SIDED[command]]
+        assert run(*argv, "--out", tmp_path / f"{name}.csv") == 0
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "copied.csv").read_bytes()
+
+
 def test_table_and_interaction_documents_match_golden(pipeline):
     _, tabs, isets = pipeline
     assert (tabs / "table_0000.json").read_bytes() == \
@@ -346,6 +385,7 @@ def malformed_inputs(tmp_path_factory):
         (mixed / name).mkdir()
         (mixed / name / "x.json").write_text(
             json.dumps({**effects, "and": [{"mask": 1, "value": x} for x in entries]}))
+    (mixed / "loop").symlink_to(mixed / "loop")     # a symlink to itself
     (mixed / "huge").mkdir()    # finite n = 3 values whose effects overflow float64
     aio.write_table(ValueTable(n=3, values=[(-1.7e308, 1.7e308)[m.bit_count() % 2]
                                             for m in range(8)]),
@@ -378,6 +418,11 @@ def malformed_inputs(tmp_path_factory):
     ("compare", "--a", "{isets}", "--b", "{mixed}/isets", "--out", "{out}/c.csv"),
     ("compare", "--a", "{isets}", "--b", "{wide}/isets", "--out", "{out}/c.csv"),
     ("compare", "--a", "{isets}", "--b", "{mixed}/other", "--out", "{out}/c.csv"),
+    # one mixed-n directory named on both sides
+    ("similarity", "--train", "{mixed}/isets", "--test", "{mixed}/isets",
+     "--out", "{out}/s.csv"),
+    ("compare", "--a", "{mixed}/isets", "--b", "{mixed}/isets/.", "--out", "{out}/c.csv"),
+    ("similarity", "--train", "{mixed}/loop", "--test", "{mixed}/loop", "--out", "{out}/s.csv"),
     # flag values the library rejects
     ("diagnose", "--table", "{tabs}/table_0000.json",
      "--interactions", "{isets}/sample_0000.json", "--max-order", "9"),
@@ -438,6 +483,7 @@ def malformed_inputs(tmp_path_factory):
         *(f"extract-label-{name}" for name in BAD_LABELS),
         "extract-mixed-n", "profile-mixed-n", "similarity-mixed-n", "compare-mixed-n-dir",
         "compare-mixed-n-across", "compare-no-shared-label",
+        "similarity-mixed-n-twice", "compare-mixed-n-twice", "similarity-symlink-loop",
         "diagnose-max-order", "diagnose-negative-tau", "diagnose-nan-tau",
         "diagnose-negative-tau-fraction", "diagnose-nan-tau-fraction",
         "synth-kinds", "diagnose-negative-max-order", "compare-nan-theta",
