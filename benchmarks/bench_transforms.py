@@ -171,15 +171,16 @@ def solvers(rng, ns=(8, 9, 10)):
                 if res.status != 0:
                     raise SystemExit(f"the uncapped LP stopped: {res.message}")
                 lp_l1 = float(np.abs(res.x[:4 * (v.values.size - 1)]).sum())
-                t_hub, _, (_, _, hub_hist) = timed(lambda: huber_sparsify(v, denoise))
-                t_sp, f_sp, (d, _, _) = timed(lambda: sparsify(v, denoise))
+                t_hub, _, hub = timed(lambda: huber_sparsify(v, denoise))
+                t_sp, f_sp, solved = timed(lambda: sparsify(v, denoise))
+                hub_l1 = hub.loss_history[-1]
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {nnz:>7} {t_lp:>8.3f}s "
                       f"{res.pivots:>7} {f_lp:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {f_sp:>7} "
-                      f"{d.solver:>6} {lp_l1:>12.4f} {hub_hist[-1]:>12.4f}")
+                      f"{solved.solver:>6} {lp_l1:>12.4f} {hub_l1:>12.4f}")
                 rows.append({"n": n, "denoise": denoise, "table": name, "nnz": nnz,
-                             "pivots": res.pivots, "path": d.solver, "lp_s": t_lp,
+                             "pivots": res.pivots, "path": solved.solver, "lp_s": t_lp,
                              "huber_s": t_hub, "sparsify_s": t_sp, "lp_l1": lp_l1,
-                             "huber_l1": hub_hist[-1]})
+                             "huber_l1": hub_l1})
     print(json.dumps(rows))
 
 

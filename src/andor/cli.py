@@ -26,9 +26,8 @@ import numpy as np
 from . import io as aio
 from .analysis import (AXIOM_MAX_N, AXIOM_MIN_N, axiom_suite, compare_models,
                        default_theta, sample_report, sparsity_diagnostics)
-from .extraction import (DEFAULT_SALIENCE_FRACTION, all_and_decomposition,
-                         even_split_decomposition, extract, salience_threshold,
-                         sparsify)
+from .extraction import (DEFAULT_SALIENCE_FRACTION, all_and_decomposition, extract,
+                         salience_threshold, sparsify)
 from .metrics import is_undefined, order_profile, per_order_jaccard
 from .models import (inject_overfit, interaction_function_table, realize_table,
                      sample_sparse_game)
@@ -178,11 +177,11 @@ def cmd_extract(args) -> int:
     histories, solvers = {}, {}
     for v, name in zip(tables, names):
         if args.mode == "all-and":
-            d = all_and_decomposition(v)
-            iset, hist = extract(v, d), []
+            iset, hist = extract(v, all_and_decomposition(v)), []
         else:
-            d, iset, hist = sparsify(v, denoise=not args.no_denoise)
-            solvers[name] = d.solver
+            result = sparsify(v, denoise=not args.no_denoise)
+            iset, hist = result.interactions, result.loss_history
+            solvers[name] = result.solver
         aio.write_interactions(iset, out / f"{name}.json")
         histories[name] = hist
     (out / "batch.json").write_text(json.dumps(
@@ -279,8 +278,7 @@ def cmd_oracle(args) -> int:
         raise CliError("oracle verify needs --interactions")
     v, iset = _read_inputs(args.table, args.interactions)
     # delta = 0: callers verify un-denoised extractions against the raw table
-    d = even_split_decomposition(v)
-    err = verify_matching(v, d, iset)
+    err = verify_matching(v, iset, 0.0)
     scale = max(1.0, float(np.max(np.abs(v.values))))
     sys.stdout.write(f"max_abs_error: {err!r}\n")
     return 0 if err <= 1e-8 * scale else 1

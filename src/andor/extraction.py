@@ -5,7 +5,9 @@ and u_or[L] = 0.5*(v[L] - delta[L]) - gamma[L], so u_and + u_or = v - delta
 always holds. The empty-set entries are pinned (delta[0] = 0,
 gamma[0] = 0.5*v[0]) so the all-masked output is attributed to the AND side
 and the bias is identifiable. ``sparsify`` learns (gamma, delta) by
-minimizing the total effect magnitude.
+minimizing the total effect magnitude and returns the effects and the delta
+it solved for (``Sparsified``). The closed forms fix delta = 0: their
+``Decomposition`` holds gamma alone, and ``extract`` gives its effects.
 
 Both solvers work in interaction-space coordinates: gamma is parametrized as
 the subset sum of a free vector theta, which makes the AND effects an affine
@@ -68,27 +70,26 @@ nonzeros at n = 10 against 118 096 in the plain rows, and fewer pivots.
 Where the minimum ties, as it can when denoising (delta costs 0), the
 simplex may reach another optimal vertex than on the plain rows.
 
-The written effects. On the LP path they are the vertex's own: p = p+ - p-
-(AND) and q = q+ - q- (OR), with the empty-set slots 0. A slot the vertex
-holds at zero is an exact 0.0, and the history's last entry is the L1 of
-what is written. The decomposition is theta = p - a + mobius_and(delta/2)
-(``_lp_solve``), gamma its subset sum; ``extract`` on it gives the same
-effects up to rounding. A basic delta column can pass its box by the
-solver's feasibility tolerance. Where it passes it by no more than the
-slack ``Decomposition.validate`` allows (``_box_slack``), the vertex's
-delta is kept. Beyond that, delta is clipped into the box and the clip
+The written effects. Every candidate of the solve carries its own effects
+and delta, and ``sparsify`` returns the winner's, so the history's last
+entry is the L1 of what is written. On the LP path they are the vertex's
+own: p = p+ - p- (AND) and q = q+ - q- (OR), with the empty-set slots 0. A
+slot the vertex holds at zero is an exact 0.0. A basic delta column can
+pass its box by the solver's feasibility tolerance. Where it passes it by
+no more than 1e-12 * max(1, zeta), the vertex's delta is kept. Beyond that,
+delta is clipped into the box and the clip
 Delta = delta_clipped - delta_raw is folded into the OR row as
 q -= mobius_or(Delta): the rows give q = S p - S a + b + K delta with
 K = -M_or, so the folded effects rebuild v - delta_clipped as the vertex's
 rebuilt v - delta_raw. Unfolded, they would miss the returned delta by the
-overshoot. The Huber path has no exact zeros to carry, and its effects,
-like those of the closed forms, are ``extract``'s.
+overshoot. On the Huber path they are ``_theta_effects`` of the best stage
+iterate, whose delta L-BFGS-B's bounds keep in the box.
 
 ``sparsify`` runs the whole solve in one place: the start at the even
 split, the solver choice, the best-iterate rule and its loss history, and
 the all-AND fallback (its docstring lists the steps). The solvers only
-return iterates: the LP its vertex and its effects, or None when the pivot
-budget runs out; the continuation one iterate per stage.
+return iterates: the LP its vertex's effects and delta, or None when the
+pivot budget runs out; the continuation one iterate per stage.
 
 scipy is loaded on the first solve, not with the module, and only what
 the solve needs: the LP path loads one extension module (``_highs_core``)
@@ -136,7 +137,7 @@ LP_MAX_N = 10
 # The LP's cost of an effect on subset S is 1 + LP_ORDER_WEIGHT * |S|**2, a
 # tie-break toward low orders (see the module docstring).
 LP_ORDER_WEIGHT = 1e-6
-# An iterate replaces the best one only if its L1 is lower by this much,
+# A candidate replaces the best one only if its L1 is lower by this much,
 # relative.
 CONVERGENCE_EPS = 1e-9
 # Huber widths of the continuation's stages, as fractions of the table's
@@ -167,48 +168,32 @@ class NumericalError(RuntimeError):
     pass
 
 
-def _box_slack(zeta: float) -> float:
-    """How far delta may pass its box [-zeta, zeta] and still be valid."""
-    return 1e-12 * max(1.0, zeta)
-
-
 @dataclass
 class Decomposition:
-    """Learnable AND/OR split (gamma) with box-bounded denoising (delta)."""
+    """A closed form's AND/OR split: u_and = v/2 + gamma, u_or = v/2 - gamma."""
 
     gamma: np.ndarray
-    delta: np.ndarray
-    zeta_bound: float = 0.0
-    # The sparsify solver that ran, "lp" or "huber"; empty for closed forms.
-    solver: str = ""
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self.delta = np.asarray(self.delta, dtype=np.float64)
-        if self.gamma.shape != self.delta.shape:
-            raise ValueError("gamma and delta must have equal shape")
-        if self.zeta_bound < 0:
-            raise ValueError("zeta_bound must be nonnegative")
 
     def validate(self, v: ValueTable) -> None:
-        if np.max(np.abs(self.delta)) > self.zeta_bound + _box_slack(self.zeta_bound):
-            raise ValueError("delta leaves its box [-zeta, zeta]")
-        if self.delta[0] != 0.0:
-            raise ValueError("delta[empty] must be 0")
+        if self.gamma.shape != v.values.shape:
+            raise ValueError("gamma must have the table's shape")
         if abs(self.gamma[0] - 0.5 * v.values[0]) > 1e-9 * max(1.0, abs(v.values[0])):
             raise ValueError("gamma[empty] must equal 0.5 * v(x_empty)")
 
 
 def all_and_decomposition(v: ValueTable) -> Decomposition:
     """gamma = 0.5*v everywhere: u_and = v, u_or = 0."""
-    return Decomposition(gamma=0.5 * v.values, delta=np.zeros_like(v.values))
+    return Decomposition(gamma=0.5 * v.values)
 
 
 def even_split_decomposition(v: ValueTable) -> Decomposition:
     """gamma = 0 beyond the empty-set pin: u_and = u_or on L != empty."""
     gamma = np.zeros_like(v.values)
     gamma[0] = 0.5 * v.values[0]
-    return Decomposition(gamma=gamma, delta=np.zeros_like(v.values))
+    return Decomposition(gamma=gamma)
 
 
 @dataclass
@@ -258,10 +243,10 @@ class InteractionSet:
 
 
 def split_components(v: ValueTable, d: Decomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Return (u_and, u_or); their sum equals v - delta entrywise."""
+    """Return (u_and, u_or); their sum equals v entrywise."""
     d.validate(v)
-    denoised = 0.5 * (v.values - d.delta)
-    return denoised + d.gamma, denoised - d.gamma
+    half = 0.5 * v.values
+    return half + d.gamma, half - d.gamma
 
 
 def extract(v: ValueTable, d: Decomposition) -> InteractionSet:
@@ -621,13 +606,14 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
 def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
     """The exact L1 minimum as one linear program.
 
-    Returns the vertex as (x, effects): x packs theta[1:], then delta[1:]
-    when denoising; effects are the (2, 2**n) rows of the vertex's own
-    effects p = p+ - p- (AND) and q = q+ - q- (OR), with the empty-set slots
-    0, so a slot the vertex holds at zero is exactly 0.0. A delta entry past
-    its box by more than _box_slack is clipped into it, and the clip is
-    folded into q (module docstring). At n = LP_MAX_N the dual simplex gets
-    2**(n-1) pivots, and None is returned when it needs more.
+    Returns the vertex as (effects, delta): effects are the (2, 2**n) rows
+    of the vertex's own effects p = p+ - p- (AND) and q = q+ - q- (OR), with
+    the empty-set slots 0, so a slot the vertex holds at zero is exactly
+    0.0; delta is the vertex's, with delta[0] = 0, and zero without
+    denoising. A delta entry past its box by more than 1e-12 * max(1, zeta)
+    is clipped into it, and the clip is folded into q (module docstring).
+    At n = LP_MAX_N the dual simplex gets 2**(n-1) pivots, and None is
+    returned when it needs more.
     """
     m = base.shape[-1] - 1
     n = m.bit_length()
@@ -639,48 +625,55 @@ def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
     effects = np.zeros((2, m + 1))
     p_q = res.x[:4 * m].reshape(2, 2, m)      # rows (p+, p-), (q+, q-)
     effects[:, 1:] = p_q[:, 0] - p_q[:, 1]
-    theta = effects[0, 1:] - base[0, 1:]
-    if not denoise:
-        return theta, effects
     delta = np.zeros(m + 1)
+    if not denoise:
+        return effects, delta
     delta[1:] = raw = res.x[4 * m:]
     # a basic delta can overshoot its bounds by the solver's tolerance
-    past = np.abs(raw) > zeta + _box_slack(zeta)
+    past = np.abs(raw) > zeta + 1e-12 * max(1.0, zeta)
     if past.any():
         clipped = delta.copy()
         clipped[1:][past] = np.clip(raw[past], -zeta, zeta)
         effects[1] -= mobius_or(clipped - delta)
         effects[1, 0] = 0.0
         delta = clipped
-    theta += 0.5 * mobius_and(delta)[1:]
-    return np.concatenate([theta, delta[1:]]), effects
+    return effects, delta
 
 
-def sparsify(v: ValueTable, denoise: bool = True
-             ) -> tuple[Decomposition, InteractionSet, list[float]]:
+class Sparsified(NamedTuple):
+    """What ``sparsify`` solved for. interactions rebuild v - delta; delta
+    has delta[0] = 0 and is zero without denoising; solver is "lp",
+    "huber", or empty where no solver ran; loss_history is the best L1
+    after each candidate, its last entry the L1 of interactions."""
+
+    interactions: InteractionSet
+    delta: np.ndarray
+    solver: str
+    loss_history: list[float]
+
+
+def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
     """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
 
     With ``denoise``, delta is learned in the box |delta| <= ZETA_FRACTION *
-    v.gap(); without it, delta = 0. The solve, in order:
+    v.gap(); without it, delta = 0. Each candidate below carries its own
+    effects and delta. The solve, in order:
 
     1. Start from the even split (gamma zero beyond the empty-set pin,
        delta = 0); its L1 opens the loss history.
-    2. For n <= LP_MAX_N, solve the LP; its vertex is the one iterate.
+    2. For n <= LP_MAX_N, solve the LP; its vertex is the one candidate.
        Where the L1 minimum is not unique, its order weights pick the
        minimum of least sum |S|**2 * |I_S| (module docstring). For
        n > LP_MAX_N, or when the LP exhausts its pivot budget, run the Huber
-       continuation from the start; each stage gives one iterate. The
-       decomposition's ``solver`` names the path, "lp" or "huber". At
-       n = 0 the even split is the only split: no solver runs, and
-       ``solver`` is empty.
-    3. An iterate replaces the best one so far only if its L1 is lower by
+       continuation from the start; each stage's iterate is a candidate,
+       with the effects ``_theta_effects`` gives it. The result's
+       ``solver`` names the path, "lp" or "huber". At n = 0 the even split
+       is the only split: no solver runs, and ``solver`` is empty.
+    3. A candidate replaces the best one so far only if its L1 is lower by
        more than CONVERGENCE_EPS (relative); the history records the best
-       L1 after each iterate, so it never increases.
-    4. If the all-AND closed form (always feasible) is below the best
-       iterate, it is returned instead and its L1 ends the history.
-    5. When the LP's vertex is returned, the effects are the vertex's own,
-       with any delta clip folded in (module docstring), and its history
-       entry is their L1. Otherwise they are ``extract(v, decomposition)``.
+       L1 after each candidate, so it never increases.
+    4. If the all-AND closed form (always feasible, delta = 0) is below the
+       best candidate, it is returned instead and its L1 ends the history.
     """
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
@@ -695,7 +688,8 @@ def sparsify(v: ValueTable, denoise: bool = True
     x = mobius_and(pin_only)[1:]
     if denoise:
         x = np.concatenate([x, np.zeros(size - 1)])
-    loss = float(np.abs(_theta_effects(x, base, denoise)).sum())
+    effects, delta = _theta_effects(x, base, denoise), np.zeros(size)
+    loss = float(np.abs(effects).sum())
     if not np.isfinite(loss):
         # v is finite, so its effects overflow float64: an input error
         raise ValueError("the table's effects overflow float64")
@@ -704,45 +698,32 @@ def sparsify(v: ValueTable, denoise: bool = True
     vertex = _lp_sparsify(base, zeta, denoise) if 0 < v.n <= LP_MAX_N else None
     if v.n == 0:
         # one mask, so one split: the even split, with no effect to solve for
-        solver, iterates = "", []
+        solver, candidates = "", []
     elif vertex is None:
         solver = "huber"
-        iterates = ((it, _theta_effects(it, base, denoise))
-                    for it in _smoothed_sparsify(v, denoise, base, zeta, x))
+        candidates = ((_theta_effects(it, base, denoise),
+                       np.concatenate([[0.0], it[size - 1:]]) if denoise else np.zeros(size))
+                      for it in _smoothed_sparsify(v, denoise, base, zeta, x))
     else:
-        solver, iterates = "lp", [vertex]
-    effects = None
-    for it, it_effects in iterates:
+        solver, candidates = "lp", [vertex]
+    for it_effects, it_delta in candidates:
         it_loss = float(np.abs(it_effects).sum())
         if not np.isfinite(it_loss):
             raise NumericalError("non-finite loss during continuation")
         if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
-            loss, x, effects = it_loss, it, it_effects
+            loss, effects, delta = it_loss, it_effects, it_delta
         history.append(loss)
 
-    theta = np.empty(size)
-    theta[0] = pin_only[0]
-    theta[1:] = x[:size - 1]
-    gamma = zeta_subsets(theta)
-    delta = np.zeros(size)
-    if denoise:
-        delta[1:] = x[size - 1:]
     # the all-AND effects are mobius_and(v) = 2 * base[0]
-    alland_and = np.abs(2.0 * base[0])
+    alland_and = 2.0 * base[0]
     alland_and[0] = 0.0
-    alland_loss = float(alland_and.sum())
+    alland_loss = float(np.abs(alland_and).sum())
     if alland_loss < loss:
-        alland = all_and_decomposition(v)
-        gamma, delta, effects = alland.gamma, alland.delta, None
+        effects = np.stack([alland_and, np.zeros(size)])
+        delta = np.zeros(size)
         history.append(alland_loss)
-
-    decomposition = Decomposition(gamma=gamma, delta=delta, zeta_bound=zeta,
-                                  solver=solver)
-    if solver == "lp" and effects is not None:
-        iset = InteractionSet(n=v.n, effects=effects, bias=float(values[0]), label=v.label)
-    else:
-        iset = extract(v, decomposition)
-    return decomposition, iset, history
+    iset = InteractionSet(n=v.n, effects=effects, bias=float(values[0]), label=v.label)
+    return Sparsified(iset, delta, solver, history)
 
 
 def salience_threshold(tables, fraction: float = DEFAULT_SALIENCE_FRACTION) -> float:

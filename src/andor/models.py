@@ -155,8 +155,7 @@ def _masks_by_order(n: int) -> dict[int, np.ndarray]:
 
 def sample_sparse_game(n: int, m: int, order_weights, effect_range: float,
                        rng_seed: int, magnitude_floor: float | None = None,
-                       bias: float = 0.0, kinds=("and", "or"),
-                       antichain: bool = False) -> GroundTruthGame:
+                       kinds=("and", "or"), antichain: bool = False) -> GroundTruthGame:
     """Random sparse game: m distinct (kind, T) effects with |T| ~ order_weights.
 
     Effect magnitudes are uniform in [magnitude_floor, effect_range] with a
@@ -190,7 +189,7 @@ def sample_sparse_game(n: int, m: int, order_weights, effect_range: float,
         raise ValueError(f"m={m} exceeds the {capacity} distinct (kind, T) slots available")
 
     rng = np.random.default_rng(rng_seed)
-    game = GroundTruthGame(n=n, bias=float(bias))
+    game = GroundTruthGame(n=n)
     chosen: set[tuple[str, int]] = set()
     attempts = 0
     while len(chosen) < m:
@@ -250,22 +249,20 @@ def net_value_table(net: TinyNet, scheme: MaskingScheme, class_index: int = 0,
 
 
 def inject_overfit(game: GroundTruthGame, high_order_min: int, pair_count: int,
-                   magnitude: float, rng_seed: int, kind: str = "and") -> GroundTruthGame:
-    """Add offsetting high-order pairs: each pair puts +magnitude and -magnitude
-    on two distinct subsets of order >= high_order_min, leaving the net
-    per-order strength balance near zero while raising the average order.
+                   magnitude: float, rng_seed: int) -> GroundTruthGame:
+    """Add offsetting high-order AND pairs: each pair puts +magnitude and
+    -magnitude on two distinct subsets of order >= high_order_min, leaving
+    the net per-order strength balance near zero while raising the average
+    order.
 
     Pairs use distinct subsets rather than +c/-c on one T, which would cancel
     identically and leave no ground truth to recover.
     """
     if high_order_min > game.n:
         raise ValueError(f"high_order_min={high_order_min} exceeds n={game.n}")
-    if kind not in ("and", "or"):
-        raise ValueError(f"kind must be 'and' or 'or', got {kind!r}")
-    existing = game.and_effects if kind == "and" else game.or_effects
     by_order = _masks_by_order(game.n)
     pool = [int(m) for k in range(high_order_min, game.n + 1) for m in by_order[k]
-            if int(m) not in existing]
+            if int(m) not in game.and_effects]
     if len(pool) < 2 * pair_count:
         raise ValueError(
             f"need {2 * pair_count} free subsets of order >= {high_order_min}, "
@@ -273,10 +270,8 @@ def inject_overfit(game: GroundTruthGame, high_order_min: int, pair_count: int,
 
     rng = np.random.default_rng(rng_seed)
     picks = rng.choice(len(pool), size=2 * pair_count, replace=False)
-    new_effects = dict(existing)
+    new_effects = dict(game.and_effects)
     for j in range(pair_count):
         new_effects[pool[picks[2 * j]]] = float(magnitude)
         new_effects[pool[picks[2 * j + 1]]] = float(-magnitude)
-    if kind == "and":
-        return replace(game, and_effects=new_effects, or_effects=dict(game.or_effects))
-    return replace(game, and_effects=dict(game.and_effects), or_effects=new_effects)
+    return replace(game, and_effects=new_effects, or_effects=dict(game.or_effects))

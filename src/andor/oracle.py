@@ -150,21 +150,19 @@ def _gather_chunks(lo: np.ndarray, hi: np.ndarray):
             yield np.arange(c, d) + np.repeat(shift[runs], counts)
 
 
-def _pair_sums(values: np.ndarray, n: int, signed: bool, complement: bool = False,
+def _pair_sums(values: np.ndarray, n: int, signed: bool,
                keep: np.ndarray | None = None) -> np.ndarray:
     """out[S] = sum over L subset S of values[L], times (-1)^(|S|-|L|) when
-    signed, and of values[N\\L] instead when complement. Where keep is
-    given, the terms of the L where keep[L] is False must be +0.0 or -0.0,
-    and they may be skipped (module docstring).
+    signed. Where keep is given, the terms of the L where keep[L] is False
+    must be +0.0 or -0.0, and they may be skipped (module docstring).
 
     The terms are gathered PAIR_CHUNK pairs at a time and added one by one
     in the pair order of _submask_pairs (module docstring).
     """
     s, l, sign = _submask_pairs(n)
-    full = values.size - 1
     out = np.zeros(values.size, dtype=values.dtype)
     for chunk in _chunks(n, keep):
-        terms = values[full ^ l[chunk] if complement else l[chunk]]
+        terms = values[l[chunk]]
         if signed:
             terms *= sign[chunk]
         np.add.at(out, s[chunk], terms)
@@ -180,7 +178,8 @@ def brute_and(u) -> np.ndarray:
 def brute_or(u) -> np.ndarray:
     """Literal evaluation of I[T] = -sum_{L subset T} (-1)^(|T|-|L|) u[N\\L]."""
     arr = np.asarray(u, dtype=np.float64)
-    return -_pair_sums(arr, _check_size(arr), signed=True, complement=True)
+    # u[N\L] is the reversed table's entry at L
+    return -_pair_sums(arr[::-1], _check_size(arr), signed=True)
 
 
 def reconstruct(i_and, i_or, bias: float) -> np.ndarray:
@@ -210,16 +209,18 @@ def reconstruct(i_and, i_or, bias: float) -> np.ndarray:
     return float(bias) + and_sum + io.sum() - or_miss
 
 
-def verify_matching(table, decomposition, interactions) -> float:
+def verify_matching(table, interactions, delta) -> float:
     """Max absolute error of the logical model against the denoised table.
 
     Exhaustive over all 2**n masks: checks h(x_S) = v(x_S) - delta_S by
-    literal summation. Returns the error; never judges.
+    literal summation, delta an array of the table's shape or a scalar
+    (0.0 for an extraction that does not denoise). Returns the error;
+    never judges.
     """
     v = np.asarray(table.values, dtype=np.float64)
     _check_size(v)
     h = reconstruct(interactions.i_and, interactions.i_or, interactions.bias)
-    target = v - np.asarray(decomposition.delta, dtype=np.float64)
+    target = v - np.asarray(delta, dtype=np.float64)
     return float(np.max(np.abs(h - target)))
 
 

@@ -33,7 +33,7 @@ def warmup():
     mobius_and(u)
     v = ValueTable(n=4, values=u)
     iset = extract(v, all_and_decomposition(v))
-    verify_matching(v, all_and_decomposition(v), iset)
+    verify_matching(v, iset, 0.0)
     sparsify(v)
 
 
@@ -71,13 +71,14 @@ def test_criterion_1_universal_matching(huber_max_iters):
         for i in range(count):
             v = ValueTable(n=n, values=rng.normal(size=table_size(n)))
             scale = max(1.0, float(np.max(np.abs(v.values))))
-            decs = [all_and_decomposition(v), even_split_decomposition(v)]
+            checks = [(extract(v, d), 0.0) for d in (all_and_decomposition(v),
+                                                     even_split_decomposition(v))]
             if i < 5:  # sparsified modes, with and without denoising
                 for denoise in (True, False):
-                    d, _, _ = sparsify(v, denoise)
-                    decs.append(d)
-            for d in decs:
-                err = verify_matching(v, d, extract(v, d)) / scale
+                    result = sparsify(v, denoise)
+                    checks.append((result.interactions, result.delta))
+            for iset, delta in checks:
+                err = verify_matching(v, iset, delta) / scale
                 worst = max(worst, err)
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -136,7 +137,7 @@ def recovery_runs():
     runs = []
     for seed in range(50):
         game, v, tau = recovery_game(seed)
-        d, iset, hist = sparsify(v, denoise=False)
+        iset = sparsify(v, denoise=False).interactions
         all_and = extract(v, all_and_decomposition(v))
         salient = iset.support(tau)
         runs.append({

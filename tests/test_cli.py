@@ -611,7 +611,7 @@ def test_huber_stage_calls_the_bound_minimize(monkeypatch, huber_max_iters):
                         lambda *a, **k: calls.append(1) or minimize(*a, **k))
     huber_max_iters(3)
     v = ValueTable(n=11, values=np.random.default_rng(3).normal(size=1 << 11))
-    assert extraction.sparsify(v, denoise=False)[0].solver == "huber"
+    assert extraction.sparsify(v, denoise=False).solver == "huber"
     assert len(calls) == len(extraction.SMOOTHING_STAGES)
     with pytest.raises(AttributeError):
         extraction.linprog

@@ -23,9 +23,10 @@ from test_lattice import mobius_and_transpose
 
 
 def lp_vertex(v, denoise):
-    """(x, support) of v's LP vertex, or None when its pivot budget runs out:
-    x as _lp_sparsify packs it, support True where the vertex's own effect
-    p = p+ - p- (AND row) or q = q+ - q- (OR row) is nonzero."""
+    """(effects, support) of v's LP vertex, or None when its pivot budget
+    runs out: effects as _lp_sparsify returns them, support True where the
+    vertex's own effect p = p+ - p- (AND row) or q = q+ - q- (OR row) is
+    nonzero."""
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
     vertex = _lp_sparsify(_objective_base(v.values), zeta, denoise)
     if vertex is None:
@@ -50,7 +51,7 @@ def huber_sparsify(monkeypatch, v, denoise):
     with monkeypatch.context() as patch:
         patch.setattr(extraction, "LP_MAX_N", v.n - 1)
         result = sparsify(v, denoise)
-    assert result[0].solver == "huber"
+    assert result.solver == "huber"
     return result
 
 
@@ -71,7 +72,7 @@ def both_paths(random_table):
 def test_split_components_sum(random_table):
     d = even_split_decomposition(random_table)
     u_and, u_or = split_components(random_table, d)
-    np.testing.assert_allclose(u_and + u_or, random_table.values - d.delta)
+    np.testing.assert_allclose(u_and + u_or, random_table.values)
 
 
 def test_all_and_decomposition_puts_everything_on_and(random_table):
@@ -82,8 +83,12 @@ def test_all_and_decomposition_puts_everything_on_and(random_table):
 
 def test_decomposition_validation(random_table):
     d = all_and_decomposition(random_table)
-    d.delta = d.delta + 1.0  # leaves the zero box
-    with pytest.raises(ValueError):
+    d.gamma = d.gamma + 1.0  # moves gamma[empty] off its pin
+    with pytest.raises(ValueError, match="empty"):
+        d.validate(random_table)
+    d = all_and_decomposition(random_table)
+    d.gamma = d.gamma[:32]
+    with pytest.raises(ValueError, match="shape"):
         d.validate(random_table)
 
 
@@ -142,26 +147,28 @@ def test_interaction_set_salient():
 def test_sparsify_history_non_increasing(both_paths, huber_max_iters):
     huber_max_iters(50)
     for v in both_paths:
-        _, _, hist = sparsify(v)
+        hist = sparsify(v).loss_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
 def test_sparsify_beats_all_and(random_table):
-    d, iset, hist = sparsify(random_table)
+    iset = sparsify(random_table).interactions
     all_and = extract(random_table, all_and_decomposition(random_table))
     assert iset.total_l1() <= all_and.total_l1() + 1e-9
 
 
 def test_sparsify_delta_stays_in_box(random_table):
-    d, _, _ = sparsify(random_table)
-    d.validate(random_table)
+    delta = sparsify(random_table).delta
+    zeta = ZETA_FRACTION * random_table.gap()
+    assert delta.shape == random_table.values.shape and delta[0] == 0.0
+    assert np.max(np.abs(delta)) <= zeta + 1e-12 * max(1.0, zeta)
 
 
 def test_sparsify_recovers_a_small_game():
     game = sample_sparse_game(6, 5, {2: 1.0}, 4.0, rng_seed=21,
                               magnitude_floor=3.0, antichain=True)
     v = realize_table(game)
-    d, iset, _ = sparsify(v, denoise=False)
+    iset = sparsify(v, denoise=False).interactions
     tau = 0.02 * v.gap()
     assert iset.support(tau) == game.support()
 
@@ -339,7 +346,7 @@ def test_lp_path_loads_only_the_highs_extension():
         "from andor.extraction import _lp_model, sparsify",
         "from andor.models import ValueTable",
         "v = ValueTable(n=8, values=np.random.default_rng(8).normal(size=256))",
-        "assert [sparsify(v, d)[0].solver for d in (False, True)] == ['lp', 'lp']",
+        "assert [sparsify(v, d).solver for d in (False, True)] == ['lp', 'lp']",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         "from scipy.optimize import linprog",
         "res = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method='highs-ds')",
@@ -395,14 +402,16 @@ def test_row_transform_keeps_the_minimum(n, denoise):
 def test_lp_reaches_at_most_the_huber_loss(monkeypatch, n, denoise):
     rng = np.random.default_rng(30 + n)
     v = ValueTable(n=n, values=rng.normal(size=1 << n))
-    d, _, hist = sparsify(v, denoise)
+    result = sparsify(v, denoise)
+    hist = result.loss_history
     loss = hist[-1]
-    huber_loss = huber_sparsify(monkeypatch, v, denoise)[2][-1]
-    assert d.solver == "lp"
+    huber_loss = huber_sparsify(monkeypatch, v, denoise).loss_history[-1]
+    assert result.solver == "lp"
     assert loss <= huber_loss * (1 + 1e-12)
     assert loss < hist[0]
-    d.validate(v)
-    assert extract(v, d).total_l1() == pytest.approx(loss, rel=1e-12)
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+    assert np.max(np.abs(result.delta)) <= zeta + 1e-12 * max(1.0, zeta)
+    assert np.abs(result.interactions.effects).sum() == loss
 
 
 @pytest.mark.parametrize("denoise", [False, True])
@@ -412,38 +421,39 @@ def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, huber_max_it
     rng = np.random.default_rng(40)
     v = ValueTable(n=10, values=rng.normal(size=1 << 10))
     assert lp_vertex(v, denoise) is None        # the pivot budget runs out
-    d, iset, hist = sparsify(v, denoise)
-    huber_d, _, huber_hist = huber_sparsify(monkeypatch, v, denoise)
-    assert d.solver == "huber"
-    np.testing.assert_array_equal(d.gamma, huber_d.gamma)
-    np.testing.assert_array_equal(d.delta, huber_d.delta)
-    assert hist == huber_hist
-    # the Huber effects are extract's, unmasked
-    ref = extract(v, d)
-    np.testing.assert_array_equal(iset.i_and, ref.i_and)
-    np.testing.assert_array_equal(iset.i_or, ref.i_or)
+    result = sparsify(v, denoise)
+    huber = huber_sparsify(monkeypatch, v, denoise)
+    assert result.solver == "huber"
+    np.testing.assert_array_equal(result.interactions.effects, huber.interactions.effects)
+    np.testing.assert_array_equal(result.delta, huber.delta)
+    assert result.loss_history == huber.loss_history
+    # the Huber effects are the best iterate's own: the history ends with
+    # their L1, and they rebuild v - delta
+    assert np.abs(result.interactions.effects).sum() == result.loss_history[-1]
+    scale = max(1.0, float(np.max(np.abs(v.values))))
+    assert verify_matching(v, result.interactions, result.delta) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("denoise", [False, True])
 @pytest.mark.parametrize("n", range(4, 9))
 def test_lp_writes_the_vertex_effects(n, denoise):
     """The written effects are the vertex's own p and q, bit for bit, with
-    the empty-set slots 0; recomputing them through the decomposition
-    agrees up to rounding."""
+    the empty-set slots 0, and the returned delta is the vertex's."""
     rng = np.random.default_rng(60 + n)
     v = ValueTable(n=n, values=rng.normal(size=1 << n))
-    d, iset, hist = sparsify(v, denoise)
+    result = sparsify(v, denoise)
+    iset, hist = result.interactions, result.loss_history
     p_q, delta = vertex_effects(v, denoise)
-    assert d.solver == "lp"
-    assert np.all(np.abs(delta) <= d.zeta_bound)    # no clip to fold
+    assert result.solver == "lp"
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+    assert np.all(np.abs(delta) <= zeta)    # no clip to fold
     np.testing.assert_array_equal(iset.effects[:, 1:], p_q)
+    np.testing.assert_array_equal(result.delta[1:], delta if denoise else 0.0)
+    assert result.delta[0] == 0.0
     assert not iset.effects[:, 0].any() and iset.bias == v.values[0]
     assert hist[-1] == np.abs(iset.effects).sum()
     scale = max(1.0, float(np.max(np.abs(v.values))))
-    ref = extract(v, d)
-    assert np.max(np.abs(ref.effects - iset.effects)) <= 1e-12 * scale
-    assert ref.bias == iset.bias
-    assert verify_matching(v, d, iset) <= 1e-12 * scale
+    assert verify_matching(v, iset, result.delta) <= 1e-12 * scale
 
 
 def net_table(seed, sample, swap_first_layer):
@@ -461,18 +471,20 @@ def net_table(seed, sample, swap_first_layer):
 
 def test_delta_past_its_box_by_rounding_is_kept():
     """Net a's fourth sample of seed 941: the vertex's delta passes zeta by
-    3.9e-16, within the slack Decomposition.validate allows, so it is kept
-    as it is, and the effects are the vertex's with nothing folded."""
+    3.9e-16, within the slack of 1e-12 * max(1, zeta) that _lp_sparsify
+    allows, so it is kept as it is, and the effects are the vertex's with
+    nothing folded."""
     v = net_table(941, 3, swap_first_layer=False)
-    d, iset, _ = sparsify(v, denoise=True)
+    result = sparsify(v, denoise=True)
+    iset = result.interactions
     p_q, delta = vertex_effects(v, True)
-    assert d.solver == "lp"
-    assert 0.0 < np.max(np.abs(delta)) - d.zeta_bound <= 1e-12 * max(1.0, d.zeta_bound)
-    np.testing.assert_array_equal(d.delta[1:], delta)
-    d.validate(v)
+    zeta = ZETA_FRACTION * v.gap()
+    assert result.solver == "lp"
+    assert 0.0 < np.max(np.abs(delta)) - zeta <= 1e-12 * max(1.0, zeta)
+    np.testing.assert_array_equal(result.delta[1:], delta)
     np.testing.assert_array_equal(iset.effects[:, 1:], p_q)
     scale = max(1.0, float(np.max(np.abs(v.values))))
-    assert verify_matching(v, d, iset) <= 1e-12 * scale
+    assert verify_matching(v, iset, result.delta) <= 1e-12 * scale
 
 
 def clipped_delta_table():
@@ -487,15 +499,18 @@ def test_clipped_delta_effects_rebuild_the_denoised_table():
     effects still rebuild v - delta and stay within zeta of v; zeroing them
     moved the rebuilt table 7e-9 off v - delta, past zeta + 1e-9."""
     v = clipped_delta_table()
-    d, iset, _ = sparsify(v, denoise=True)
+    result = sparsify(v, denoise=True)
+    iset = result.interactions
     support = lp_vertex(v, True)[1]
-    assert d.solver == "lp"
+    zeta = ZETA_FRACTION * v.gap()
+    assert result.solver == "lp"
+    assert np.max(np.abs(result.delta)) <= zeta
     off = np.abs(iset.effects[~support])
     assert np.count_nonzero(off > 1e-9) == 2
     scale = max(1.0, float(np.max(np.abs(v.values))))
-    assert verify_matching(v, d, iset) <= 1e-12 * scale
+    assert verify_matching(v, iset, result.delta) <= 1e-12 * scale
     rebuilt = reconstruct(iset.i_and, iset.i_or, iset.bias)
-    assert np.max(np.abs(rebuilt - v.values)) <= d.zeta_bound + 1e-9 * scale
+    assert np.max(np.abs(rebuilt - v.values)) <= zeta + 1e-9 * scale
 
 
 def linprog_reference(base, zeta, denoise, maxiter=None, matrix=None):
@@ -559,7 +574,7 @@ def test_lp_solves_do_not_depend_on_their_order():
     def solve(v, denoise):
         zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
         res = _lp_solve(_objective_base(v.values), zeta, denoise)
-        return res, sparsify(v, denoise)[1]
+        return res, sparsify(v, denoise).interactions
 
     forward = [solve(*job) for job in jobs]
     backward = [solve(*job) for job in jobs[::-1]][::-1]
@@ -604,9 +619,10 @@ def test_lp_model_passes_set_row_bounds_and_checks_every_status():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_criterion_4_games_solve_exactly_on_the_lp(monkeypatch, seed):
     game, v, _ = recovery_game(seed)
-    d, iset, _ = sparsify(v, denoise=False)
-    assert d.solver == "lp"
-    assert iset.total_l1() <= huber_sparsify(monkeypatch, v, False)[2][-1] * (1 + 1e-12)
+    result = sparsify(v, denoise=False)
+    iset = result.interactions
+    assert result.solver == "lp"
+    assert iset.total_l1() <= huber_sparsify(monkeypatch, v, False).loss_history[-1] * (1 + 1e-12)
     # the ground truth's 15 effects and not one entry of rounding dust
     assert np.count_nonzero(iset.effects) == 15
     assert iset.support() == game.support()
@@ -617,9 +633,9 @@ def test_lp_recovers_game_4074():
     order-3 effect for an order-2 and an order-4 one of equal magnitude ties
     the ground truth under unit costs. The order weights break the tie."""
     game, v, tau = recovery_game(4074)
-    d, iset, _ = sparsify(v, denoise=False)
-    assert d.solver == "lp"
-    assert iset.support(tau) == game.support()
+    result = sparsify(v, denoise=False)
+    assert result.solver == "lp"
+    assert result.interactions.support(tau) == game.support()
 
 
 def assert_optimal_under_unit_costs(v, denoise):

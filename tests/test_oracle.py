@@ -199,25 +199,30 @@ def test_oracle_matches_definitions_by_loop():
 def test_verify_matching_all_modes(mode):
     rng = np.random.default_rng(11)
     v = ValueTable(n=6, values=rng.normal(size=64))
-    if mode == "all-and":
-        d = all_and_decomposition(v)
-        iset = extract(v, d)
-    elif mode == "even-split":
-        d = even_split_decomposition(v)
-        iset = extract(v, d)
-    else:
-        d, iset, _ = sparsify(v)
     scale = max(1.0, float(np.max(np.abs(v.values))))
-    assert verify_matching(v, d, iset) <= 1e-8 * scale
+    if mode == "all-and":
+        iset, delta = extract(v, all_and_decomposition(v)), 0.0
+    elif mode == "even-split":
+        iset, delta = extract(v, even_split_decomposition(v)), 0.0
+    else:
+        result = sparsify(v, denoise=True)
+        assert result.solver == "lp"
+        iset, delta = result.interactions, result.delta
+    assert verify_matching(v, iset, delta) <= 1e-8 * scale
+    if mode == "sparsify":
+        # denoised effects rebuild v - delta, not v: checked against
+        # delta = 0 they miss by max|delta|
+        max_delta = float(np.max(np.abs(delta)))
+        assert max_delta > 0.0
+        assert verify_matching(v, iset, 0.0) >= max_delta - 1e-12
 
 
 def test_verify_matching_detects_perturbation():
     rng = np.random.default_rng(12)
     v = ValueTable(n=5, values=rng.normal(size=32))
-    d = all_and_decomposition(v)
-    iset = extract(v, d)
+    iset = extract(v, all_and_decomposition(v))
     iset.i_and[7] += 1e-3
-    assert verify_matching(v, d, iset) >= 1e-3 * (1 - 1e-9)
+    assert verify_matching(v, iset, 0.0) >= 1e-3 * (1 - 1e-9)
 
 
 def test_conditioned_and_hand_example():
