@@ -14,8 +14,9 @@ import pytest
 
 from andor.analysis import axiom_suite, compare_models, kappa_fit, sample_report
 from andor.cli import main as cli_main
-from andor.extraction import (all_and_decomposition, even_split_decomposition,
-                              extract, salience_threshold, sparsify)
+from andor.extraction import (ZETA_FRACTION, all_and_decomposition,
+                              even_split_decomposition, extract, salience_threshold,
+                              sparsify)
 from andor.lattice import (mobius_and, mobius_or, order_counts, table_size,
                            zeta_subsets)
 from andor.metrics import per_order_jaccard
@@ -76,6 +77,10 @@ def test_criterion_1_universal_matching(huber_max_iters):
             if i < 5:  # sparsified modes, with and without denoising
                 for denoise in (True, False):
                     result = sparsify(v, denoise)
+                    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+                    in_box = (result.delta[0] == 0.0 and np.max(np.abs(result.delta))
+                              <= zeta + 1e-12 * max(1.0, zeta))
+                    assert in_box, f"n={n} table {i}: delta outside its box"
                     checks.append((result.interactions, result.delta))
             for iset, delta in checks:
                 err = verify_matching(v, iset, delta) / scale

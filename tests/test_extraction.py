@@ -432,6 +432,10 @@ def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, huber_max_it
     assert np.abs(result.interactions.effects).sum() == result.loss_history[-1]
     scale = max(1.0, float(np.max(np.abs(v.values))))
     assert verify_matching(v, result.interactions, result.delta) <= 1e-12 * scale
+    # L-BFGS-B's bounds keep the delta in its box, with delta(empty) pinned
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+    assert result.delta[0] == 0.0
+    assert np.max(np.abs(result.delta)) <= zeta + 1e-12 * max(1.0, zeta)
 
 
 @pytest.mark.parametrize("denoise", [False, True])
