@@ -173,7 +173,7 @@ def solvers(rng, ns=(8, 9, 10)):
                 lp_l1 = float(np.abs(res.x[:4 * (v.values.size - 1)]).sum())
                 t_hub, _, hub = timed(lambda: huber_sparsify(v, denoise))
                 t_sp, f_sp, solved = timed(lambda: sparsify(v, denoise))
-                hub_l1 = hub.loss_history[-1]
+                hub_l1 = hub.interactions.total_l1()
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {nnz:>7} {t_lp:>8.3f}s "
                       f"{res.pivots:>7} {f_lp:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {f_sp:>7} "
                       f"{solved.solver:>6} {lp_l1:>12.4f} {hub_l1:>12.4f}")

@@ -6,9 +6,8 @@ L1 minimization over the decomposition's degrees of freedom, and measures
 interaction complexity and cross-population generalization.
 """
 
-from .extraction import (Decomposition, InteractionSet, Sparsified,
-                         all_and_decomposition, even_split_decomposition, extract,
-                         filter_salient, salience_threshold, sparsify)
+from .extraction import (InteractionSet, Sparsified, all_and, even_split, filter_salient,
+                         salience_threshold, sparsify)
 from .lattice import mobius_and, mobius_or, zeta_subsets
 from .metrics import (average_order, jaccard, mean_distribution, order_profile,
                       per_order_jaccard)
@@ -18,8 +17,7 @@ from .models import (GroundTruthGame, MaskingScheme, TinyNet, ValueTable,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Decomposition", "InteractionSet", "Sparsified", "all_and_decomposition",
-    "even_split_decomposition", "extract", "filter_salient",
+    "InteractionSet", "Sparsified", "all_and", "even_split", "filter_salient",
     "salience_threshold", "sparsify",
     "mobius_and", "mobius_or", "zeta_subsets",
     "average_order", "jaccard", "mean_distribution", "order_profile",

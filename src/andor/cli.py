@@ -26,8 +26,7 @@ import numpy as np
 from . import io as aio
 from .analysis import (AXIOM_MAX_N, AXIOM_MIN_N, axiom_suite, compare_models,
                        default_theta, sample_report, sparsity_diagnostics)
-from .extraction import (DEFAULT_SALIENCE_FRACTION, all_and_decomposition, extract,
-                         salience_threshold, sparsify)
+from .extraction import DEFAULT_SALIENCE_FRACTION, all_and, salience_threshold, sparsify
 from .metrics import is_undefined, order_profile, per_order_jaccard
 from .models import (inject_overfit, interaction_function_table, realize_table,
                      sample_sparse_game)
@@ -174,19 +173,17 @@ def cmd_extract(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    histories, solvers = {}, {}
+    solvers = {}
     for v, name in zip(tables, names):
         if args.mode == "all-and":
-            iset, hist = extract(v, all_and_decomposition(v)), []
+            iset = all_and(v)
         else:
             result = sparsify(v, denoise=not args.no_denoise)
-            iset, hist = result.interactions, result.loss_history
+            iset = result.interactions
             solvers[name] = result.solver
         aio.write_interactions(iset, out / f"{name}.json")
-        histories[name] = hist
     (out / "batch.json").write_text(json.dumps(
-        {"mode": args.mode, "n": tables[0].n,
-         "loss_history": histories, "solver": solvers},
+        {"mode": args.mode, "n": tables[0].n, "solver": solvers},
         sort_keys=True, indent=1) + "\n")
     return 0
 
@@ -231,6 +228,16 @@ def _read_inputs(table, interactions=None):
     return v, iset
 
 
+def _write_lines(lines, out):
+    """Write the lines, each ended by a newline, to the file out, or to stdout
+    when out is not given."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_diagnose(args) -> int:
     v, iset = _read_inputs(args.table, args.interactions)
     tau = args.tau_absolute if args.tau_absolute is not None else \
@@ -249,11 +256,7 @@ def cmd_diagnose(args) -> int:
         f"kappa_fit: "
         + ("undefined" if is_undefined(diag.kappa_fit) else repr(diag.kappa_fit)),
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out)
     ok = diag.condition1_ok and diag.condition2_ok \
         and diag.condition3_min_p != float("inf")
     return 0 if ok else 1
@@ -265,11 +268,7 @@ def cmd_axioms(args) -> int:
     results = axiom_suite(args.n, args.trials, args.seed)
     lines = [f"{r.name}: {'pass' if r.passed else 'FAIL'} "
              f"(trials {r.trials}, max error {r.max_error:.3e})" for r in results]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out)
     return 0 if all(r.passed for r in results) else 1
 
 

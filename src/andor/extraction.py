@@ -6,8 +6,9 @@ always holds. The empty-set entries are pinned (delta[0] = 0,
 gamma[0] = 0.5*v[0]) so the all-masked output is attributed to the AND side
 and the bias is identifiable. ``sparsify`` learns (gamma, delta) by
 minimizing the total effect magnitude and returns the effects and the delta
-it solved for (``Sparsified``). The closed forms fix delta = 0: their
-``Decomposition`` holds gamma alone, and ``extract`` gives its effects.
+it solved for (``Sparsified``). The two closed forms fix delta = 0 and
+return their effects: ``all_and`` (gamma = v/2) and ``even_split`` (gamma
+zero beyond its pin).
 
 Both solvers work in interaction-space coordinates: gamma is parametrized as
 the subset sum of a free vector theta, which makes the AND effects an affine
@@ -20,8 +21,8 @@ picks its solver from the table size n:
   LP (``_lp_sparsify``). At n = LP_MAX_N the simplex gets 2**(n-1) pivots:
   a sparse table (a few effects) needs a few dozen, a dense one (random or
   net outputs) thousands. A table whose LP needs more goes to the Huber
-  continuation below, from the same start, and comes out exactly as it
-  would without the LP attempt.
+  continuation below and comes out exactly as it would without the LP
+  attempt.
 - n > LP_MAX_N: a smoothed-L1 (Huber) continuation with L-BFGS-B
   (``_smoothed_sparsify``), which stops near the minimum. In the raw gamma
   coordinates the objective's curvature spans a factor exponential in n and
@@ -70,26 +71,28 @@ nonzeros at n = 10 against 118 096 in the plain rows, and fewer pivots.
 Where the minimum ties, as it can when denoising (delta costs 0), the
 simplex may reach another optimal vertex than on the plain rows.
 
-The written effects. Every candidate of the solve carries its own effects
-and delta, and ``sparsify`` returns the winner's, so the history's last
-entry is the L1 of what is written. On the LP path they are the vertex's
-own: p = p+ - p- (AND) and q = q+ - q- (OR), with the empty-set slots 0. A
-slot the vertex holds at zero is an exact 0.0. A basic delta column can
-pass its box by the solver's feasibility tolerance. Where it passes it by
-no more than 1e-12 * max(1, zeta), the vertex's delta is kept. Beyond that,
-delta is clipped into the box and the clip
-Delta = delta_clipped - delta_raw is folded into the OR row as
-q -= mobius_or(Delta): the rows give q = S p - S a + b + K delta with
-K = -M_or, so the folded effects rebuild v - delta_clipped as the vertex's
-rebuilt v - delta_raw. Unfolded, they would miss the returned delta by the
-overshoot. On the Huber path they are ``_theta_effects`` of the best stage
-iterate, whose delta L-BFGS-B's bounds keep in the box.
+The written effects. ``sparsify`` returns the effects and delta of the
+split it picked. On the LP path they are the vertex's own: p = p+ - p-
+(AND) and q = q+ - q- (OR), with the empty-set slots 0. A slot the vertex
+holds at zero is an exact 0.0. A basic delta column can pass its box by
+the solver's feasibility tolerance. Where it passes it by no more than
+1e-12 * max(1, zeta), the vertex's delta is kept. Beyond that, delta is
+clipped into the box and the clip Delta = delta_clipped - delta_raw is
+folded into the OR row as q -= mobius_or(Delta): the rows give
+q = S p - S a + b + K delta with K = -M_or, so the folded effects rebuild
+v - delta_clipped as the vertex's rebuilt v - delta_raw. Unfolded, they
+would miss the returned delta by the overshoot. On the Huber path they are
+``_theta_effects`` of the best stage iterate, whose delta L-BFGS-B's bounds
+keep in the box, or a closed form's, with delta = 0.
 
-``sparsify`` runs the whole solve in one place: the start at the even
-split, the solver choice, the best-iterate rule and its loss history, and
-the all-AND fallback (its docstring lists the steps). The solvers only
-return iterates: the LP its vertex's effects and delta, or None when the
-pivot budget runs out; the continuation one iterate per stage.
+``sparsify`` picks the solver and returns what it found (its docstring
+lists the paths). The LP path returns the vertex as solved: by the order
+weights its L1 is within 1 + epsilon * n**2 of any feasible split's, so a
+closed form could only tie it, and the vertex is the tie-break. The Huber
+path stops short of the minimum, so ``sparsify`` keeps the best of the
+even split it starts from, each stage's iterate and all-AND. The solvers
+only return iterates: the LP its vertex's effects and delta, or None when
+the pivot budget runs out; the continuation one iterate per stage.
 
 scipy is loaded on the first solve, not with the module, and only what
 the solve needs: the LP path loads one extension module (``_highs_core``)
@@ -137,8 +140,8 @@ LP_MAX_N = 10
 # The LP's cost of an effect on subset S is 1 + LP_ORDER_WEIGHT * |S|**2, a
 # tie-break toward low orders (see the module docstring).
 LP_ORDER_WEIGHT = 1e-6
-# A candidate replaces the best one only if its L1 is lower by this much,
-# relative.
+# On the Huber path, an iterate replaces the best split so far only if its L1
+# is lower by this much, relative.
 CONVERGENCE_EPS = 1e-9
 # Huber widths of the continuation's stages, as fractions of the table's
 # output scale, largest first.
@@ -166,34 +169,6 @@ def __getattr__(name):
 
 class NumericalError(RuntimeError):
     pass
-
-
-@dataclass
-class Decomposition:
-    """A closed form's AND/OR split: u_and = v/2 + gamma, u_or = v/2 - gamma."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-
-    def validate(self, v: ValueTable) -> None:
-        if self.gamma.shape != v.values.shape:
-            raise ValueError("gamma must have the table's shape")
-        if abs(self.gamma[0] - 0.5 * v.values[0]) > 1e-9 * max(1.0, abs(v.values[0])):
-            raise ValueError("gamma[empty] must equal 0.5 * v(x_empty)")
-
-
-def all_and_decomposition(v: ValueTable) -> Decomposition:
-    """gamma = 0.5*v everywhere: u_and = v, u_or = 0."""
-    return Decomposition(gamma=0.5 * v.values)
-
-
-def even_split_decomposition(v: ValueTable) -> Decomposition:
-    """gamma = 0 beyond the empty-set pin: u_and = u_or on L != empty."""
-    gamma = np.zeros_like(v.values)
-    gamma[0] = 0.5 * v.values[0]
-    return Decomposition(gamma=gamma)
 
 
 @dataclass
@@ -242,20 +217,33 @@ class InteractionSet:
         return {(("and", "or")[k], int(m)) for k, m in zip(kinds, masks)}
 
 
-def split_components(v: ValueTable, d: Decomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Return (u_and, u_or); their sum equals v entrywise."""
-    d.validate(v)
-    half = 0.5 * v.values
-    return half + d.gamma, half - d.gamma
+def _interaction_set(v: ValueTable, effects: np.ndarray) -> InteractionSet:
+    return InteractionSet(n=v.n, effects=effects, bias=float(v.values[0]), label=v.label)
 
 
-def extract(v: ValueTable, d: Decomposition) -> InteractionSet:
-    """Closed-form AND-OR effects for a given decomposition."""
-    u_and, u_or = split_components(v, d)
-    effects = np.stack([mobius_and(u_and), mobius_or(u_or)])
-    bias = float(effects[0, 0])
-    effects[:, 0] = 0.0
-    return InteractionSet(n=v.n, effects=effects, bias=bias, label=v.label)
+def all_and(v: ValueTable) -> InteractionSet:
+    """The all-AND closed form (gamma = v/2, delta = 0): u_and = v, u_or = 0,
+    so the AND effects are mobius_and(v) and no OR effect is nonzero."""
+    effects = np.zeros((2, v.values.size))
+    effects[0] = mobius_and(v.values)
+    effects[0, 0] = 0.0
+    return _interaction_set(v, effects)
+
+
+def _theta_start(values: np.ndarray) -> np.ndarray:
+    """theta[1:] of the even split, gamma = zeta_subsets(theta) zero beyond
+    its pin gamma[0] = v[0]/2."""
+    pin = np.zeros(values.size)
+    pin[0] = 0.5 * values[0]
+    return mobius_and(pin)[1:]
+
+
+def even_split(v: ValueTable) -> InteractionSet:
+    """The even split (gamma zero beyond the empty-set pin, delta = 0):
+    u_and = u_or = v/2 on every nonempty subset. Its effects are
+    ``_theta_effects`` of the theta start, the Huber path's start."""
+    return _interaction_set(v, _theta_effects(_theta_start(v.values),
+                                              _objective_base(v.values), False))
 
 
 @lru_cache(maxsize=None)
@@ -418,14 +406,12 @@ class _LpResult(NamedTuple):
     """One solve of the L1 LP: status 0 (optimal), 1 (pivot limit) or 4 (a
     failure), linprog's codes; x is the vertex when optimal, else None. The
     LP is always feasible and bounded, so linprog's 2 and 3 cannot occur.
-    objective is the order-weighted cost of _lp_model, not the L1; the
-    vertex's L1 is abs(x[:4 * m]).sum() over its m = 2**n - 1 rows."""
+    The vertex's L1 is abs(x[:4 * m]).sum() over its m = 2**n - 1 rows."""
 
     status: int
     message: str
     x: np.ndarray | None
     pivots: int
-    objective: float
 
 
 class _LpModel(NamedTuple):
@@ -595,12 +581,11 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
               "setOptionValue")
     highs.run()
     status = highs.getModelStatus()
-    info = highs.getInfo()
     code = {core.HighsModelStatus.kOptimal: 0,
             core.HighsModelStatus.kIterationLimit: 1}.get(status, 4)
     x = np.array(highs.getSolution().col_value) if code == 0 else None
     return _LpResult(code, highs.modelStatusToString(status), x,
-                     info.simplex_iteration_count, info.objective_function_value)
+                     highs.getInfo().simplex_iteration_count)
 
 
 def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
@@ -643,37 +628,32 @@ def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
 class Sparsified(NamedTuple):
     """What ``sparsify`` solved for. interactions rebuild v - delta; delta
     has delta[0] = 0 and is zero without denoising; solver is "lp",
-    "huber", or empty where no solver ran; loss_history is the best L1
-    after each candidate, its last entry the L1 of interactions."""
+    "huber", or empty where no solver ran."""
 
     interactions: InteractionSet
     delta: np.ndarray
     solver: str
-    loss_history: list[float]
 
 
 def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
     """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
 
     With ``denoise``, delta is learned in the box |delta| <= ZETA_FRACTION *
-    v.gap(); without it, delta = 0. Each candidate below carries its own
-    effects and delta. The solve, in order:
+    v.gap(); without it, delta = 0. The result's ``solver`` names the path:
 
-    1. Start from the even split (gamma zero beyond the empty-set pin,
-       delta = 0); its L1 opens the loss history.
-    2. For n <= LP_MAX_N, solve the LP; its vertex is the one candidate.
-       Where the L1 minimum is not unique, its order weights pick the
-       minimum of least sum |S|**2 * |I_S| (module docstring). For
-       n > LP_MAX_N, or when the LP exhausts its pivot budget, run the Huber
-       continuation from the start; each stage's iterate is a candidate,
-       with the effects ``_theta_effects`` gives it. The result's
-       ``solver`` names the path, "lp" or "huber". At n = 0 the even split
-       is the only split: no solver runs, and ``solver`` is empty.
-    3. A candidate replaces the best one so far only if its L1 is lower by
-       more than CONVERGENCE_EPS (relative); the history records the best
-       L1 after each candidate, so it never increases.
-    4. If the all-AND closed form (always feasible, delta = 0) is below the
-       best candidate, it is returned instead and its L1 ends the history.
+    - "lp", for n <= LP_MAX_N when the vertex fits its pivot budget: the
+      vertex's own effects and delta, as ``_lp_sparsify`` returns them.
+      Its L1 is at most 1 + LP_ORDER_WEIGHT * n**2 times that of any
+      feasible split, the closed forms included; where the minimum is not
+      unique, the order weights pick the one of least sum |S|**2 * |I_S|.
+    - "huber", for n > LP_MAX_N or when the LP exhausts its pivot budget:
+      the best of the even split, each stage's iterate of the continuation
+      from the even split (with the effects ``_theta_effects`` gives it)
+      and all-AND. An iterate replaces the best so far only if its L1 is
+      lower by more than CONVERGENCE_EPS (relative); all-AND only if it is
+      lower at all.
+    - empty at n = 0, where the even split is the only split and no solver
+      runs.
     """
     if v.n > SPARSIFY_MAX_N:
         raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
@@ -681,49 +661,34 @@ def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
     size = values.size
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
     base = _objective_base(values)
-
-    # the even split: gamma zero beyond the pin; x packs theta[1:], delta[1:]
-    pin_only = np.zeros(size)
-    pin_only[0] = 0.5 * values[0]
-    x = mobius_and(pin_only)[1:]
-    if denoise:
-        x = np.concatenate([x, np.zeros(size - 1)])
-    effects, delta = _theta_effects(x, base, denoise), np.zeros(size)
-    loss = float(np.abs(effects).sum())
-    if not np.isfinite(loss):
-        # v is finite, so its effects overflow float64: an input error
+    if not np.isfinite(np.abs(base).sum()):
+        # v is finite, so its effects or their L1 overflow float64: an input error
         raise ValueError("the table's effects overflow float64")
-    history = [loss]
-
-    vertex = _lp_sparsify(base, zeta, denoise) if 0 < v.n <= LP_MAX_N else None
     if v.n == 0:
         # one mask, so one split: the even split, with no effect to solve for
-        solver, candidates = "", []
-    elif vertex is None:
-        solver = "huber"
-        candidates = ((_theta_effects(it, base, denoise),
-                       np.concatenate([[0.0], it[size - 1:]]) if denoise else np.zeros(size))
-                      for it in _smoothed_sparsify(v, denoise, base, zeta, x))
-    else:
-        solver, candidates = "lp", [vertex]
-    for it_effects, it_delta in candidates:
+        return Sparsified(even_split(v), np.zeros(size), "")
+    vertex = _lp_sparsify(base, zeta, denoise) if v.n <= LP_MAX_N else None
+    if vertex is not None:
+        return Sparsified(_interaction_set(v, vertex[0]), vertex[1], "lp")
+
+    effects, delta = even_split(v).effects, np.zeros(size)
+    loss = float(np.abs(effects).sum())
+    # x packs theta[1:], then delta[1:] when denoising
+    x = _theta_start(values)
+    if denoise:
+        x = np.concatenate([x, np.zeros(size - 1)])
+    for it in _smoothed_sparsify(v, denoise, base, zeta, x):
+        it_effects = _theta_effects(it, base, denoise)
         it_loss = float(np.abs(it_effects).sum())
         if not np.isfinite(it_loss):
             raise NumericalError("non-finite loss during continuation")
         if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
-            loss, effects, delta = it_loss, it_effects, it_delta
-        history.append(loss)
-
-    # the all-AND effects are mobius_and(v) = 2 * base[0]
-    alland_and = 2.0 * base[0]
-    alland_and[0] = 0.0
-    alland_loss = float(np.abs(alland_and).sum())
-    if alland_loss < loss:
-        effects = np.stack([alland_and, np.zeros(size)])
-        delta = np.zeros(size)
-        history.append(alland_loss)
-    iset = InteractionSet(n=v.n, effects=effects, bias=float(values[0]), label=v.label)
-    return Sparsified(iset, delta, solver, history)
+            loss, effects = it_loss, it_effects
+            delta = np.concatenate([[0.0], it[size - 1:]]) if denoise else np.zeros(size)
+    alland = all_and(v)
+    if float(np.abs(alland.effects).sum()) < loss:
+        return Sparsified(alland, np.zeros(size), "huber")
+    return Sparsified(_interaction_set(v, effects), delta, "huber")
 
 
 def salience_threshold(tables, fraction: float = DEFAULT_SALIENCE_FRACTION) -> float:

@@ -14,9 +14,7 @@ import pytest
 
 from andor.analysis import axiom_suite, compare_models, kappa_fit, sample_report
 from andor.cli import main as cli_main
-from andor.extraction import (ZETA_FRACTION, all_and_decomposition,
-                              even_split_decomposition, extract, salience_threshold,
-                              sparsify)
+from andor.extraction import ZETA_FRACTION, all_and, even_split, salience_threshold, sparsify
 from andor.lattice import (mobius_and, mobius_or, order_counts, table_size,
                            zeta_subsets)
 from andor.metrics import per_order_jaccard
@@ -33,8 +31,7 @@ def warmup():
     brute_or(u)
     mobius_and(u)
     v = ValueTable(n=4, values=u)
-    iset = extract(v, all_and_decomposition(v))
-    verify_matching(v, iset, 0.0)
+    verify_matching(v, all_and(v), 0.0)
     sparsify(v)
 
 
@@ -72,8 +69,7 @@ def test_criterion_1_universal_matching(huber_max_iters):
         for i in range(count):
             v = ValueTable(n=n, values=rng.normal(size=table_size(n)))
             scale = max(1.0, float(np.max(np.abs(v.values))))
-            checks = [(extract(v, d), 0.0) for d in (all_and_decomposition(v),
-                                                     even_split_decomposition(v))]
+            checks = [(all_and(v), 0.0), (even_split(v), 0.0)]
             if i < 5:  # sparsified modes, with and without denoising
                 for denoise in (True, False):
                     result = sparsify(v, denoise)
@@ -143,11 +139,10 @@ def recovery_runs():
     for seed in range(50):
         game, v, tau = recovery_game(seed)
         iset = sparsify(v, denoise=False).interactions
-        all_and = extract(v, all_and_decomposition(v))
         salient = iset.support(tau)
         runs.append({
             "exact": salient == game.support(),
-            "bounded": iset.total_l1() <= all_and.total_l1() + 1e-9,
+            "bounded": iset.total_l1() <= all_and(v).total_l1() + 1e-9,
             "kappa": kappa_fit(len(salient), tau, 10),
         })
     return runs, time.perf_counter() - t0
@@ -194,7 +189,7 @@ def test_criterion_6_confusing_samples():
         assert 10 * tau <= 5.0, "injected magnitude must stay >= 10 tau"
         flagged = set()
         for i, v in enumerate(tables):
-            iset = extract(v, all_and_decomposition(v))
+            iset = all_and(v)
             if sample_report(iset, tau, theta=5.0).confusing:
                 flagged.add(i)
         all_ok &= flagged == injected
@@ -217,7 +212,7 @@ def _population(n, shared, pool, rng):
             effects[pool[p]] = float(rng.uniform(2.0, 4.0) * rng.choice([-1, 1]))
         game = GroundTruthGame(n=n, and_effects=effects)
         v = realize_table(game, label=f"p{j}")
-        sets.append(extract(v, all_and_decomposition(v)))
+        sets.append(all_and(v))
     return sets
 
 
@@ -268,7 +263,7 @@ def test_criterion_8_comparison_statistics():
                                       rng_seed=master_seed * 5077 + i,
                                       magnitude_floor=2.0)
             v = realize_table(game, label=f"s{i:03d}")
-            iset = extract(v, all_and_decomposition(v))
+            iset = all_and(v)
             reports.append(sample_report(iset, tau=0.0, theta=5.0))
         return reports
 

@@ -4,7 +4,7 @@ import pytest
 from andor.analysis import (INFEASIBLE, _average_ranks, _spearman, axiom_suite,
                             compare_models, default_theta, kappa_fit,
                             sample_report, sparsity_diagnostics)
-from andor.extraction import InteractionSet, all_and_decomposition, extract
+from andor.extraction import InteractionSet, all_and
 from andor.lattice import order_counts, table_size
 from andor.metrics import is_undefined
 from andor.models import (ValueTable, inject_overfit, realize_table,
@@ -91,7 +91,7 @@ def test_default_theta():
 
 def _extracted(game):
     v = realize_table(game)
-    return v, extract(v, all_and_decomposition(v))
+    return v, all_and(v)
 
 
 def test_diagnostics_condition1_order_bound():
@@ -109,7 +109,7 @@ def test_diagnostics_linear_game():
     n = 6
     values = order_counts(n).astype(np.float64)
     v = ValueTable(n=n, values=values)
-    iset_ = extract(v, all_and_decomposition(v))
+    iset_ = all_and(v)
     diag = sparsity_diagnostics(v, iset_, tau=0.05, max_order=n)
     assert diag.condition2_ok
     assert diag.condition3_min_p == pytest.approx(1.0, abs=1e-5)
@@ -119,7 +119,7 @@ def test_diagnostics_detects_non_monotone():
     n = 5
     values = -order_counts(n).astype(np.float64)
     v = ValueTable(n=n, values=values)
-    iset_ = extract(v, all_and_decomposition(v))
+    iset_ = all_and(v)
     diag = sparsity_diagnostics(v, iset_, tau=0.05, max_order=n)
     assert not diag.condition2_ok
     assert diag.condition2_violation == 2

@@ -390,6 +390,9 @@ def malformed_inputs(tmp_path_factory):
     aio.write_table(ValueTable(n=3, values=[(-1.7e308, 1.7e308)[m.bit_count() % 2]
                                             for m in range(8)]),
                     mixed / "huge" / "table_0000.json")
+    (mixed / "huge-l1").mkdir()     # finite effects whose L1 overflows float64
+    aio.write_table(ValueTable(n=2, values=[0.0, 1e308, 1e308, 0.0]),
+                    mixed / "huge-l1" / "table_0000.json")
     dup = tmp_path / "dup"      # two tables that share the label sample_0000
     dup.mkdir()
     for name in ("a.json", "b.json"):
@@ -443,6 +446,8 @@ def malformed_inputs(tmp_path_factory):
     # effects that are not finite: overflowing transforms, NaN or inf in a file
     *(("extract", "--in", "{mixed}/huge", "--out", "{out}/out", *flags)
       for flags in (("--mode", "all-and"), ("--no-denoise",), ())),
+    *(("extract", "--in", "{mixed}/huge-l1", "--out", "{out}/out", *flags)
+      for flags in (("--no-denoise",), ())),
     *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{out}/p.csv")
       for name in ("nan", "inf", "repeated")),
     ("axioms", "--n", "9"),
@@ -490,7 +495,8 @@ def malformed_inputs(tmp_path_factory):
         "profile-negative-tau", "profile-nan-tau", "similarity-negative-tau",
         "compare-negative-tau",
         "extract-overflow-all-and", "extract-overflow-no-denoise",
-        "extract-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
+        "extract-overflow-denoise", "extract-l1-overflow-no-denoise",
+        "extract-l1-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
         "profile-repeated-mask",
         "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials",
         "axioms-negative-seed", "synth-m",
@@ -539,7 +545,6 @@ def test_extract_records_the_solver(tmp_path, huber_max_iters, n, table, solver)
     assert run("extract", "--in", tabs, "--out", isets, "--no-denoise") == 0
     batch = json.loads((isets / "batch.json").read_text())
     assert batch["solver"] == {"sample_0000": solver}
-    assert set(batch["loss_history"]) == set(batch["solver"])
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-denoise"]])
@@ -558,7 +563,6 @@ def test_extract_n0_table_writes_the_all_and_file(tmp_path, capsys, flags):
     assert written == (tmp_path / "all-and" / "sample_0000.json").read_bytes()
     batch = json.loads((tmp_path / "sparsify" / "batch.json").read_text())
     assert batch["solver"] == {"sample_0000": ""}
-    assert batch["loss_history"] == {"sample_0000": [0.0]}
     assert run("oracle", "verify", "--table", tabs / "t.json",
                "--interactions", tmp_path / "sparsify" / "sample_0000.json") == 0
     assert capsys.readouterr().err == ""
@@ -572,7 +576,6 @@ def test_unlabeled_table_is_keyed_by_its_file_name(tmp_path):
     assert sorted(f.name for f in isets.iterdir()) == ["batch.json", "table.json"]
     batch = json.loads((isets / "batch.json").read_text())
     assert batch["solver"] == {"table": "lp"}
-    assert set(batch["loss_history"]) == {"table"}
 
 
 def test_cli_import_leaves_out_scipy_stats(pipeline):

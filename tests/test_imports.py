@@ -66,3 +66,13 @@ def test_one_function_imports_the_private_highs_bindings():
                                       or getattr(node, "attr", ""))]
     assert names == ["extraction.py:_highs_core"]
     assert linprog == []
+
+
+def test_every_exported_name_resolves():
+    """Each name in ``andor.__all__`` is an attribute of the package, and a
+    star import binds them all."""
+    assert len(set(andor.__all__)) == len(andor.__all__)
+    assert [name for name in andor.__all__ if not hasattr(andor, name)] == []
+    namespace = {}
+    exec("from andor import *", namespace)
+    assert set(andor.__all__) <= set(namespace)

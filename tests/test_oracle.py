@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from andor import oracle
-from andor.extraction import (all_and_decomposition, even_split_decomposition,
-                              extract, sparsify)
+from andor.extraction import all_and, even_split, sparsify
 from andor.lattice import LatticeSizeError, mobius_and, mobius_or
 from andor.models import ValueTable, interaction_function_table
 from andor.oracle import (PAIR_CHUNK, _submask_pairs, brute_and, brute_or,
@@ -201,9 +200,9 @@ def test_verify_matching_all_modes(mode):
     v = ValueTable(n=6, values=rng.normal(size=64))
     scale = max(1.0, float(np.max(np.abs(v.values))))
     if mode == "all-and":
-        iset, delta = extract(v, all_and_decomposition(v)), 0.0
+        iset, delta = all_and(v), 0.0
     elif mode == "even-split":
-        iset, delta = extract(v, even_split_decomposition(v)), 0.0
+        iset, delta = even_split(v), 0.0
     else:
         result = sparsify(v, denoise=True)
         assert result.solver == "lp"
@@ -220,7 +219,7 @@ def test_verify_matching_all_modes(mode):
 def test_verify_matching_detects_perturbation():
     rng = np.random.default_rng(12)
     v = ValueTable(n=5, values=rng.normal(size=32))
-    iset = extract(v, all_and_decomposition(v))
+    iset = all_and(v)
     iset.i_and[7] += 1e-3
     assert verify_matching(v, iset, 0.0) >= 1e-3 * (1 - 1e-9)
 
