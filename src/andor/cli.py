@@ -14,7 +14,6 @@ parses, so each call behaves as in a fresh process.
 """
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -48,7 +47,7 @@ def _read(reader, path):
         return reader(path)
     except KeyError as e:
         raise CliError(f"cannot read {path}: missing key {e}") from e
-    except (OSError, ValueError, OverflowError) as e:
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot read {path}: {e}") from e
 
 
@@ -153,8 +152,7 @@ def cmd_synth(args) -> int:
             "and": [{"mask": m, "value": c} for m, c in sorted(game.and_effects.items())],
             "or": [{"mask": m, "value": c} for m, c in sorted(game.or_effects.items())],
         })
-    (out / "ground_truth.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    aio.write_json(sidecar, out / "ground_truth.json")
     return 0
 
 
@@ -182,9 +180,8 @@ def cmd_extract(args) -> int:
             iset = result.interactions
             solvers[name] = result.solver
         aio.write_interactions(iset, out / f"{name}.json")
-    (out / "batch.json").write_text(json.dumps(
-        {"mode": args.mode, "n": tables[0].n, "solver": solvers},
-        sort_keys=True, indent=1) + "\n")
+    aio.write_json({"mode": args.mode, "n": tables[0].n, "solver": solvers},
+                   out / "batch.json")
     return 0
 
 

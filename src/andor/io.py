@@ -1,11 +1,20 @@
 """File formats: JSON documents for tables and interaction sets, CSV reports.
 
-All numbers are serialized with repr (full-precision decimal, locale
-independent) and all JSON keys are sorted, so writing the same object twice
-produces byte-identical files. The readers check every field's JSON type
-(a boolean is no number) and raise ValueError or KeyError on a malformed
-document, such as an effect list that names one mask twice, or
-OverflowError on an integer beyond the float range.
+This is the one module that reads or writes JSON. All numbers are
+serialized with repr (full-precision decimal, locale independent) and all
+JSON keys are sorted, so writing the same object twice produces
+byte-identical files. The readers parse with orjson, which reads every
+written float back bit for bit, and check every field's JSON type (a
+boolean is no number). On a malformed document they raise:
+
+- orjson.JSONDecodeError, a ValueError, on text that is not strict JSON:
+  a NaN or Infinity literal, a number beyond the float range, a lone
+  surrogate in a string, or a truncated document;
+- ValueError on a field of the wrong JSON type, an integer outside
+  [-2**63, 2**64) included where an integer is wanted (orjson reads it as
+  a float); on a mask out of range or listed twice; and on values that do
+  not fit n or are not finite;
+- KeyError on a missing required field.
 """
 
 import csv
@@ -13,6 +22,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .extraction import InteractionSet
 from .lattice import table_size
@@ -42,13 +52,14 @@ def _get(doc, key: str, types, default=None):
     return _only([doc[key]], types, repr(key))[0]
 
 
-def _dump_json(doc: dict, path: Path) -> None:
+def write_json(doc: dict, path) -> None:
+    """``doc`` with sorted keys, one-space indents and a final newline."""
     text = json.dumps(doc, sort_keys=True, indent=1)
     Path(path).write_text(text + "\n")
 
 
 def write_table(v: ValueTable, path) -> None:
-    _dump_json({
+    write_json({
         "n": v.n,
         "label": v.label,
         "values": [float(x) for x in v.values],
@@ -57,7 +68,7 @@ def write_table(v: ValueTable, path) -> None:
 
 
 def read_table(path) -> ValueTable:
-    doc = json.loads(Path(path).read_text())
+    doc = orjson.loads(Path(path).read_bytes())
     values = _only(_get(doc, "values", LIST), NUMBER, "'values'")
     return ValueTable(n=_get(doc, "n", INTEGER), values=np.array(values, dtype=np.float64),
                       label=_get(doc, "label", STRING, ""), meta=_get(doc, "meta", STRING, ""))
@@ -69,7 +80,7 @@ def write_interactions(iset: InteractionSet, path) -> None:
         return [{"mask": int(m), "value": float(effects[m])}
                 for m in np.flatnonzero(effects) if m != 0]
 
-    _dump_json({
+    write_json({
         "n": iset.n,
         "label": iset.label,
         "bias": float(iset.bias),
@@ -79,7 +90,7 @@ def write_interactions(iset: InteractionSet, path) -> None:
 
 
 def read_interactions(path) -> InteractionSet:
-    doc = json.loads(Path(path).read_text())
+    doc = orjson.loads(Path(path).read_bytes())
     n = _get(doc, "n", INTEGER)
     effects = np.zeros((2, table_size(n)))
     for row, key in zip(effects, ("and", "or")):

@@ -402,7 +402,14 @@ def malformed_inputs(tmp_path_factory):
     for name, label in BAD_LABELS.items():
         (labelled / name).mkdir(parents=True)
         (labelled / name / "table.json").write_text(json.dumps({**table, "label": label}))
-    return dict(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled, mixed=mixed)
+    bad = tmp_path / "bad"      # tables the parser rejects, or whose n is a float
+    bad.mkdir()
+    for name, change in (("nan", {"values": [float("nan"), *table["values"][1:]]}),
+                         ("n-2-64", {"n": 2**64}),
+                         ("long-int", {"values": [10**399, *table["values"][1:]]})):
+        (bad / f"{name}.json").write_text(json.dumps({**table, **change}))
+    return dict(tabs=tabs, isets=isets, wide=wide, dup=dup, labelled=labelled, mixed=mixed,
+                bad=bad)
 
 
 @pytest.mark.parametrize("argv", [
@@ -450,6 +457,9 @@ def malformed_inputs(tmp_path_factory):
       for flags in (("--no-denoise",), ())),
     *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{out}/p.csv")
       for name in ("nan", "inf", "repeated")),
+    *(("oracle", "verify", "--table", f"{{bad}}/{name}.json",
+       "--interactions", "{isets}/sample_0000.json")
+      for name in ("nan", "n-2-64", "long-int")),
     ("axioms", "--n", "9"),
     ("axioms", "--n", "0"),
     ("axioms", "--n", "1"),
@@ -497,7 +507,8 @@ def malformed_inputs(tmp_path_factory):
         "extract-overflow-all-and", "extract-overflow-no-denoise",
         "extract-overflow-denoise", "extract-l1-overflow-no-denoise",
         "extract-l1-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
-        "profile-repeated-mask",
+        "profile-repeated-mask", "verify-nan-value", "verify-n-past-uint64",
+        "verify-400-digit-value",
         "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials",
         "axioms-negative-seed", "synth-m",
         "synth-orders", "synth-mask", "synth-effect-range", "synth-overfit-fraction",

@@ -76,3 +76,27 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from andor import *", namespace)
     assert set(andor.__all__) <= set(namespace)
+
+
+def test_only_io_parses_json_and_with_orjson():
+    """JSON is read and written in ``io`` alone, and no module parses with
+    ``json.loads``: its float decoding cost most of an ``oracle verify``."""
+    codecs, loads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            codecs += [f"{path.name} {m}" for m in modules if m in ("json", "orjson")]
+            # json.loads, or loads imported from json
+            if isinstance(node, ast.Attribute) and node.attr == "loads" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "json" \
+                    or modules == ["json"] and isinstance(node, ast.ImportFrom) \
+                    and any(alias.name == "loads" for alias in node.names):
+                loads.append(f"{path.name}:{node.lineno}")
+    assert codecs == ["io.py json", "io.py orjson"]
+    assert loads == []
