@@ -49,13 +49,14 @@ pair table, and the steady state (the best of several repeats). The rows
 end with one JSON line with the keys n, effects ("sparse" or "dense"),
 nonzero, pairs, first_s and steady_s.
 
-The I/O rows time ``io.read_table``, ``io.read_interactions`` and
-``io.write_interactions`` at n = 8 and 10, on the sparse game (its table
-and its 15 effects) and on a dense normal table and effect set, each the
-best of several repeats on files in a temporary directory. Each prints the
-nonzero effects and the bytes of the table and effect files, and the rows
-end with one JSON line with the keys n, effects, nonzero, table_bytes,
-effects_bytes, read_table_s, read_interactions_s and write_interactions_s.
+The I/O rows time ``io.read_table``, ``io.write_table``,
+``io.read_interactions`` and ``io.write_interactions`` at n = 8, 10 and 12,
+on the sparse game (its table and its 15 effects) and on a dense normal
+table and effect set, each the best of several repeats on files in a
+temporary directory. Each prints the nonzero effects and the bytes of the
+table and effect files, and the rows end with one JSON line with the keys
+n, effects, nonzero, table_bytes, effects_bytes, read_table_s,
+write_table_s, read_interactions_s and write_interactions_s.
 
 ``tests/test_bench_transforms.py`` runs the kernel and objective rows, and
 the solver, fresh-process, oracle and I/O rows at n = 6, as a smoke test;
@@ -272,18 +273,18 @@ def oracle_rows(rng, ns=(8, 10, 12, 14)):
     print(json.dumps(rows))
 
 
-def io_rows(rng, ns=(8, 10)):
+def io_rows(rng, ns=(8, 10, 12)):
     """Print one row per (n, effect set) of ns: the best of several repeats
-    of ``io.read_table`` of a table file, and of ``io.read_interactions``
-    and ``io.write_interactions`` of an effect file, for the sparse game
-    (its table and its effects) and for a dense normal table and effect set,
-    with the nonzero effects and the two files' sizes; then all rows as one
-    JSON line, a list of objects with the keys n, effects, nonzero,
-    table_bytes, effects_bytes, read_table_s, read_interactions_s and
-    write_interactions_s."""
+    of ``io.read_table`` and ``io.write_table`` of a table file, and of
+    ``io.read_interactions`` and ``io.write_interactions`` of an effect
+    file, for the sparse game (its table and its effects) and for a dense
+    normal table and effect set, with the nonzero effects and the two files'
+    sizes; then all rows as one JSON line, a list of objects with the keys
+    n, effects, nonzero, table_bytes, effects_bytes, read_table_s,
+    write_table_s, read_interactions_s and write_interactions_s."""
     print("\nio (best of several repeats)")
     print(f"{'n':>4} {'effects':>8} {'nonzero':>8} {'table B':>9} {'effects B':>10} "
-          f"{'read tab':>10} {'read eff':>10} {'write eff':>10}")
+          f"{'read tab':>10} {'write tab':>10} {'read eff':>10} {'write eff':>10}")
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         table_file, effects_file = Path(tmp) / "table.json", Path(tmp) / "effects.json"
@@ -305,6 +306,8 @@ def io_rows(rng, ns=(8, 10)):
                        "effects_bytes": effects_file.stat().st_size,
                        "read_table_s": best_time(aio.read_table, lambda: table_file,
                                                  repeats),
+                       "write_table_s": best_time(
+                           lambda v: aio.write_table(v, table_file), lambda: table, repeats),
                        "read_interactions_s": best_time(aio.read_interactions,
                                                         lambda: effects_file, repeats),
                        "write_interactions_s": best_time(
@@ -313,7 +316,8 @@ def io_rows(rng, ns=(8, 10)):
                 print(f"{n:>4} {name:>8} {row['nonzero']:>8} {row['table_bytes']:>9} "
                       f"{row['effects_bytes']:>10} " + " ".join(
                           f"{row[k] * 1e3:>8.3f}ms" for k in
-                          ("read_table_s", "read_interactions_s", "write_interactions_s")))
+                          ("read_table_s", "write_table_s", "read_interactions_s",
+                           "write_interactions_s")))
                 rows.append(row)
     print(json.dumps(rows))
 

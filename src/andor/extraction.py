@@ -583,7 +583,8 @@ def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None 
     status = highs.getModelStatus()
     code = {core.HighsModelStatus.kOptimal: 0,
             core.HighsModelStatus.kIterationLimit: 1}.get(status, 4)
-    x = np.array(highs.getSolution().col_value) if code == 0 else None
+    x = (np.fromiter(highs.getSolution().col_value, float, count=lp.num_col_)
+         if code == 0 else None)
     return _LpResult(code, highs.modelStatusToString(status), x,
                      highs.getInfo().simplex_iteration_count)
 

@@ -1,11 +1,18 @@
 """File formats: JSON documents for tables and interaction sets, CSV reports.
 
-This is the one module that reads or writes JSON. All numbers are
-serialized with repr (full-precision decimal, locale independent) and all
-JSON keys are sorted, so writing the same object twice produces
-byte-identical files. The readers parse with orjson, which reads every
-written float back bit for bit, and check every field's JSON type (a
-boolean is no number). On a malformed document they raise:
+This is the one module that reads or writes JSON. Every file is laid out
+as ``json.dumps(doc, sort_keys=True, indent=1)`` lays it out, with a final
+newline, and spells every float as repr does (the shortest decimal that
+reads back bit for bit, locale independent), so writing the same object
+twice produces byte-identical files. ``write_table`` and
+``write_interactions`` lay out their fixed documents themselves, because
+``indent`` forces json's pure-Python encoder: orjson's C formatter spells
+the floats (``_floats``), and only the few it spells unlike repr, below
+1e-4 or from 1e16 in magnitude, are respelled with repr. ``write_json``
+keeps ``json.dumps`` for the small sidecar documents, whose keys are not
+fixed. The readers parse with orjson, which reads every written float back
+bit for bit, and check every field's JSON type (a boolean is no number).
+On a malformed document they raise:
 
 - orjson.JSONDecodeError, a ValueError, on text that is not strict JSON:
   a NaN or Infinity literal, a number beyond the float range, a lone
@@ -58,13 +65,42 @@ def write_json(doc: dict, path) -> None:
     Path(path).write_text(text + "\n")
 
 
+def _floats(values) -> list[str]:
+    """Each entry of the float64 array ``values`` spelt as repr spells it.
+
+    orjson writes the same shortest round-trip digits as repr, but keeps
+    positional notation below 1e-4 (``0.00001`` for ``1e-05``) and spells
+    1e16 and up without the exponent's sign (``1e16`` for ``1e+16``);
+    those entries are respelled with repr. orjson would write a non-finite
+    value as null, so one raises ValueError.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot write a non-finite value")
+    if not values.size:
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for i in np.flatnonzero((size < 1e-4) & (size > 0) | (size >= 1e16)).tolist():
+        text[i] = repr(float(values[i]))
+    return text
+
+
+def _write_document(fields: dict[str, str | list[str]], path) -> None:
+    """The object of the already-spelt ``fields``, laid out as write_json
+    lays it out; a list field is given as the list of its spelt items."""
+    def value(v):
+        if not isinstance(v, list):
+            return v
+        return ("[\n  " + ",\n  ".join(v) + "\n ]") if v else "[]"
+
+    Path(path).write_text("{\n" + ",\n".join(
+        f' "{key}": {value(fields[key])}' for key in sorted(fields)) + "\n}\n")
+
+
 def write_table(v: ValueTable, path) -> None:
-    write_json({
-        "n": v.n,
-        "label": v.label,
-        "values": [float(x) for x in v.values],
-        "meta": v.meta,
-    }, path)
+    _write_document({"n": str(v.n), "label": json.dumps(v.label), "meta": json.dumps(v.meta),
+                     "values": _floats(v.values)}, path)
 
 
 def read_table(path) -> ValueTable:
@@ -76,17 +112,14 @@ def read_table(path) -> ValueTable:
 
 def write_interactions(iset: InteractionSet, path) -> None:
     """Sparse (mask, value) lists of the nonzero effects."""
-    def entries(effects):
-        return [{"mask": int(m), "value": float(effects[m])}
-                for m in np.flatnonzero(effects) if m != 0]
+    def entries(row):
+        masks = np.flatnonzero(row[1:]) + 1
+        return [f'{{\n   "mask": {m},\n   "value": {x}\n  }}'
+                for m, x in zip(masks.tolist(), _floats(row[masks]))]
 
-    write_json({
-        "n": iset.n,
-        "label": iset.label,
-        "bias": float(iset.bias),
-        "and": entries(iset.i_and),
-        "or": entries(iset.i_or),
-    }, path)
+    _write_document({"n": str(iset.n), "label": json.dumps(iset.label),
+                     "bias": _floats([iset.bias])[0],
+                     "and": entries(iset.i_and), "or": entries(iset.i_or)}, path)
 
 
 def read_interactions(path) -> InteractionSet:

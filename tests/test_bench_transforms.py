@@ -87,10 +87,11 @@ def test_bench_transforms_io_rows_end_with_one_json_line(capsys):
     assert [(r["n"], r["effects"]) for r in rows] == [(6, "sparse"), (6, "dense")]
     for row, cells in zip(rows, printed, strict=True):
         assert set(row) == {"n", "effects", "nonzero", "table_bytes", "effects_bytes",
-                            "read_table_s", "read_interactions_s", "write_interactions_s"}
+                            "read_table_s", "write_table_s", "read_interactions_s",
+                            "write_interactions_s"}
         assert [str(row[k]) for k in ("effects", "nonzero", "table_bytes",
                                       "effects_bytes")] == cells[1:5]
-        assert min(row["read_table_s"], row["read_interactions_s"],
+        assert min(row["read_table_s"], row["write_table_s"], row["read_interactions_s"],
                    row["write_interactions_s"]) > 0
     # 15 order-3 effects; a dense set has every slot but the two empty-set ones
     assert [r["nonzero"] for r in rows] == [15, 2 * 64 - 2]

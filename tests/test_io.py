@@ -1,4 +1,7 @@
-"""The table and effect files store every finite float64 exactly."""
+"""The table and effect files store every finite float64 exactly, in the
+text json.dumps(doc, sort_keys=True, indent=1) writes."""
+
+import json
 
 import numpy as np
 import pytest
@@ -48,3 +51,57 @@ def test_effects_round_trip_every_finite_float(scratch, rows, bias):
     # a zero effect is not stored, so -0.0 reads back as 0.0
     assert bits(read.effects) == bits(effects + 0.0)
     assert bits(read.bias) == bits(bias)
+
+
+# Floats from random bit patterns, and zeros, which an effect file leaves out.
+BIT_FLOATS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64))).filter(np.isfinite)
+ROW16 = st.lists(BIT_FLOATS | st.just(0.0), min_size=16, max_size=16)
+# Where orjson's spelling leaves repr's (1e-4 and 1e16) and the extremes.
+SPELLINGS = [float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e16, 0)), 1e16,
+             5e-324, -0.0, 1.7976931348623157e308, -1e-7, 0.1]
+LABEL = 'a "quoted" \\ back\nslash, é ☃ 𝄞'
+
+
+def dumps_text(doc: dict) -> str:
+    """The text write_json writes for ``doc``."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(0, 4), values=ROW16, label=st.text(max_size=8))
+@example(n=4, values=[*SPELLINGS, *(-x for x in SPELLINGS[:7])], label=LABEL)
+@example(n=0, values=[1e16] * 16, label="")
+def test_table_text_is_json_dumps_of_its_document(scratch, n, values, label):
+    path = scratch / "table.json"
+    v = ValueTable(n=n, values=values[:1 << n], label=label, meta=label[::-1])
+    aio.write_table(v, path)
+    assert path.read_text() == dumps_text({
+        "n": n, "label": label, "values": [float(x) for x in v.values], "meta": v.meta})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(0, 4), rows=st.tuples(ROW16, ROW16), bias=BIT_FLOATS,
+       label=st.text(max_size=8))
+@example(n=4, rows=([0.0, *SPELLINGS, *(-x for x in SPELLINGS[:6])], [0.0] * 16),
+         bias=-0.0, label=LABEL)
+@example(n=0, rows=([0.0] * 16, [0.0] * 16), bias=1e-5, label="")
+@example(n=3, rows=([0.0] * 16, [0.0, *SPELLINGS[::-1], *[0.0] * 6]), bias=1e16, label=LABEL)
+def test_effects_text_is_json_dumps_of_its_document(scratch, n, rows, bias, label):
+    path = scratch / "effects.json"
+    effects = np.array(rows)[:, :1 << n]
+    effects[:, 0] = 0.0
+    aio.write_interactions(InteractionSet(n=n, effects=effects, bias=bias, label=label), path)
+
+    def entries(row):
+        return [{"mask": int(m), "value": float(row[m])} for m in np.flatnonzero(row) if m != 0]
+
+    assert path.read_text() == dumps_text({
+        "n": n, "label": label, "bias": float(bias),
+        "and": entries(effects[0]), "or": entries(effects[1])})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_floats_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        aio._floats(np.array([1.0, bad]))
