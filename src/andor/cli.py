@@ -239,10 +239,11 @@ def cmd_diagnose(args) -> int:
     v, iset = _read_inputs(args.table, args.interactions)
     tau = args.tau_absolute if args.tau_absolute is not None else \
         salience_threshold([v], args.tau_fraction)
-    diag = sparsity_diagnostics(v, iset, tau, args.max_order)
+    max_order = min(3, v.n) if args.max_order is None else args.max_order
+    diag = sparsity_diagnostics(v, iset, tau, max_order)
     lines = [
         f"condition1_max_order_ok: {diag.condition1_ok} "
-        f"(max salient order {diag.max_salient_order}, bound {args.max_order})",
+        f"(max salient order {diag.max_salient_order}, bound {max_order})",
         f"condition2_monotone_ok: {diag.condition2_ok}"
         + ("" if diag.condition2_violation is None
            else f" (violated at k={diag.condition2_violation})"),
@@ -341,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--interactions", required=True)
     dp.add_argument("--tau-absolute", type=float, default=None)
     dp.add_argument("--tau-fraction", type=float, default=DEFAULT_SALIENCE_FRACTION)
-    dp.add_argument("--max-order", type=int, default=3)
+    dp.add_argument("--max-order", type=int, default=None,
+                    help="bound of condition 1 (default: min(3, n))")
     dp.add_argument("--out", default=None)
     dp.set_defaults(func=cmd_diagnose)
 

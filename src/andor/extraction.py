@@ -227,6 +227,9 @@ def all_and(v: ValueTable) -> InteractionSet:
     effects = np.zeros((2, v.values.size))
     effects[0] = mobius_and(v.values)
     effects[0, 0] = 0.0
+    if not np.isfinite(np.abs(effects[0]).sum()):
+        # v is finite, so its effects or their L1 overflow float64: an input error
+        raise ValueError("the table's effects overflow float64")
     return _interaction_set(v, effects)
 
 

@@ -42,6 +42,8 @@ class OrderProfile:
             raise ValueError("profiles must have one entry per order 1..n")
         if np.any(self.j_pos < 0) or np.any(self.j_neg < 0):
             raise ValueError("order strengths are sums of magnitudes, >= 0")
+        if not (np.isfinite(self.j_pos).all() and np.isfinite(self.j_neg).all()):
+            raise ValueError("order strengths overflow float64")
 
     def total_strength(self) -> float:
         return float(self.j_pos.sum() + self.j_neg.sum())
@@ -95,6 +97,9 @@ def _min_max(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ratio(lo: float, hi: float) -> float:
+    if not math.isfinite(hi):
+        # the effects are finite, so their summed mass overflowed float64
+        raise ValueError("the effect mass overflows float64")
     return float(lo / hi) if hi > 0.0 else UNDEFINED
 
 
@@ -131,7 +136,8 @@ def per_order_jaccard(sets_a: list[InteractionSet], sets_b: list[InteractionSet]
 
     Each sample goes through ``filter_salient`` before averaging, so the
     distributions carry exactly the slots that survive in either collection.
-    A collection passed as both arguments is averaged once.
+    A collection passed as both arguments is averaged once. Raises
+    ValueError where a summed max-mass overflows float64.
     """
     da = mean_distribution([filter_salient(s, tau) for s in sets_a])
     db = da if sets_b is sets_a else \

@@ -25,18 +25,19 @@ the pairs, so the results are bit-identical to the unchunked sums.
 its AND and OR sums as one pass over complex terms, and gathers only the
 blocks of the ``L`` whose AND or OR effect is nonzero, so its cost follows
 the supersets of the nonzero effects: 15 order-3 effects at n = 10 take
-15 * 2**7 = 1920 of the 59049 pairs. A gathered pair costs more than a
-walked one (two more index gathers, and adds that jump about), so where the
-kept blocks hold more than GATHER_SHARE of the pairs it walks the whole
-table instead: on random sets at n = 8 and 10, gathering broke even at
-about half of the pairs. Denoised n = 8 net files keep 42-64% of the
-pairs, and dense files all but the empty set's block, so both walk.
+15 * 2**7 = 1920 of the 59049 pairs. It indexes the kept pairs once, in one
+int32 array of at most GATHER_SHARE * 3**n entries (4.8 MB at n = 14,
+beside the 43 MB pair table). A gathered pair costs more than a walked one
+(two more index gathers, and adds that jump about), so where the kept
+blocks hold more than GATHER_SHARE of the pairs it walks the whole table
+instead: on random sets at n = 8 and 10, gathering broke even at about
+half of the pairs. Denoised n = 8 net files keep 42-64% of the pairs, and
+dense files all but the empty set's block, so both walk.
 A skipped term is +0.0 or -0.0. Adding either to a partial sum that starts
 at +0.0 leaves it as it was, since such a sum is never -0.0, so skipping
 changes no bit of the result.
 """
 
-from bisect import bisect_left, bisect_right
 from functools import cache
 
 import numpy as np
@@ -114,40 +115,19 @@ def _blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _chunks(n: int, keep: np.ndarray | None):
     """Index the pair table PAIR_CHUNK pairs at a time, in table order: only
-    the blocks of the L where keep[L] is True when they hold at most
-    GATHER_SHARE of the pairs, else all of it, as slices."""
-    if keep is not None:
-        start, width = _blocks(n)
-        if np.dot(width, keep[::-1]) <= GATHER_SHARE * 3 ** n:
-            # runs of kept blocks begin and end where keep changes
-            flags = np.zeros(keep.size + 2, dtype=bool)
-            flags[1:-1] = keep[::-1]
-            bounds = start[np.flatnonzero(flags[1:] != flags[:-1])]
-            yield from _gather_chunks(bounds[0::2], bounds[1::2])
-            return
-    for c in range(0, 3 ** n, PAIR_CHUNK):
-        yield slice(c, c + PAIR_CHUNK)
-
-
-def _gather_chunks(lo: np.ndarray, hi: np.ndarray):
-    """Index the pairs of the runs lo[r] to hi[r] - 1, PAIR_CHUNK at a time:
-    a chunk inside one run is a slice, one that spans runs an index array."""
-    # the kept pairs are numbered 0, 1, ... in table order; run r holds the
-    # numbers first[r] to ends[r] - 1, which lie shift[r] further on
-    ends = np.cumsum(hi - lo)
-    first = ends - (hi - lo)
-    shift = lo - first
-    ends_at, shift_at = ends.tolist(), shift.tolist()
-    total = ends_at[-1] if ends_at else 0
-    for c in range(0, total, PAIR_CHUNK):
-        d = min(c + PAIR_CHUNK, total)
-        r, last = bisect_right(ends_at, c), bisect_left(ends_at, d)
-        if r == last:
-            yield slice(c + shift_at[r], d + shift_at[r])
-        else:
-            runs = slice(r, last + 1)
-            counts = np.minimum(ends[runs], d) - np.maximum(first[runs], c)
-            yield np.arange(c, d) + np.repeat(shift[runs], counts)
+    the blocks of the L where keep[L] is True, by one index array, when they
+    hold at most GATHER_SHARE of the pairs, else all of it, as slices."""
+    start, width = _blocks(n)
+    if keep is None or np.dot(width, keep[::-1]) > GATHER_SHARE * 3 ** n:
+        yield from (slice(c, c + PAIR_CHUNK) for c in range(0, 3 ** n, PAIR_CHUNK))
+        return
+    # each kept block's start, less the kept pairs before it, repeated over
+    # its width, plus a running count of the kept pairs
+    kept = keep[::-1]
+    w = width[kept]
+    index = np.repeat(start[:-1][kept] - np.cumsum(w, dtype=np.int32) + w, w)
+    index += np.arange(index.size, dtype=np.int32)
+    yield from (index[c:c + PAIR_CHUNK] for c in range(0, index.size, PAIR_CHUNK))
 
 
 def _pair_sums(values: np.ndarray, n: int, signed: bool,

@@ -343,6 +343,21 @@ def test_diagnose_n1_kappa_fit_undefined(tmp_path):
     assert "kappa_fit: undefined\n" in (tmp_path / "d.txt").read_text()
 
 
+def test_diagnose_n2_defaults_max_order_to_n(tmp_path, capsys):
+    """Without --max-order the bound is min(3, n), so an n = 2 table is
+    diagnosed rather than refused."""
+    tabs, isets = tmp_path / "tabs", tmp_path / "isets"
+    assert run("synth", "--out", tabs, "--n", "2", "--m", "1", "--orders", "2:1.0") == 0
+    assert run("extract", "--in", tabs, "--out", isets, "--mode", "all-and") == 0
+    capsys.readouterr()
+    assert run("diagnose", "--table", tabs / "table_0000.json",
+               "--interactions", isets / "sample_0000.json") in (0, 1)
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 5
+    assert lines[0].startswith("condition1_max_order_ok: ") and lines[0].endswith(", bound 2)")
+
+
 def test_axioms_command_passes(tmp_path):
     assert run("axioms", "--n", "4", "--trials", "30", "--seed", "1",
                "--out", tmp_path / "ax.txt") == 0
@@ -725,6 +740,48 @@ def test_broken_files_exit_2_with_one_error_line(intact_inputs, case, data):
             rc = main(args)
     assert rc == 2, text
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _effect_file(path, n, entries):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"n": n, "label": path.stem, "bias": 0.0, "or": [],
+                                "and": [{"mask": m, "value": x} for m, x in entries]}))
+
+
+# Finite inputs whose effects, or the sums the analysis commands take of
+# them, overflow float64, by test id.
+OVERFLOW_COMMANDS = {
+    "extract-all-and": ("extract", "--in", "{root}/tabs", "--out", "{root}/out",
+                        "--mode", "all-and"),
+    "extract-no-denoise": ("extract", "--in", "{root}/tabs", "--out", "{root}/out",
+                           "--no-denoise"),
+    "profile": ("profile", "--in", "{root}/big", "--out", "{root}/p.csv"),
+    "compare": ("compare", "--a", "{root}/big", "--b", "{root}/big", "--out", "{root}/c.csv"),
+    "similarity": ("similarity", "--train", "{root}/pair", "--test", "{root}/pair",
+                   "--out", "{root}/s.csv"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_COMMANDS)
+def test_overflowing_sums_exit_2_with_one_error_line(tmp_path, case):
+    """The table [0, 1e308, 1e308, 1e308] has the finite AND effects 1e308,
+    1e308 and -1e308, whose L1 overflows; profile sums the first two into
+    one order; two files with 1e308 on mask 1 overflow similarity's mass."""
+    (tmp_path / "tabs").mkdir()
+    aio.write_table(ValueTable(n=2, values=[0.0, 1e308, 1e308, 1e308]),
+                    tmp_path / "tabs" / "table_0000.json")
+    _effect_file(tmp_path / "big" / "x.json", 2, [(1, 1e308), (2, 1e308), (3, -1e308)])
+    for label in ("a", "b"):
+        _effect_file(tmp_path / "pair" / f"{label}.json", 2, [(1, 1e308)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([a.format(root=tmp_path) for a in OVERFLOW_COMMANDS[case]])
+    assert rc == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "overflow" in err.getvalue()
+    # nothing written, though extract has made --out before reading a table
+    assert not any((tmp_path / name).exists() for name in ("p.csv", "c.csv", "s.csv"))
+    assert list(tmp_path.glob("out/*")) == []
 
 
 def _two_nets_tables(root, seed, samples=4, n=8):

@@ -29,6 +29,21 @@ def test_no_unused_imports():
     assert [hit for p in modules for hit in unused_imports(p)] == []
 
 
+def test_oracle_imports_no_transform():
+    """The oracle takes only its size check from the package, so it shares
+    no code with the fast transforms it certifies."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    own = set()
+    for node in ast.walk(tree):
+        module = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("andor")):
+            own |= {(module.removeprefix("andor."), alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            own |= {(alias.name, None) for alias in node.names
+                    if alias.name.startswith("andor")}
+    assert own == {("lattice", "LatticeSizeError"), ("lattice", "infer_n")}
+
+
 def names_highspy(node: ast.AST) -> bool:
     """Whether node imports from, or is a string naming, scipy's ``_highspy``."""
     if isinstance(node, ast.ImportFrom):

@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from andor import oracle
 from andor.extraction import all_and, even_split, sparsify
 from andor.lattice import LatticeSizeError, mobius_and, mobius_or
 from andor.models import ValueTable, interaction_function_table
-from andor.oracle import (PAIR_CHUNK, _submask_pairs, brute_and, brute_or,
-                          conditioned_and, reconstruct, verify_matching)
+from andor.oracle import (GATHER_SHARE, PAIR_CHUNK, _submask_pairs, brute_and,
+                          brute_or, conditioned_and, reconstruct, verify_matching)
 
 
 def test_brute_and_hand_example():
@@ -122,6 +124,27 @@ def test_reconstruct_sums_only_the_pairs_of_nonzero_effects(monkeypatch, kind, p
     assert sum(summed) == pairs
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 4096])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(0, 8), share=st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5, share=0.0, seed=0)
+def test_chunks_index_the_kept_blocks_or_the_whole_table(chunk, n, share, seed):
+    """The chunks, PAIR_CHUNK pairs each but the last, list the pairs of
+    the kept blocks in table order when those hold at most GATHER_SHARE of
+    the pairs, else every pair; an all-False keep yields no chunk."""
+    keep = np.random.default_rng(seed).random(1 << n) < share
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "PAIR_CHUNK", chunk)
+        chunks = [np.arange(3 ** n)[c] for c in oracle._chunks(n, keep)]
+    width = oracle._blocks(n)[1]
+    kept = np.flatnonzero(np.repeat(keep[::-1], width))
+    want = kept if kept.size <= GATHER_SHARE * 3 ** n else np.arange(3 ** n)
+    assert [c.size for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert keep.any() or chunks == []
+    assert np.array_equal(np.concatenate([np.empty(0, int), *chunks]), want)
+
+
 def test_reconstruct_at_n12_allocates_chunks_not_pair_arrays():
     """One reconstruct at n = 12 (pair list cached) peaks below 1 MiB; a
     gather of all 3**12 terms alone takes 4.25 MB."""
@@ -130,6 +153,26 @@ def test_reconstruct_at_n12_allocates_chunks_not_pair_arrays():
     tracemalloc.start()
     try:
         reconstruct(i_and, i_or, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gathered_reconstruct_at_n12_stays_below_one_mib():
+    """A sparse n = 12 set, 15 order-3 effects, is gathered, not walked:
+    its 15 * 2**9 kept pairs are indexed at once, and the peak stays below
+    the walked dense set's bound."""
+    rng = np.random.default_rng(212)
+    order3 = [m for m in range(1 << 12) if m.bit_count() == 3]
+    masks = rng.choice(order3, size=15, replace=False)
+    rows = np.zeros((2, 1 << 12))
+    rows[rng.integers(0, 2, size=15), masks] = rng.normal(size=15)
+    assert 15 * 2 ** 9 <= GATHER_SHARE * 3 ** 12
+    reconstruct(*rows, 0.0)
+    tracemalloc.start()
+    try:
+        reconstruct(*rows, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
