@@ -5,10 +5,11 @@ the oracle's reconstruction of sparse and dense effect sets.
 Run directly: python benchmarks/bench_transforms.py [max_n]
 
 The kernels are timed on one lattice vector and on a (2, 2**n) stack, the
-shape of the batched calls inside the denoised objective. The objective
-rows time one value-plus-gradient evaluation of the smoothed L1 objective
-(``extraction._loss_grad``), with and without denoising, at n = 8, 10, 14.
-Each of these figures is the best of several repeats.
+shape of the batched calls inside the denoised objective, at even n from 10
+to max_n, by default ``lattice.MAX_N``, the largest n a command accepts.
+The objective rows time one value-plus-gradient evaluation of the smoothed
+L1 objective (``extraction._loss_grad``), with and without denoising, at
+n = 8, 10, 14. Each of these figures is the best of several repeats.
 
 The solver rows time one solve per table, with and without denoising, on a
 random normal table, a net table and a sparse game of the criterion-4 kind
@@ -79,7 +80,7 @@ from andor import io as aio
 from andor.extraction import (LP_MAX_N, ZETA_FRACTION, InteractionSet, _loss_grad,
                               _lp_matrix, _lp_model, _lp_solve, _objective_base,
                               sparsify)
-from andor.lattice import _diff_transform, _sum_transform, order_counts
+from andor.lattice import MAX_N, _diff_transform, _sum_transform, order_counts
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
 from andor.oracle import reconstruct
@@ -323,7 +324,7 @@ def io_rows(rng, ns=(8, 10, 12)):
 
 
 def main():
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 20
+    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else MAX_N
     rng = np.random.default_rng(0)
     kernels(max_n, rng)
     objective(rng)

@@ -23,7 +23,8 @@ picks its solver from the table size n:
   net outputs) thousands. A table whose LP needs more goes to the Huber
   continuation below and comes out exactly as it would without the LP
   attempt.
-- n > LP_MAX_N: a smoothed-L1 (Huber) continuation with L-BFGS-B
+- n = 11..14 (above LP_MAX_N, up to ``lattice.MAX_N``), and n = 10 tables
+  past the pivot budget: a smoothed-L1 (Huber) continuation with L-BFGS-B
   (``_smoothed_sparsify``), which stops near the minimum. In the raw gamma
   coordinates the objective's curvature spans a factor exponential in n and
   first-order methods stall; in theta coordinates it converges in a few
@@ -133,7 +134,6 @@ from .lattice import (mobius_and, mobius_or, order_counts, table_size,
                       zeta_subsets, zeta_supersets)
 from .models import ValueTable
 
-SPARSIFY_MAX_N = 20
 # The LP solves n <= LP_MAX_N; at n = LP_MAX_N its dual simplex stops after
 # 2**(n-1) pivots.
 LP_MAX_N = 10
@@ -659,8 +659,6 @@ def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
     - empty at n = 0, where the even split is the only split and no solver
       runs.
     """
-    if v.n > SPARSIFY_MAX_N:
-        raise ValueError(f"dense sparsify is capped at n <= {SPARSIFY_MAX_N}")
     values = v.values
     size = values.size
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0

@@ -8,11 +8,16 @@ copy. Each transform also takes a ``(k, 2**n)`` stack of lattice vectors and
 transforms every row in one kernel call; every row gets the same operations
 in the same order as a 1-D call, so batched rows are bit-identical to
 transforming each row alone.
+
+MAX_N is the package's one limit on input size: every table and effect file
+is refused above it as it is read or built. It is 14 because every file a
+command writes must be checkable by the brute-force ``oracle``, whose table
+of the 3**n (mask, subset) pairs takes 43 MB at n = 14.
 """
 
 import numpy as np
 
-MAX_N = 24
+MAX_N = 14
 
 
 class LatticeSizeError(ValueError):
@@ -22,7 +27,7 @@ class LatticeSizeError(ValueError):
 def table_size(n: int) -> int:
     """2**n, for 0 <= n <= MAX_N; checked before anything allocates a table."""
     if not 0 <= n <= MAX_N:
-        raise LatticeSizeError(f"n={n} is outside 0..{MAX_N}")
+        raise LatticeSizeError(f"n={n} is outside the size limit 0 <= n <= {MAX_N}")
     return 1 << n
 
 
@@ -35,8 +40,7 @@ def _size_to_n(size: int) -> int:
     n = size.bit_length() - 1
     if size <= 0 or (1 << n) != size:
         raise LatticeSizeError(f"lattice vector length {size} is not a power of two")
-    if n > MAX_N:
-        raise LatticeSizeError(f"n={n} exceeds the hard cap {MAX_N}")
+    table_size(n)                       # refuses n > MAX_N
     return n
 
 

@@ -69,13 +69,17 @@ def order_profile(iset: InteractionSet, tau: float = 0.0) -> OrderProfile:
 
 
 def average_order(p: OrderProfile) -> float:
-    """Strength-weighted mean order; UNDEFINED on an all-zero profile."""
+    """Strength-weighted mean order; UNDEFINED on an all-zero profile.
+    Raises ValueError where the total strength or its order-weighted sum
+    overflows float64."""
     weights = p.j_pos + p.j_neg
     total = weights.sum()
+    weighted = (np.arange(1, p.n + 1, dtype=np.float64) * weights).sum()
+    if not (np.isfinite(total) and np.isfinite(weighted)):
+        raise ValueError("the order strengths' sum overflows float64")
     if total <= 0.0:
         return UNDEFINED
-    ks = np.arange(1, p.n + 1, dtype=np.float64)
-    return float((ks * weights).sum() / total)
+    return float(weighted / total)
 
 
 def mean_distribution(sets: list[InteractionSet]) -> np.ndarray:

@@ -9,7 +9,7 @@ the table, found by its offset in ``_blocks``. ``_pair_sums`` adds each
 pair's term into its ``S`` slot, one term at a time in the table order, so
 each ``S`` receives its terms in descending ``L`` order. No partial sums
 are shared between masks, unlike the O(n * 2**n) fast transforms these
-paths certify. Size is capped at n <= 14.
+paths certify.
 
 ``_pair_sums`` gathers the terms PAIR_CHUNK pairs at a time, not all 3**n at
 once. One gather of all of them allocates a float64 array of 3**n entries
@@ -44,19 +44,11 @@ import numpy as np
 
 from .lattice import LatticeSizeError, infer_n
 
-ORACLE_MAX_N = 14
 # Pairs per chunk of _pair_sums: 32 KB of float64 terms, 64 KB of complex.
 PAIR_CHUNK = 4096
 # The largest share of the pairs that _pair_sums gathers block by block
 # rather than walking the whole table (module docstring).
 GATHER_SHARE = 0.25
-
-
-def _check_size(values: np.ndarray) -> int:
-    n = infer_n(values)
-    if n > ORACLE_MAX_N:
-        raise LatticeSizeError(f"oracle paths are capped at n <= {ORACLE_MAX_N}, got {n}")
-    return n
 
 
 @cache
@@ -152,14 +144,14 @@ def _pair_sums(values: np.ndarray, n: int, signed: bool,
 def brute_and(u) -> np.ndarray:
     """Literal evaluation of I[T] = sum_{L subset T} (-1)^(|T|-|L|) u[L]."""
     arr = np.asarray(u, dtype=np.float64)
-    return _pair_sums(arr, _check_size(arr), signed=True)
+    return _pair_sums(arr, infer_n(arr), signed=True)
 
 
 def brute_or(u) -> np.ndarray:
     """Literal evaluation of I[T] = -sum_{L subset T} (-1)^(|T|-|L|) u[N\\L]."""
     arr = np.asarray(u, dtype=np.float64)
     # u[N\L] is the reversed table's entry at L
-    return -_pair_sums(arr[::-1], _check_size(arr), signed=True)
+    return -_pair_sums(arr[::-1], infer_n(arr), signed=True)
 
 
 def reconstruct(i_and, i_or, bias: float) -> np.ndarray:
@@ -172,7 +164,7 @@ def reconstruct(i_and, i_or, bias: float) -> np.ndarray:
     """
     ia = np.asarray(i_and, dtype=np.float64)
     io = np.asarray(i_or, dtype=np.float64)
-    n = _check_size(ia)
+    n = infer_n(ia)
     if ia.size != io.size:
         raise LatticeSizeError("AND and OR effect vectors must have equal length")
     size = ia.size
@@ -198,7 +190,7 @@ def verify_matching(table, interactions, delta) -> float:
     never judges.
     """
     v = np.asarray(table.values, dtype=np.float64)
-    _check_size(v)
+    infer_n(v)
     h = reconstruct(interactions.i_and, interactions.i_or, interactions.bias)
     target = v - np.asarray(delta, dtype=np.float64)
     return float(np.max(np.abs(h - target)))
@@ -209,7 +201,7 @@ def conditioned_and(table, t_mask: int, i: int) -> float:
     sum_{L subset T} (-1)^(|T|-|L|) v(x_{L union {i}}).
     """
     v = np.asarray(table.values, dtype=np.float64)
-    _check_size(v)
+    infer_n(v)
     bit = 1 << (i - 1)
     if t_mask & bit:
         raise ValueError(f"variable {i} must not be a member of T")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import andor
 from andor import io as aio
 from andor.cli import build_parser, main
+from andor.lattice import MAX_N
 from andor.metrics import order_profile
 from andor.models import MaskingScheme, TinyNet, ValueTable, net_value_table
 from test_acceptance import recovery_game
@@ -757,6 +758,8 @@ OVERFLOW_COMMANDS = {
                            "--no-denoise"),
     "profile": ("profile", "--in", "{root}/big", "--out", "{root}/p.csv"),
     "compare": ("compare", "--a", "{root}/big", "--b", "{root}/big", "--out", "{root}/c.csv"),
+    "compare-total": ("compare", "--a", "{root}/total", "--b", "{root}/total",
+                      "--out", "{root}/c.csv"),
     "similarity": ("similarity", "--train", "{root}/pair", "--test", "{root}/pair",
                    "--out", "{root}/s.csv"),
 }
@@ -766,11 +769,14 @@ OVERFLOW_COMMANDS = {
 def test_overflowing_sums_exit_2_with_one_error_line(tmp_path, case):
     """The table [0, 1e308, 1e308, 1e308] has the finite AND effects 1e308,
     1e308 and -1e308, whose L1 overflows; profile sums the first two into
-    one order; two files with 1e308 on mask 1 overflow similarity's mass."""
+    one order; 1e308 on masks 1 and 3 has finite per-order strengths whose
+    total overflows compare's average order; two files with 1e308 on mask 1
+    overflow similarity's mass."""
     (tmp_path / "tabs").mkdir()
     aio.write_table(ValueTable(n=2, values=[0.0, 1e308, 1e308, 1e308]),
                     tmp_path / "tabs" / "table_0000.json")
     _effect_file(tmp_path / "big" / "x.json", 2, [(1, 1e308), (2, 1e308), (3, -1e308)])
+    _effect_file(tmp_path / "total" / "x.json", 2, [(1, 1e308), (3, 1e308)])
     for label in ("a", "b"):
         _effect_file(tmp_path / "pair" / f"{label}.json", 2, [(1, 1e308)])
     err = io.StringIO()
@@ -782,6 +788,31 @@ def test_overflowing_sums_exit_2_with_one_error_line(tmp_path, case):
     # nothing written, though extract has made --out before reading a table
     assert not any((tmp_path / name).exists() for name in ("p.csv", "c.csv", "s.csv"))
     assert list(tmp_path.glob("out/*")) == []
+
+
+def test_files_above_the_size_limit_exit_2_with_one_error_line(tmp_path):
+    """A table and an effect file at n = MAX_N + 1, written as raw JSON since
+    no ValueTable holds them, are refused as each command reads them: one
+    error line, and nothing written."""
+    n = MAX_N + 1
+    (tmp_path / "tabs").mkdir()
+    (tmp_path / "tabs" / "table_0000.json").write_text(
+        json.dumps({"n": n, "label": "big", "values": [0.0] * (1 << n)}))
+    _effect_file(tmp_path / "effects" / "big.json", n, [(1, 1.0)])
+    commands = [("extract", "--in", "{root}/tabs", "--out", "{root}/out", "--mode", mode)
+                for mode in ("sparsify", "all-and")]
+    commands += [("oracle", "verify", "--table", "{root}/tabs/table_0000.json",
+                  "--interactions", "{root}/effects/big.json"),
+                 ("profile", "--in", "{root}/effects", "--out", "{root}/p.csv")]
+    for argv in commands:
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            rc = main([a.format(root=tmp_path) for a in argv])
+        assert rc == 2, argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert f"n={n} is outside the size limit 0 <= n <= {MAX_N}" in err.getvalue()
+        assert out.getvalue() == ""
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["effects", "tabs"]
 
 
 def _two_nets_tables(root, seed, samples=4, n=8):

@@ -694,12 +694,6 @@ def test_weighted_vertex_of_dense_tables_is_unit_cost_optimal(n, denoise):
     assert_optimal_under_unit_costs(ValueTable(n=n, values=values), denoise)
 
 
-def test_sparsify_size_cap():
-    v = ValueTable(n=21, values=np.zeros(1 << 21))
-    with pytest.raises(ValueError):
-        sparsify(v)
-
-
 def test_salience_threshold_is_mean_gap_fraction():
     t1 = ValueTable(n=2, values=np.array([0.0, 1.0, 2.0, 10.0]))
     t2 = ValueTable(n=2, values=np.array([0.0, 1.0, 2.0, 20.0]))

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andor.lattice import (LatticeSizeError, MAX_N, _diff_transform,
-                           _sum_transform, infer_n, mobius_and, mobius_or,
-                           order_counts, permute_variables, table_size,
-                           zeta_subsets, zeta_supersets)
+                           _sum_transform, as_lattice, infer_n, mobius_and,
+                           mobius_or, order_counts, permute_variables,
+                           table_size, zeta_subsets, zeta_supersets)
 
 TRANSFORMS = (mobius_and, mobius_or, zeta_subsets, zeta_supersets)
 
@@ -35,10 +35,15 @@ def test_order_counts_small():
 def test_table_size_rejects_n_outside_the_cap():
     assert table_size(MAX_N) == 1 << MAX_N
     for n in (-1, MAX_N + 1):
-        with pytest.raises(LatticeSizeError):
-            table_size(n)
-        with pytest.raises(LatticeSizeError):
-            order_counts(n)
+        for check in (table_size, order_counts):
+            with pytest.raises(LatticeSizeError,
+                               match=f"^n={n} is outside the size limit 0 <= n <= {MAX_N}$"):
+                check(n)
+    # a vector one variable past the limit gets the same message
+    for check in (infer_n, as_lattice):
+        with pytest.raises(LatticeSizeError,
+                           match=f"^n={MAX_N + 1} is outside the size limit 0 <= n <= {MAX_N}$"):
+            check(np.zeros(1 << (MAX_N + 1)))
 
 
 def test_mobius_and_hand_example():
