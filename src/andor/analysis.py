@@ -7,6 +7,7 @@ AND effect transform.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,13 @@ def compare_models(reports_a: list[SampleReport],
                    reports_b: list[SampleReport]) -> PairComparison:
     """Pair reports by label; Spearman rank correlation and diagonal gap of
     eta, plus Jaccard overlap of the two confusing-flag sets (1 if both empty).
+    A label repeated on either side pairs ambiguously and is a ValueError.
     """
+    for side, reports in (("a", reports_a), ("b", reports_b)):
+        repeated = sorted(label for label, count in
+                          Counter(r.label for r in reports).items() if count > 1)
+        if repeated:
+            raise ValueError(f"the reports of model {side} repeat the labels {repeated}")
     by_a = {r.label: r for r in reports_a}
     by_b = {r.label: r for r in reports_b}
     common = sorted(set(by_a) & set(by_b))

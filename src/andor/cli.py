@@ -6,7 +6,8 @@ byte-identical across re-runs with the same seed. Exit codes: 0 success,
 empty inputs, parse errors, wrong JSON types, mixed n, non-finite effects,
 an output path that cannot be written, or a flag value out of range: the
 CLI's own check, which names the flag, or the library's ValueError, as one
-line).
+line). Every input error is found before the first output is written, so a
+run that exits 2 on one leaves no file or directory behind.
 
 ``main`` may be called any number of times in one process: it parses with
 one parser, built on the first call. argparse keeps no state between
@@ -122,20 +123,21 @@ def cmd_synth(args) -> int:
     _check_positive("--overfit-magnitude", args.overfit_magnitude)
     orders = _parse_orders(args.orders)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
+    # Every game (or the one table) is built before --out is made, so a
+    # value the library refuses leaves no directory behind.
     if args.interaction:
         v = interaction_function_table(args.mask, args.c, args.interaction, args.n,
                                        label="interaction_0000")
+        out.mkdir(parents=True, exist_ok=True)
         aio.write_table(v, out / "table_0000.json")
         return 0
 
     rng = np.random.default_rng(args.seed)
     n_inject = round(args.overfit_fraction * args.samples)
     injected = set(rng.choice(args.samples, size=n_inject, replace=False).tolist())
-    sidecar = {"n": args.n, "seed": args.seed, "samples": []}
+    games = []
     for i in range(args.samples):
-        label = f"sample_{i:04d}"
         game = sample_sparse_game(
             args.n, args.m, orders, effect_range=args.effect_range,
             rng_seed=args.seed * 100003 + i, magnitude_floor=args.magnitude_floor,
@@ -145,6 +147,12 @@ def cmd_synth(args) -> int:
                                   pair_count=args.overfit_pairs,
                                   magnitude=args.overfit_magnitude,
                                   rng_seed=args.seed * 100003 + i + 1)
+        games.append(game)
+
+    out.mkdir(parents=True, exist_ok=True)
+    sidecar = {"n": args.n, "seed": args.seed, "samples": []}
+    for i, game in enumerate(games):
+        label = f"sample_{i:04d}"
         aio.write_table(realize_table(game, label=label), out / f"table_{i:04d}.json")
         sidecar["samples"].append({
             "label": label,
@@ -168,17 +176,20 @@ def cmd_extract(args) -> int:
     if unsafe:
         raise CliError(f"tables in {args.input} have the labels {unsafe}, which "
                        "name reserved files or leave the output directory")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    solvers = {}
+    # Every table is solved before --out is made, so a table whose effects
+    # the library refuses leaves no file behind.
+    isets, solvers = [], {}
     for v, name in zip(tables, names):
         if args.mode == "all-and":
-            iset = all_and(v)
+            isets.append(all_and(v))
         else:
             result = sparsify(v, denoise=not args.no_denoise)
-            iset = result.interactions
+            isets.append(result.interactions)
             solvers[name] = result.solver
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for iset, name in zip(isets, names):
         aio.write_interactions(iset, out / f"{name}.json")
     aio.write_json({"mode": args.mode, "n": tables[0].n, "solver": solvers},
                    out / "batch.json")
@@ -274,7 +285,8 @@ def cmd_oracle(args) -> int:
     if args.interactions is None:
         raise CliError("oracle verify needs --interactions")
     v, iset = _read_inputs(args.table, args.interactions)
-    # delta = 0: callers verify un-denoised extractions against the raw table
+    # delta = 0: effect files store no delta, so the samples of a default
+    # (denoised) extract exit 1 here, reporting their max|delta| (ROADMAP item 1)
     err = verify_matching(v, iset, 0.0)
     scale = max(1.0, float(np.max(np.abs(v.values))))
     sys.stdout.write(f"max_abs_error: {err!r}\n")

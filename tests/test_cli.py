@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,12 @@ NAMED_FLAGS = {"axioms-n": "--n", "axioms-n-zero": "--n", "axioms-n-one": "--n",
                "synth-overfit-magnitude-inf": "--overfit-magnitude",
                "synth-overfit-magnitude-zero": "--overfit-magnitude",
                "synth-negative-seed": "--seed", "axioms-negative-seed": "--seed"}
+# The malformed-input cases that run in a fresh interpreter, one per
+# subcommand, so that `python -m andor.cli` start-up and stderr at the file
+# descriptor stay covered; the rest run in process.
+FRESH_PROCESS_CASES = {"synth-n-above-max", "extract-overflow-denoise", "profile-nan-effect",
+                       "similarity-mixed-n", "compare-no-shared-label",
+                       "diagnose-max-order", "axioms-n", "verify-missing-table"}
 
 
 # Every subcommand's arguments and their choices (None: any value). A new
@@ -85,12 +92,30 @@ def test_cli_surface_is_pinned():
 
 
 def fresh_process(*argv):
-    """Run the CLI in a new interpreter that imports andor from this checkout."""
+    """Run the CLI in a new interpreter that imports andor from this checkout:
+    (exit code, stdout, stderr), both streams read at the file descriptor."""
     src = str(Path(andor.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "andor.cli", *map(str, argv)],
+    proc = subprocess.run([sys.executable, "-m", "andor.cli", *map(str, argv)],
                           capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(*argv):
+    """Run main in this process with every warning an error: (exit code,
+    stdout, stderr), as fresh_process returns them. An argparse exit comes
+    back as its code; an uncaught exception, a raised warning among them,
+    propagates and fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_main_parses_with_one_parser_across_calls(monkeypatch, tmp_path):
@@ -112,7 +137,7 @@ def test_extract_after_no_denoise_denoises(tmp_path):
     _dense_table(tabs, 4)
     assert run("extract", "--in", tabs, "--out", tmp_path / "raw", "--no-denoise") == 0
     assert run("extract", "--in", tabs, "--out", tmp_path / "denoised") == 0
-    assert fresh_process("extract", "--in", tabs, "--out", tmp_path / "fresh").returncode == 0
+    assert fresh_process("extract", "--in", tabs, "--out", tmp_path / "fresh")[0] == 0
     names = sorted(f.name for f in (tmp_path / "fresh").iterdir())
     assert names == ["batch.json", "sample_0000.json"]
     for name in names:
@@ -396,6 +421,9 @@ def malformed_inputs(tmp_path_factory):
     (mixed / "other").mkdir()    # an n = 4 effect file under a label isets lacks
     effects = json.loads((isets / "sample_0000.json").read_text())
     (mixed / "other" / "x.json").write_text(json.dumps({**effects, "label": "other"}))
+    (mixed / "twice").mkdir()    # two effect files that share the label sample_0000
+    for name in ("a.json", "b.json"):
+        (mixed / "twice" / name).write_bytes((isets / "sample_0000.json").read_bytes())
     for name, entries in (("nan", [float("nan")]), ("inf", [float("inf")]),
                           ("repeated", [1.0, 2.0])):  # mask 1 listed twice
         (mixed / name).mkdir()
@@ -428,7 +456,9 @@ def malformed_inputs(tmp_path_factory):
                 bad=bad)
 
 
-@pytest.mark.parametrize("argv", [
+# The malformed-input cases' command lines: {out} is the case's own empty
+# directory, the other fields malformed_inputs' paths.
+MALFORMED_ARGV = [
     ("oracle", "verify", "--table", "{tabs}/table_0000.json"),
     ("oracle", "verify", "--table", "{tabs}/missing.json",
      "--interactions", "{isets}/sample_0000.json"),
@@ -444,6 +474,7 @@ def malformed_inputs(tmp_path_factory):
     ("compare", "--a", "{isets}", "--b", "{mixed}/isets", "--out", "{out}/c.csv"),
     ("compare", "--a", "{isets}", "--b", "{wide}/isets", "--out", "{out}/c.csv"),
     ("compare", "--a", "{isets}", "--b", "{mixed}/other", "--out", "{out}/c.csv"),
+    ("compare", "--a", "{mixed}/twice", "--b", "{isets}", "--out", "{out}/c.csv"),
     # one mixed-n directory named on both sides
     ("similarity", "--train", "{mixed}/isets", "--test", "{mixed}/isets",
      "--out", "{out}/s.csv"),
@@ -509,11 +540,14 @@ def malformed_inputs(tmp_path_factory):
     ("diagnose", "--table", "{tabs}/table_0000.json",
      "--interactions", "{isets}/sample_0000.json", "--out", "{out}/missing/d.txt"),
     ("axioms", "--n", "2", "--trials", "1", "--out", "{out}/missing/a.txt"),
-], ids=["verify-without-interactions", "verify-missing-table",
+]
+# The malformed-input cases' ids, in MALFORMED_ARGV's order.
+MALFORMED_IDS = [
+        "verify-without-interactions", "verify-missing-table",
         "verify-size-mismatch", "synth-bad-orders", "extract-duplicate-labels",
         *(f"extract-label-{name}" for name in BAD_LABELS),
         "extract-mixed-n", "profile-mixed-n", "similarity-mixed-n", "compare-mixed-n-dir",
-        "compare-mixed-n-across", "compare-no-shared-label",
+        "compare-mixed-n-across", "compare-no-shared-label", "compare-repeated-label",
         "similarity-mixed-n-twice", "compare-mixed-n-twice", "similarity-symlink-loop",
         "diagnose-max-order", "diagnose-negative-tau", "diagnose-nan-tau",
         "diagnose-negative-tau-fraction", "diagnose-nan-tau-fraction",
@@ -536,19 +570,27 @@ def malformed_inputs(tmp_path_factory):
         "synth-magnitude-floor-nan", "synth-overfit-magnitude-nan",
         "synth-overfit-magnitude-inf", "synth-overfit-magnitude-zero", "synth-negative-seed",
         "extract-out-is-a-file", "profile-out-dir-missing", "similarity-out-dir-missing",
-        "compare-out-dir-missing", "diagnose-out-dir-missing", "axioms-out-dir-missing"])
+        "compare-out-dir-missing", "diagnose-out-dir-missing", "axioms-out-dir-missing"]
+
+
+def test_one_malformed_case_per_subcommand_runs_in_a_fresh_process():
+    argv = dict(zip(MALFORMED_IDS, MALFORMED_ARGV, strict=True))
+    assert sorted(argv[case][0] for case in FRESH_PROCESS_CASES) == sorted(CLI_SURFACE)
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=MALFORMED_IDS)
 def test_malformed_input_exit_2_without_traceback(malformed_inputs, tmp_path, argv, request):
     args = [a.format(out=tmp_path, **malformed_inputs) for a in argv]
-    proc = fresh_process(*args)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    # rejected before writing
-    assert not any((tmp_path / name).exists() for name in BAD_LABELS)
-    flag = NAMED_FLAGS.get(request.node.callspec.id)
-    assert flag is None or proc.stderr.startswith(f"error: {flag} must be ")
-    # a flag the CLI checks itself is rejected before synth creates --out
-    assert flag is None or not (tmp_path / "synth").exists()
+    case = request.node.callspec.id
+    code, out, err = (fresh_process if case in FRESH_PROCESS_CASES else in_process)(*args)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+    # rejected before writing: nothing is left under the case's own {out}
+    assert not any(tmp_path.iterdir())
+    flag = NAMED_FLAGS.get(case)
+    assert flag is None or err.startswith(f"error: {flag} must be ")
 
 
 def _dense_table(directory, n):
@@ -736,11 +778,9 @@ def test_broken_files_exit_2_with_one_error_line(intact_inputs, case, data):
         args = [a.format(bad=bad_dir / "b.json", bad_dir=bad_dir, out=Path(scratch) / "out",
                          table=intact["table"], effects=intact["effects"],
                          isets=root / "isets") for a in argv]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(args)
+        rc, out, err = in_process(*args)
     assert rc == 2, text
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
 
 
 def _effect_file(path, n, entries):
@@ -756,6 +796,8 @@ OVERFLOW_COMMANDS = {
                         "--mode", "all-and"),
     "extract-no-denoise": ("extract", "--in", "{root}/tabs", "--out", "{root}/out",
                            "--no-denoise"),
+    "extract-all-and-after-a-good-table": ("extract", "--in", "{root}/two", "--out",
+                                           "{root}/out", "--mode", "all-and"),
     "profile": ("profile", "--in", "{root}/big", "--out", "{root}/p.csv"),
     "compare": ("compare", "--a", "{root}/big", "--b", "{root}/big", "--out", "{root}/c.csv"),
     "compare-total": ("compare", "--a", "{root}/total", "--b", "{root}/total",
@@ -768,26 +810,28 @@ OVERFLOW_COMMANDS = {
 @pytest.mark.parametrize("case", OVERFLOW_COMMANDS)
 def test_overflowing_sums_exit_2_with_one_error_line(tmp_path, case):
     """The table [0, 1e308, 1e308, 1e308] has the finite AND effects 1e308,
-    1e308 and -1e308, whose L1 overflows; profile sums the first two into
-    one order; 1e308 on masks 1 and 3 has finite per-order strengths whose
-    total overflows compare's average order; two files with 1e308 on mask 1
-    overflow similarity's mass."""
+    1e308 and -1e308, whose L1 overflows, alone or after a good table;
+    profile sums the first two into one order; 1e308 on masks 1 and 3 has
+    finite per-order strengths whose total overflows compare's average
+    order; two files with 1e308 on mask 1 overflow similarity's mass."""
     (tmp_path / "tabs").mkdir()
     aio.write_table(ValueTable(n=2, values=[0.0, 1e308, 1e308, 1e308]),
                     tmp_path / "tabs" / "table_0000.json")
+    (tmp_path / "two").mkdir()
+    for label, values in (("a", [0.0, 1.0, 2.0, 3.0]), ("b", [0.0, 1e308, 1e308, 1e308])):
+        aio.write_table(ValueTable(n=2, values=values, label=label),
+                        tmp_path / "two" / f"{label}.json")
     _effect_file(tmp_path / "big" / "x.json", 2, [(1, 1e308), (2, 1e308), (3, -1e308)])
     _effect_file(tmp_path / "total" / "x.json", 2, [(1, 1e308), (3, 1e308)])
     for label in ("a", "b"):
         _effect_file(tmp_path / "pair" / f"{label}.json", 2, [(1, 1e308)])
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        rc = main([a.format(root=tmp_path) for a in OVERFLOW_COMMANDS[case]])
+    rc, out, err = in_process(*(a.format(root=tmp_path) for a in OVERFLOW_COMMANDS[case]))
     assert rc == 2
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    assert "overflow" in err.getvalue()
-    # nothing written, though extract has made --out before reading a table
+    assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+    assert "overflow" in err
+    # nothing written: extract solves every table before it makes --out
     assert not any((tmp_path / name).exists() for name in ("p.csv", "c.csv", "s.csv"))
-    assert list(tmp_path.glob("out/*")) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_files_above_the_size_limit_exit_2_with_one_error_line(tmp_path):
@@ -805,13 +849,11 @@ def test_files_above_the_size_limit_exit_2_with_one_error_line(tmp_path):
                   "--interactions", "{root}/effects/big.json"),
                  ("profile", "--in", "{root}/effects", "--out", "{root}/p.csv")]
     for argv in commands:
-        err, out = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-            rc = main([a.format(root=tmp_path) for a in argv])
+        rc, out, err = in_process(*(a.format(root=tmp_path) for a in argv))
         assert rc == 2, argv
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        assert f"n={n} is outside the size limit 0 <= n <= {MAX_N}" in err.getvalue()
-        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"n={n} is outside the size limit 0 <= n <= {MAX_N}" in err
+        assert out == ""
         assert sorted(f.name for f in tmp_path.iterdir()) == ["effects", "tabs"]
 
 
