@@ -17,22 +17,23 @@ random normal table, a net table and a sparse game of the criterion-4 kind
 the nonzeros of the LP's equality matrix (``extraction._lp_matrix``, its
 rows in the half-butterfly coordinates of the extraction docstring), times
 the LP without a pivot budget (``extraction._lp_solve``, which returns the
-vertex with its pivot count) and prints the pivots, times ``sparsify`` on the
-Huber path (as it runs above ``LP_MAX_N``), and times ``sparsify`` itself and
-names the path that finished it ("lp", or "huber" when the LP exhausted its
-budget), with the L1 of the LP's vertex (the sum of its effect columns, not
-the LP's objective, which adds the order weights) and of the Huber path.
+vertex with its pivot count) and prints the pivots, times the Huber path
+(``extraction._huber_sparsify``, as it runs above ``LP_MAX_N``), and times
+``sparsify`` itself and names the path that finished it ("lp", or "huber"
+when the LP exhausted its budget), with the L1 of the LP's vertex (the sum
+of its effect columns, not the LP's objective, which adds the order
+weights) and of the Huber path.
 The LP and ``sparsify`` columns also count the minor page faults of the
 process during the call (``resource.getrusage``). Every solve of one
 (n, denoise) runs on the one HiGHS instance ``extraction._lp_model`` keeps
 for it, built before the row is timed. At n = 10 every uncapped LP but
 the first of its mode follows a capped solve (inside an earlier row's
-``sparsify``) on that instance, and the script stops if one does not reach
-the optimum. The solver rows end with one line that holds them again as a
-JSON list, one object per solve with the keys n, denoise, table, nnz,
-pivots, path, lp_s, huber_s, sparsify_s, lp_l1 and huber_l1, so that the
-LP cutoff and pivot budget (``extraction.LP_MAX_N``, set from these rows)
-can be re-derived by script. Set OPENBLAS_NUM_THREADS=1 to time the
+``sparsify``) on that instance; one that does not reach the optimum raises
+and stops the script. The solver rows end with one line that holds them
+again as a JSON list, one object per solve with the keys n, denoise, table,
+nnz, pivots, path, lp_s, huber_s, sparsify_s, lp_l1 and huber_l1, so that
+the LP cutoff and pivot budget (``extraction.LP_MAX_N``, set from these
+rows) can be re-derived by script. Set OPENBLAS_NUM_THREADS=1 to time the
 solvers on one BLAS thread. The n = 10 rows take about half a minute.
 
 The fresh-process rows run one ``sparsify`` of the sparse game per
@@ -77,9 +78,9 @@ import numpy as np
 
 from andor import extraction, oracle
 from andor import io as aio
-from andor.extraction import (LP_MAX_N, ZETA_FRACTION, InteractionSet, _loss_grad,
-                              _lp_matrix, _lp_model, _lp_solve, _objective_base,
-                              sparsify)
+from andor.extraction import (LP_MAX_N, ZETA_FRACTION, InteractionSet, _huber_sparsify,
+                              _loss_grad, _lp_matrix, _lp_model, _lp_solve,
+                              _objective_base, sparsify)
 from andor.lattice import MAX_N, _diff_transform, _sum_transform, order_counts
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
@@ -135,13 +136,11 @@ def timed(fn):
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults, out
 
 
-def huber_sparsify(v, denoise):
-    """sparsify on the Huber path, as it runs for tables above LP_MAX_N."""
-    saved, extraction.LP_MAX_N = extraction.LP_MAX_N, v.n - 1
-    try:
-        return sparsify(v, denoise)
-    finally:
-        extraction.LP_MAX_N = saved
+def sparse_game(n):
+    """The criterion-4-kind sparse game of the solver, oracle and I/O rows:
+    15 order-3 effects on an antichain."""
+    return sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
+                              magnitude_floor=3.2, antichain=True)
 
 
 def solvers(rng, ns=(8, 9, 10)):
@@ -156,31 +155,26 @@ def solvers(rng, ns=(8, 9, 10)):
     rows = []
     for n in ns:
         net = TinyNet.random([n, 32, 32, 2], rng_seed=n)
-        game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
-                                  magnitude_floor=3.2, antichain=True)
         tables = {
             "random": ValueTable(n=n, values=rng.normal(size=1 << n)),
             "net": net_value_table(net, MaskingScheme(rng.normal(size=n), np.zeros(n))),
-            "sparse": realize_table(game),
+            "sparse": realize_table(sparse_game(n)),
         }
         for name, v in tables.items():
             for denoise in (False, True):
                 _lp_model(n, denoise)            # one instance per (n, denoise)
                 nnz = _lp_matrix(n, denoise).data.size
                 zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-                base = _objective_base(v.values)
-                t_lp, f_lp, res = timed(lambda: _lp_solve(base, zeta, denoise))
-                if res.status != 0:
-                    raise SystemExit(f"the uncapped LP stopped: {res.message}")
-                lp_l1 = float(np.abs(res.x[:4 * (v.values.size - 1)]).sum())
-                t_hub, _, hub = timed(lambda: huber_sparsify(v, denoise))
+                t_lp, f_lp, (x, pivots) = timed(lambda: _lp_solve(v.values, zeta, denoise))
+                lp_l1 = float(np.abs(x[:4 * (v.values.size - 1)]).sum())
+                t_hub, _, hub = timed(lambda: _huber_sparsify(v, denoise))
                 t_sp, f_sp, solved = timed(lambda: sparsify(v, denoise))
                 hub_l1 = hub.interactions.total_l1()
                 print(f"{n:>4} {name:>7} {str(denoise):>8} {nnz:>7} {t_lp:>8.3f}s "
-                      f"{res.pivots:>7} {f_lp:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {f_sp:>7} "
+                      f"{pivots:>7} {f_lp:>7} {t_hub:>8.3f}s {t_sp:>8.3f}s {f_sp:>7} "
                       f"{solved.solver:>6} {lp_l1:>12.4f} {hub_l1:>12.4f}")
                 rows.append({"n": n, "denoise": denoise, "table": name, "nnz": nnz,
-                             "pivots": res.pivots, "path": solved.solver, "lp_s": t_lp,
+                             "pivots": pivots, "path": solved.solver, "lp_s": t_lp,
                              "huber_s": t_hub, "sparsify_s": t_sp, "lp_l1": lp_l1,
                              "huber_l1": hub_l1})
     print(json.dumps(rows))
@@ -230,10 +224,8 @@ def fresh_solves(ns=(8, 9, 10)):
 
 
 def game_rows(n):
-    """The (2, 2**n) AND and OR rows of the solver rows' sparse game: 15
-    order-3 effects on an antichain."""
-    game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
-                              magnitude_floor=3.2, antichain=True)
+    """The (2, 2**n) AND and OR rows of the sparse game."""
+    game = sparse_game(n)
     rows = np.zeros((2, 1 << n))
     for row, effects in enumerate((game.and_effects, game.or_effects)):
         for mask, effect in effects.items():
@@ -290,12 +282,10 @@ def io_rows(rng, ns=(8, 10, 12)):
     with tempfile.TemporaryDirectory() as tmp:
         table_file, effects_file = Path(tmp) / "table.json", Path(tmp) / "effects.json"
         for n in ns:
-            game = sample_sparse_game(n, 15, {3: 1.0}, effect_range=4.0, rng_seed=n,
-                                      magnitude_floor=3.2, antichain=True)
             dense = rng.normal(size=(2, 1 << n))
             dense[:, 0] = 0.0                   # as in an effect file
             for name, table, effects in (
-                    ("sparse", realize_table(game), game_rows(n)),
+                    ("sparse", realize_table(sparse_game(n)), game_rows(n)),
                     ("dense", ValueTable(n=n, values=rng.normal(size=1 << n)), dense)):
                 iset = InteractionSet(n=n, effects=effects, bias=0.5, label="sample_0000")
                 aio.write_table(table, table_file)

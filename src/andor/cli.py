@@ -6,8 +6,9 @@ byte-identical across re-runs with the same seed. Exit codes: 0 success,
 empty inputs, parse errors, wrong JSON types, mixed n, non-finite effects,
 an output path that cannot be written, or a flag value out of range: the
 CLI's own check, which names the flag, or the library's ValueError, as one
-line). Every input error is found before the first output is written, so a
-run that exits 2 on one leaves no file or directory behind.
+line). Every input error, and every output path of ``synth`` and
+``extract`` that is a directory, is found before the first output is
+written, so a run that exits 2 on one leaves no file or directory behind.
 
 ``main`` may be called any number of times in one process: it parses with
 one parser, built on the first call. argparse keeps no state between
@@ -104,6 +105,14 @@ def _check_range(flag: str, value, low, high=None) -> None:
         raise CliError(f"{flag} must be {span}, got {value}")
 
 
+def _check_writable(paths) -> None:
+    """A CliError naming the first of the output paths that is a directory,
+    checked before the first write so that such a run writes nothing."""
+    for path in paths:
+        if path.is_dir():
+            raise CliError(f"cannot write {path}: it is a directory")
+
+
 def _check_positive(flag: str, value) -> None:
     """A CliError naming flag unless value is finite and > 0."""
     if not 0 < value < float("inf"):
@@ -129,8 +138,10 @@ def cmd_synth(args) -> int:
     if args.interaction:
         v = interaction_function_table(args.mask, args.c, args.interaction, args.n,
                                        label="interaction_0000")
+        path = out / "table_0000.json"
+        _check_writable([path])
         out.mkdir(parents=True, exist_ok=True)
-        aio.write_table(v, out / "table_0000.json")
+        aio.write_table(v, path)
         return 0
 
     rng = np.random.default_rng(args.seed)
@@ -149,11 +160,13 @@ def cmd_synth(args) -> int:
                                   rng_seed=args.seed * 100003 + i + 1)
         games.append(game)
 
+    tables = [out / f"table_{i:04d}.json" for i in range(args.samples)]
+    _check_writable([*tables, out / "ground_truth.json"])
     out.mkdir(parents=True, exist_ok=True)
     sidecar = {"n": args.n, "seed": args.seed, "samples": []}
-    for i, game in enumerate(games):
+    for i, (game, path) in enumerate(zip(games, tables)):
         label = f"sample_{i:04d}"
-        aio.write_table(realize_table(game, label=label), out / f"table_{i:04d}.json")
+        aio.write_table(realize_table(game, label=label), path)
         sidecar["samples"].append({
             "label": label,
             "injected": i in injected,
@@ -188,9 +201,11 @@ def cmd_extract(args) -> int:
             isets.append(result.interactions)
             solvers[name] = result.solver
     out = Path(args.out)
+    paths = [out / f"{name}.json" for name in names]
+    _check_writable([*paths, out / "batch.json"])
     out.mkdir(parents=True, exist_ok=True)
-    for iset, name in zip(isets, names):
-        aio.write_interactions(iset, out / f"{name}.json")
+    for iset, path in zip(isets, paths):
+        aio.write_interactions(iset, path)
     aio.write_json({"mode": args.mode, "n": tables[0].n, "solver": solvers},
                    out / "batch.json")
     return 0
@@ -227,11 +242,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _read_inputs(table, interactions=None):
-    """Read a table and, if given, its interaction file; failures are CliErrors."""
+def _read_inputs(table, interactions):
+    """Read a table and its interaction file; failures are CliErrors."""
     v = _read(aio.read_table, table)
-    iset = None if interactions is None else _read(aio.read_interactions, interactions)
-    if iset is not None and iset.n != v.n:
+    iset = _read(aio.read_interactions, interactions)
+    if iset.n != v.n:
         raise CliError(f"{interactions} has n={iset.n}, the table has n={v.n}")
     return v, iset
 

@@ -25,7 +25,7 @@ picks its solver from the table size n:
   attempt.
 - n = 11..14 (above LP_MAX_N, up to ``lattice.MAX_N``), and n = 10 tables
   past the pivot budget: a smoothed-L1 (Huber) continuation with L-BFGS-B
-  (``_smoothed_sparsify``), which stops near the minimum. In the raw gamma
+  (``_huber_sparsify``), which stops near the minimum. In the raw gamma
   coordinates the objective's curvature spans a factor exponential in n and
   first-order methods stall; in theta coordinates it converges in a few
   thousand quasi-Newton steps, each evaluation needing one superset sum and
@@ -72,6 +72,13 @@ nonzeros at n = 10 against 118 096 in the plain rows, and fewer pivots.
 Where the minimum ties, as it can when denoising (delta costs 0), the
 simplex may reach another optimal vertex than on the plain rows.
 
+The row bounds are one transform of the table. With a = mobius_and(v/2) and
+b = mobius_or(v/2), the plain rows' right-hand side is S a - b = K v, since
+S M_and = K = -M_or, and HiGHS gets R'K v. Per bit, T times K's factor is
+mobius_and's factor [[1,0],[-1,1]], and K's own [[0,1],[1,-1]] is
+mobius_and's with the bit complemented, so R'K v is ``mobius_and`` of v with
+its low n - n // 2 bits complemented, at the nonempty subsets (``_lp_rhs``).
+
 The written effects. ``sparsify`` returns the effects and delta of the
 split it picked. On the LP path they are the vertex's own: p = p+ - p-
 (AND) and q = q+ - q- (OR), with the empty-set slots 0. A slot the vertex
@@ -86,14 +93,13 @@ would miss the returned delta by the overshoot. On the Huber path they are
 ``_theta_effects`` of the best stage iterate, whose delta L-BFGS-B's bounds
 keep in the box, or a closed form's, with delta = 0.
 
-``sparsify`` picks the solver and returns what it found (its docstring
-lists the paths). The LP path returns the vertex as solved: by the order
-weights its L1 is within 1 + epsilon * n**2 of any feasible split's, so a
-closed form could only tie it, and the vertex is the tie-break. The Huber
-path stops short of the minimum, so ``sparsify`` keeps the best of the
-even split it starts from, each stage's iterate and all-AND. The solvers
-only return iterates: the LP its vertex's effects and delta, or None when
-the pivot budget runs out; the continuation one iterate per stage.
+``sparsify`` only picks the path (its docstring lists them). The LP path
+returns the vertex as solved, or None when the pivot budget runs out: by
+the order weights its L1 is within 1 + epsilon * n**2 of any feasible
+split's, so a closed form could only tie it, and the vertex is the
+tie-break. The Huber path stops short of the minimum, so
+``_huber_sparsify`` keeps the best of the even split it starts from, each
+stage's iterate and all-AND.
 
 scipy is loaded on the first solve, not with the module, and only what
 the solve needs: the LP path loads one extension module (``_highs_core``)
@@ -108,16 +114,17 @@ options of ``linprog(method="highs-ds")`` with presolve off, and one HiGHS
 model holding the matrix and the costs. Each solve writes the table's row
 bounds (and delta box) into the model, passes it to the instance, which
 drops the previous solve's basis and solution, sets the pivot limit, runs
-it and reads the vertex and the status. The matrix's arrays and the row
-bounds are bit for bit those scipy.sparse builds, so the vertex and the
-pivot count are linprog's given the same costs (the tests pass linprog the
-model's costs and compare the two, also for solves of several modes
-interleaved in one process). linprog rebuilds the model and a fresh HiGHS
-instance on every call and builds bound marginals andor never reads; the
-bindings set row bounds only one row per call (``changeRowBounds``), which
-costs more than passing the whole model again. The module is not scipy's
-public API, so ``_highs_core`` is the one function that names it, and a
-scipy release that changes it fails the tests loudly.
+it and reads the vertex and the status. The matrix's arrays are bit for
+bit those scipy.sparse builds, so the vertex and the pivot count are
+linprog's given the same costs and row bounds (the tests pass linprog the
+model's costs and ``_lp_rhs`` and compare the two, also for solves of
+several modes interleaved in one process). linprog rebuilds the model and
+a fresh HiGHS instance on every call and builds bound marginals andor never
+reads; the bindings set row bounds only one row per call
+(``changeRowBounds``), which costs more than passing the whole model again.
+The module is not scipy's public API, so ``_highs_core`` is the one
+function that names it, and a scipy release that changes it fails the
+tests loudly.
 """
 
 import importlib.machinery
@@ -313,30 +320,6 @@ def _loss_grad(x: np.ndarray, mu: float, base: np.ndarray, denoise: bool
     return f, np.concatenate([g_theta[1:], g_delta[1:]])
 
 
-def _smoothed_sparsify(v: ValueTable, denoise: bool, base: np.ndarray,
-                       zeta: float, x: np.ndarray) -> list[np.ndarray]:
-    """Huber-smoothed L1 continuation from x; returns the iterate of each stage.
-
-    Variables are theta (gamma = zeta_subsets(theta), so the AND effects are
-    base + theta exactly) and, when denoising, delta with box bounds. Each
-    stage of SMOOTHING_STAGES shrinks the Huber width and starts from the
-    previous stage's iterate.
-    """
-    minimize = sys.modules[__name__].minimize
-    scale = max(v.gap(), float(np.max(np.abs(v.values))), 1e-12)
-    m = v.values.size - 1
-    bounds = [(None, None)] * m + [(-zeta, zeta)] * m if denoise else None
-    iterates = []
-    for stage in SMOOTHING_STAGES:
-        res = minimize(_loss_grad, x, args=(stage * scale, base, denoise),
-                       jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": HUBER_MAX_ITERS, "ftol": 1e-14,
-                                "gtol": 1e-12})
-        x = res.x
-        iterates.append(x)
-    return iterates
-
-
 class _CscMatrix(NamedTuple):
     """A sparse matrix in compressed-column form, the arrays HiGHS takes:
     column j holds data[indptr[j]:indptr[j + 1]] in the rows
@@ -405,32 +388,16 @@ def _lp_matrix(n: int, denoise: bool) -> _CscMatrix:
     return matrix
 
 
-class _LpResult(NamedTuple):
-    """One solve of the L1 LP: status 0 (optimal), 1 (pivot limit) or 4 (a
-    failure), linprog's codes; x is the vertex when optimal, else None. The
-    LP is always feasible and bounded, so linprog's 2 and 3 cannot occur.
-    The vertex's L1 is abs(x[:4 * m]).sum() over its m = 2**n - 1 rows."""
-
-    status: int
-    message: str
-    x: np.ndarray | None
-    pivots: int
-
-
 class _LpModel(NamedTuple):
     """The HiGHS instance of one (n, denoise) and what _lp_solve needs with it.
 
     core is scipy's private module ``scipy.optimize._highspy._core``
     (_highs_core); highs is the instance, holding the options; lp is the
-    HighsLp of _lp_matrix that each solve fills in and passes to it;
-    rhs_index and rhs_rows are the _rhs_terms of the matrix, which give the
-    row bounds (_lp_rhs)."""
+    HighsLp of _lp_matrix that each solve fills in and passes to it."""
 
     core: object
     highs: object
     lp: object
-    rhs_index: np.ndarray
-    rhs_rows: np.ndarray
 
 
 def _highs_core():
@@ -462,18 +429,6 @@ def _highs_core():
         del sys.modules[name]
         raise
     return core
-
-
-def _rhs_terms(matrix: _CscMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of the p+ and q+ column blocks of _lp_matrix, in its
-    column order, as (index, rows): each one's column as an index into
-    (a, -a, b, -b), its +-1 entry's sign folded in, and its row, offset by m
-    in the q+ block (see _lp_rhs)."""
-    m = matrix.shape[0]
-    cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
-    terms = (cols < m) | ((2 * m <= cols) & (cols < 3 * m))
-    index = cols[terms] + m * (matrix.data[terms] < 0)
-    return index, matrix.indices[terms] + m * (cols[terms] >= 2 * m)
 
 
 @lru_cache(maxsize=None)
@@ -519,7 +474,7 @@ def _lp_model(n: int, denoise: bool) -> _LpModel:
     highs = core._Highs()
     _highs_ok(core, highs.passOptions(options), "passOptions")
     _highs_ok(core, highs.passModel(lp), "passModel")
-    return _LpModel(core, highs, lp, *_rhs_terms(matrix))
+    return _LpModel(core, highs, lp)
 
 
 def _lp_col_bounds(m: int, cols: int, zeta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -534,66 +489,66 @@ def _highs_ok(core, status, call: str) -> None:
         raise NumericalError(f"HiGHS {call} returned {status}")
 
 
-def _lp_rhs(model: _LpModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The p+ block of _lp_matrix times a plus its q+ block times b.
-
-    Each row sums its terms in column order, from 0.0, as scipy.sparse's
-    csc @ x does, so the result is bit for bit that of
-    M[:, :m] @ a + M[:, 2m:3m] @ b. The entries are +-1, so each term is
-    the gathered +-a or +-b entry, exactly the product.
-    """
-    m = a.size
-    sums = np.bincount(model.rhs_rows, minlength=2 * m,
-                       weights=np.concatenate([a, -a, b, -b])[model.rhs_index])
-    return sums[:m] + sums[m:]
+def _lp_rhs(values: np.ndarray) -> np.ndarray:
+    """The row bounds R'(S a - b) = R'K v of _lp_solve: mobius_and of the
+    table with its low n - n // 2 bits complemented, at the nonempty subsets
+    (module docstring)."""
+    size = values.size
+    n = size.bit_length() - 1
+    low = (1 << (n - n // 2)) - 1
+    return mobius_and(values[np.arange(size) ^ low])[1:]
 
 
-def _lp_solve(base: np.ndarray, zeta: float, denoise: bool, maxiter: int | None = None
-              ) -> _LpResult:
-    """One HiGHS dual-simplex solve of the L1 LP of _lp_sparsify.
+def _lp_solve(values: np.ndarray, zeta: float, denoise: bool, maxiter: int | None = None
+              ) -> tuple[np.ndarray | None, int]:
+    """One HiGHS dual-simplex solve of the L1 LP of the table values, as
+    (vertex, pivots): the vertex's columns, or None at the pivot limit.
 
     With p = i_and and q = i_or (each split into nonnegative parts) and
-    a, b = base[:, 1:], the effects of _theta_effects satisfy
+    a, b = _objective_base(values)[:, 1:], the effects of _theta_effects
+    satisfy
         S p - q + K delta = S a - b,   theta = p - a + mobius_and(delta/2),
     over the nonempty subsets, so minimizing sum p+- + q+- over that one
     block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem.
-    HiGHS gets those rows times R' (_lp_matrix), so their right-hand side
-    R'(S a - b) is the p+ block times a plus the q+ block times b. The
-    costs are _lp_model's, 1 + LP_ORDER_WEIGHT * |S|**2 per effect: where
-    the L1 minimum is not unique they pick the one of least
-    sum |S|**2 * |I_S|, and otherwise move the L1 by at most
-    LP_ORDER_WEIGHT * n**2 relative (module docstring).
+    HiGHS gets those rows times R' (_lp_matrix), whose right-hand side
+    R'(S a - b) is one transform of the table (_lp_rhs). The costs are
+    _lp_model's, 1 + LP_ORDER_WEIGHT * |S|**2 per effect: where the L1
+    minimum is not unique they pick the one of least sum |S|**2 * |I_S|, and
+    otherwise move the L1 by at most LP_ORDER_WEIGHT * n**2 relative (module
+    docstring). The vertex's L1 is abs(vertex[:4 * m]).sum() over its
+    m = 2**n - 1 rows.
 
     The solve runs on _lp_model's instance of (n, denoise): it writes the
     table's row bounds (and delta box) into the cached model and passes it
     to the instance, which drops the previous model with its basis and
     solution, so every solve starts from the slack basis as on a fresh
-    instance; then it sets the pivot limit, maxiter or none (status 1 when
-    hit). Like linprog, only an optimal solve returns x, and x and the
-    pivots are linprog's exactly when linprog gets the same costs.
+    instance; then it sets the pivot limit, maxiter or none. The LP is
+    always feasible and bounded, so a HiGHS model status other than optimal
+    or the pivot limit raises NumericalError. The vertex and the pivots are
+    linprog's exactly when linprog gets the same costs and row bounds.
     """
-    a, b = base[:, 1:]
-    model = _lp_model(a.size.bit_length(), denoise)
-    core, highs, lp = model[:3]
-    lp.row_lower_ = lp.row_upper_ = _lp_rhs(model, a, b)
+    m = values.size - 1
+    core, highs, lp = _lp_model(m.bit_length(), denoise)
+    lp.row_lower_ = lp.row_upper_ = _lp_rhs(values)
     if denoise:
-        lp.col_lower_, lp.col_upper_ = _lp_col_bounds(a.size, lp.num_col_, zeta)
+        lp.col_lower_, lp.col_upper_ = _lp_col_bounds(m, lp.num_col_, zeta)
     _highs_ok(core, highs.passModel(lp), "passModel")
     _highs_ok(core, highs.setOptionValue("simplex_iteration_limit",
                                          core.kHighsIInf if maxiter is None else maxiter),
               "setOptionValue")
     highs.run()
     status = highs.getModelStatus()
-    code = {core.HighsModelStatus.kOptimal: 0,
-            core.HighsModelStatus.kIterationLimit: 1}.get(status, 4)
-    x = (np.fromiter(highs.getSolution().col_value, float, count=lp.num_col_)
-         if code == 0 else None)
-    return _LpResult(code, highs.modelStatusToString(status), x,
-                     highs.getInfo().simplex_iteration_count)
+    pivots = highs.getInfo().simplex_iteration_count
+    if status == core.HighsModelStatus.kIterationLimit:
+        return None, pivots
+    if status != core.HighsModelStatus.kOptimal:
+        raise NumericalError(
+            f"LP solve failed: HiGHS model status {highs.modelStatusToString(status)}")
+    return np.fromiter(highs.getSolution().col_value, float, count=lp.num_col_), pivots
 
 
-def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
-    """The exact L1 minimum as one linear program.
+def _lp_sparsify(values: np.ndarray, zeta: float, denoise: bool):
+    """The exact L1 minimum of the table values as one linear program.
 
     Returns the vertex as (effects, delta): effects are the (2, 2**n) rows
     of the vertex's own effects p = p+ - p- (AND) and q = q+ - q- (OR), with
@@ -604,20 +559,18 @@ def _lp_sparsify(base: np.ndarray, zeta: float, denoise: bool):
     At n = LP_MAX_N the dual simplex gets 2**(n-1) pivots, and None is
     returned when it needs more.
     """
-    m = base.shape[-1] - 1
+    m = values.size - 1
     n = m.bit_length()
-    res = _lp_solve(base, zeta, denoise, 2 ** (n - 1) if n == LP_MAX_N else None)
-    if res.status == 1:
+    x = _lp_solve(values, zeta, denoise, 2 ** (n - 1) if n == LP_MAX_N else None)[0]
+    if x is None:
         return None
-    if res.status != 0:
-        raise NumericalError(f"LP solve failed: HiGHS model status {res.message}")
     effects = np.zeros((2, m + 1))
-    p_q = res.x[:4 * m].reshape(2, 2, m)      # rows (p+, p-), (q+, q-)
+    p_q = x[:4 * m].reshape(2, 2, m)      # rows (p+, p-), (q+, q-)
     effects[:, 1:] = p_q[:, 0] - p_q[:, 1]
     delta = np.zeros(m + 1)
     if not denoise:
         return effects, delta
-    delta[1:] = raw = res.x[4 * m:]
+    delta[1:] = raw = x[4 * m:]
     # a basic delta can overshoot its bounds by the solver's tolerance
     past = np.abs(raw) > zeta + 1e-12 * max(1.0, zeta)
     if past.any():
@@ -639,6 +592,50 @@ class Sparsified(NamedTuple):
     solver: str
 
 
+def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
+    """The Huber path of ``sparsify``: the best of the even split, each
+    stage's iterate of a Huber-smoothed L1 continuation from it, and
+    all-AND.
+
+    Variables are theta (gamma = zeta_subsets(theta), see ``_theta_effects``)
+    and, when denoising, delta with box bounds. Each
+    stage of SMOOTHING_STAGES shrinks the Huber width and starts L-BFGS-B
+    from the previous stage's iterate. An iterate replaces the best split so
+    far only if its L1 is lower by more than CONVERGENCE_EPS (relative),
+    with the effects ``_theta_effects`` gives it; all-AND only if it is
+    lower at all.
+    """
+    minimize = sys.modules[__name__].minimize
+    values = v.values
+    size = values.size
+    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
+    base = _objective_base(values)
+    scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
+    bounds = [(None, None)] * (size - 1) + [(-zeta, zeta)] * (size - 1) if denoise else None
+    effects, delta = even_split(v).effects, np.zeros(size)
+    loss = float(np.abs(effects).sum())
+    # x packs theta[1:], then delta[1:] when denoising
+    x = _theta_start(values)
+    if denoise:
+        x = np.concatenate([x, np.zeros(size - 1)])
+    for stage in SMOOTHING_STAGES:
+        x = minimize(_loss_grad, x, args=(stage * scale, base, denoise),
+                     jac=True, method="L-BFGS-B", bounds=bounds,
+                     options={"maxiter": HUBER_MAX_ITERS, "ftol": 1e-14,
+                              "gtol": 1e-12}).x
+        it_effects = _theta_effects(x, base, denoise)
+        it_loss = float(np.abs(it_effects).sum())
+        if not np.isfinite(it_loss):
+            raise NumericalError("non-finite loss during continuation")
+        if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
+            loss, effects = it_loss, it_effects
+            delta = np.concatenate([[0.0], x[size - 1:]]) if denoise else np.zeros(size)
+    alland = all_and(v)
+    if float(np.abs(alland.effects).sum()) < loss:
+        return Sparsified(alland, np.zeros(size), "huber")
+    return Sparsified(_interaction_set(v, effects), delta, "huber")
+
+
 def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
     """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
 
@@ -651,46 +648,23 @@ def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
       feasible split, the closed forms included; where the minimum is not
       unique, the order weights pick the one of least sum |S|**2 * |I_S|.
     - "huber", for n > LP_MAX_N or when the LP exhausts its pivot budget:
-      the best of the even split, each stage's iterate of the continuation
-      from the even split (with the effects ``_theta_effects`` gives it)
-      and all-AND. An iterate replaces the best so far only if its L1 is
-      lower by more than CONVERGENCE_EPS (relative); all-AND only if it is
-      lower at all.
+      what ``_huber_sparsify`` returns, the best of the even split, the
+      continuation's iterates and all-AND.
     - empty at n = 0, where the even split is the only split and no solver
       runs.
     """
     values = v.values
-    size = values.size
-    zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-    base = _objective_base(values)
-    if not np.isfinite(np.abs(base).sum()):
+    if not np.isfinite(np.abs(_objective_base(values)).sum()):
         # v is finite, so its effects or their L1 overflow float64: an input error
         raise ValueError("the table's effects overflow float64")
     if v.n == 0:
         # one mask, so one split: the even split, with no effect to solve for
-        return Sparsified(even_split(v), np.zeros(size), "")
-    vertex = _lp_sparsify(base, zeta, denoise) if v.n <= LP_MAX_N else None
-    if vertex is not None:
-        return Sparsified(_interaction_set(v, vertex[0]), vertex[1], "lp")
-
-    effects, delta = even_split(v).effects, np.zeros(size)
-    loss = float(np.abs(effects).sum())
-    # x packs theta[1:], then delta[1:] when denoising
-    x = _theta_start(values)
-    if denoise:
-        x = np.concatenate([x, np.zeros(size - 1)])
-    for it in _smoothed_sparsify(v, denoise, base, zeta, x):
-        it_effects = _theta_effects(it, base, denoise)
-        it_loss = float(np.abs(it_effects).sum())
-        if not np.isfinite(it_loss):
-            raise NumericalError("non-finite loss during continuation")
-        if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
-            loss, effects = it_loss, it_effects
-            delta = np.concatenate([[0.0], it[size - 1:]]) if denoise else np.zeros(size)
-    alland = all_and(v)
-    if float(np.abs(alland.effects).sum()) < loss:
-        return Sparsified(alland, np.zeros(size), "huber")
-    return Sparsified(_interaction_set(v, effects), delta, "huber")
+        return Sparsified(even_split(v), np.zeros(values.size), "")
+    if v.n <= LP_MAX_N:
+        vertex = _lp_sparsify(values, ZETA_FRACTION * v.gap() if denoise else 0.0, denoise)
+        if vertex is not None:
+            return Sparsified(_interaction_set(v, vertex[0]), vertex[1], "lp")
+    return _huber_sparsify(v, denoise)
 
 
 def salience_threshold(tables, fraction: float = DEFAULT_SALIENCE_FRACTION) -> float:

@@ -593,6 +593,33 @@ def test_malformed_input_exit_2_without_traceback(malformed_inputs, tmp_path, ar
     assert flag is None or err.startswith(f"error: {flag} must be ")
 
 
+# Runs whose --out holds a directory where the command writes a file, by
+# test id: the command line ({tabs} the pipeline's three tables, {out} the
+# case's --out) and that directory's name.
+DIRECTORY_OUTPUTS = {
+    "extract-batch": (("extract", "--in", "{tabs}", "--out", "{out}", "--mode", "all-and"),
+                      "batch.json"),
+    "extract-second-sample": (("extract", "--in", "{tabs}", "--out", "{out}",
+                               "--mode", "all-and"), "sample_0001.json"),
+    "synth-ground-truth": (("synth", "--out", "{out}", "--n", "4", "--samples", "3",
+                            "--m", "2", "--orders", "2:1.0"), "ground_truth.json"),
+}
+
+
+@pytest.mark.parametrize("case", DIRECTORY_OUTPUTS)
+def test_an_output_path_that_is_a_directory_exits_2_and_writes_nothing(pipeline, case):
+    """Every output path is checked before the first write, so --out is left
+    as the run found it: the directory, and nothing beside it."""
+    root, tabs, _ = pipeline
+    argv, name = DIRECTORY_OUTPUTS[case]
+    out = root / "out"
+    (out / name).mkdir(parents=True)
+    code, stdout, err = in_process(*(a.format(tabs=tabs, out=out) for a in argv))
+    assert list(out.rglob("*")) == [out / name]
+    assert code == 2 and stdout == ""
+    assert err == f"error: cannot write {out / name}: it is a directory\n"
+
+
 def _dense_table(directory, n):
     rng = np.random.default_rng(n)
     directory.mkdir()

@@ -9,9 +9,10 @@ import scipy.sparse as sp
 
 from andor import extraction
 from andor.extraction import (LP_ORDER_WEIGHT, ZETA_FRACTION, NumericalError, _highs_ok,
-                              _loss_grad, _lp_matrix, _lp_model, _lp_rhs, _lp_solve,
-                              _lp_sparsify, _objective_base, _theta_effects, all_and,
-                              even_split, filter_salient, salience_threshold, sparsify)
+                              _huber_sparsify, _loss_grad, _lp_matrix, _lp_model, _lp_rhs,
+                              _lp_solve, _lp_sparsify, _objective_base, _theta_effects,
+                              all_and, even_split, filter_salient, salience_threshold,
+                              sparsify)
 from andor.lattice import mobius_and, mobius_or, zeta_subsets
 from andor.models import (MaskingScheme, TinyNet, ValueTable, interaction_function_table,
                           net_value_table, realize_table,
@@ -27,7 +28,7 @@ def lp_vertex(v, denoise):
     vertex's own effect p = p+ - p- (AND row) or q = q+ - q- (OR row) is
     nonzero."""
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-    vertex = _lp_sparsify(_objective_base(v.values), zeta, denoise)
+    vertex = _lp_sparsify(v.values, zeta, denoise)
     if vertex is None:
         return None
     support = np.zeros((2, v.values.size), dtype=bool)
@@ -39,7 +40,7 @@ def vertex_effects(v, denoise):
     """Rows p = p+ - p- and q = q+ - q- of the uncapped LP vertex's columns,
     over the nonempty subsets, and its delta columns."""
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-    x = _lp_solve(_objective_base(v.values), zeta, denoise).x
+    x = _lp_solve(v.values, zeta, denoise)[0]
     m = v.values.size - 1
     p_q = x[:4 * m].reshape(2, 2, m)
     return p_q[:, 0] - p_q[:, 1], x[4 * m:]
@@ -52,15 +53,6 @@ def assert_at_most_the_closed_forms(v, result):
     closed = min(even_split(v).total_l1(), all_and(v).total_l1())
     factor = 1 + LP_ORDER_WEIGHT * v.n ** 2 if result.solver == "lp" else 1.0
     assert result.interactions.total_l1() <= factor * closed
-
-
-def huber_sparsify(monkeypatch, v, denoise):
-    """sparsify on the Huber path, as it runs for tables above LP_MAX_N."""
-    with monkeypatch.context() as patch:
-        patch.setattr(extraction, "LP_MAX_N", v.n - 1)
-        result = sparsify(v, denoise)
-    assert result.solver == "huber"
-    return result
 
 
 @pytest.fixture
@@ -148,7 +140,7 @@ def test_interaction_set_salient():
             iset.salient(tau)
 
 
-def test_sparsify_history_non_increasing(both_paths, huber_max_iters):
+def test_sparsify_paths_stay_within_the_closed_forms(both_paths, huber_max_iters):
     huber_max_iters(50)
     for v, solver in zip(both_paths, ("lp", "huber")):
         result = sparsify(v)
@@ -333,23 +325,37 @@ def scipy_lp_matrix(n, denoise):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_lp_matrix_and_rhs_are_scipy_sparse_bit_for_bit(n, denoise):
     """The numpy-built matrix holds scipy.sparse's CSC arrays entry for
-    entry, and _lp_rhs is its p+ and q+ column blocks' csc @ x bit for bit,
-    signed zeros included."""
+    entry; test_lp_rhs_is_one_transform_of_the_table checks the row bounds
+    against that matrix."""
     matrix, ref = _lp_matrix(n, denoise), scipy_lp_matrix(n, denoise)
     assert matrix.shape == ref.shape
     for arr, ref_arr in ((matrix.data, ref.data), (matrix.indices, ref.indices),
                          (matrix.indptr, ref.indptr)):
         assert arr.dtype == ref_arr.dtype
         np.testing.assert_array_equal(arr, ref_arr)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lp_rhs_is_one_transform_of_the_table(n, denoise):
+    """_lp_rhs(v) is the right-hand side R'(S a - b) of the rows, the
+    scipy.sparse product of their p+ and q+ blocks with
+    a, b = _objective_base(v)[:, 1:], to 1e-13 * max(1, max|v|). At v[0] = 0
+    it is the denoised rows' delta block times v[1:]: the rows hold at
+    p = q = 0, delta = v."""
+    ref = scipy_lp_matrix(n, denoise)
     m = (1 << n) - 1
     rng = np.random.default_rng(70 + n)
     for scale in (1e-3, 1.0, 1e3):
-        a, b = _objective_base(scale * rng.normal(size=m + 1))[:, 1:]
-        b[: m // 2] = 0.0
-        rhs = _lp_rhs(_lp_model(n, denoise), a, b)
-        expected = ref[:, :m] @ a + ref[:, 2 * m:3 * m] @ b
-        np.testing.assert_array_equal(rhs, expected)
-        np.testing.assert_array_equal(np.signbit(rhs), np.signbit(expected))
+        values = scale * rng.normal(size=m + 1)
+        atol = 1e-13 * max(1.0, np.max(np.abs(values)))
+        a, b = _objective_base(values)[:, 1:]
+        np.testing.assert_allclose(_lp_rhs(values), ref[:, :m] @ a + ref[:, 2 * m:3 * m] @ b,
+                                   rtol=0, atol=atol)
+        if denoise:
+            values[0] = 0.0
+            np.testing.assert_allclose(_lp_rhs(values), ref[:, 4 * m:] @ values[1:],
+                                       rtol=0, atol=atol)
 
 
 def test_lp_path_loads_only_the_highs_extension():
@@ -401,26 +407,24 @@ def test_row_transform_keeps_the_minimum(n, denoise):
     """_lp_solve's vertex solves the plain rows and has the unit L1 of
     linprog's vertex on them, with the same costs."""
     v = ValueTable(n=n, values=np.random.default_rng(80 + n).normal(size=1 << n))
-    base = _objective_base(v.values)
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
     m = v.values.size - 1
     plain = plain_lp_matrix(n, denoise)
-    res = _lp_solve(base, zeta, denoise)
-    ref = linprog_reference(base, zeta, denoise, matrix=plain)
-    assert res.status == ref.status == 0
-    np.testing.assert_allclose(plain @ res.x, plain @ ref.x, atol=1e-9)
-    assert np.abs(res.x[:4 * m]).sum() == pytest.approx(np.abs(ref.x[:4 * m]).sum(),
-                                                        rel=1e-12)
+    x = _lp_solve(v.values, zeta, denoise)[0]
+    ref = linprog_reference(v.values, zeta, denoise, plain=True)
+    assert x is not None and ref.status == 0
+    np.testing.assert_allclose(plain @ x, plain @ ref.x, atol=1e-9)
+    assert np.abs(x[:4 * m]).sum() == pytest.approx(np.abs(ref.x[:4 * m]).sum(), rel=1e-12)
 
 
 @pytest.mark.parametrize("denoise", [False, True])
 @pytest.mark.parametrize("n", range(4, 8))
-def test_lp_reaches_at_most_the_huber_loss(monkeypatch, n, denoise):
+def test_lp_reaches_at_most_the_huber_loss(n, denoise):
     rng = np.random.default_rng(30 + n)
     v = ValueTable(n=n, values=rng.normal(size=1 << n))
     result = sparsify(v, denoise)
     loss = result.interactions.total_l1()
-    huber_loss = huber_sparsify(monkeypatch, v, denoise).interactions.total_l1()
+    huber_loss = _huber_sparsify(v, denoise).interactions.total_l1()
     assert result.solver == "lp"
     assert loss <= huber_loss * (1 + 1e-12)
     assert loss < even_split(v).total_l1()
@@ -430,14 +434,13 @@ def test_lp_reaches_at_most_the_huber_loss(monkeypatch, n, denoise):
 
 
 @pytest.mark.parametrize("denoise", [False, True])
-def test_dense_n10_falls_back_to_huber_bit_identically(monkeypatch, huber_max_iters,
-                                                       denoise):
+def test_dense_n10_falls_back_to_huber_bit_identically(huber_max_iters, denoise):
     huber_max_iters(50)
     rng = np.random.default_rng(40)
     v = ValueTable(n=10, values=rng.normal(size=1 << 10))
     assert lp_vertex(v, denoise) is None        # the pivot budget runs out
     result = sparsify(v, denoise)
-    huber = huber_sparsify(monkeypatch, v, denoise)
+    huber = _huber_sparsify(v, denoise)
     assert result.solver == "huber"
     np.testing.assert_array_equal(result.interactions.effects, huber.interactions.effects)
     np.testing.assert_array_equal(result.delta, huber.delta)
@@ -529,35 +532,42 @@ def test_clipped_delta_effects_rebuild_the_denoised_table():
     assert np.max(np.abs(rebuilt - v.values)) <= zeta + 1e-9 * scale
 
 
-def linprog_reference(base, zeta, denoise, maxiter=None, matrix=None):
+def linprog_reference(values, zeta, denoise, maxiter=None, plain=False):
     """The LP of _lp_solve, with _lp_model's costs, through scipy's public
-    linprog; its rows are _lp_matrix's unless matrix is given."""
+    linprog: on _lp_matrix's rows with _lp_rhs's bounds, or with plain on
+    the plain rows with their right-hand side S a - b, as scipy.sparse
+    multiplies it out."""
     from scipy.optimize import linprog
-    a, b = base[:, 1:]
-    m = a.size
-    if matrix is None:
-        matrix = lp_matrix(m.bit_length(), denoise)
-    cost = np.array(_lp_model(m.bit_length(), denoise).lp.col_cost_)
+    m = values.size - 1
+    n = m.bit_length()
+    if plain:
+        matrix = plain_lp_matrix(n, denoise)
+        a, b = _objective_base(values)[:, 1:]
+        rhs = matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b
+    else:
+        matrix, rhs = lp_matrix(n, denoise), _lp_rhs(values)
+    cost = np.array(_lp_model(n, denoise).lp.col_cost_)
     bounds = np.zeros((matrix.shape[1], 2))
     bounds[:4 * m, 1] = np.inf
     bounds[4 * m:] = (-zeta, zeta)
     options = {"presolve": False} if maxiter is None else {"presolve": False,
                                                            "maxiter": maxiter}
-    return linprog(cost, A_eq=matrix, b_eq=matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b,
-                   bounds=bounds, method="highs-ds", options=options)
+    return linprog(cost, A_eq=matrix, b_eq=rhs, bounds=bounds, method="highs-ds",
+                   options=options)
 
 
 def assert_solve_matches_linprog(v, denoise, maxiter=None):
-    base = _objective_base(v.values)
+    """_lp_solve's (vertex, pivots) of v, which must be linprog's: its
+    status 1 (the pivot limit) where the vertex is None, else 0."""
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-    res = _lp_solve(base, zeta, denoise, maxiter)
-    ref = linprog_reference(base, zeta, denoise, maxiter)
-    assert (res.status, res.pivots) == (ref.status, ref.nit)
+    x, pivots = _lp_solve(v.values, zeta, denoise, maxiter)
+    ref = linprog_reference(v.values, zeta, denoise, maxiter)
+    assert (1 if x is None else 0, pivots) == (ref.status, ref.nit)
     if ref.x is None:
-        assert res.x is None
+        assert x is None
     else:
-        np.testing.assert_array_equal(res.x, ref.x)
-    return res
+        np.testing.assert_array_equal(x, ref.x)
+    return x, pivots
 
 
 @pytest.mark.parametrize("denoise", [False, True])
@@ -566,16 +576,16 @@ def test_lp_solve_is_linprog_bit_for_bit(n, denoise):
     """The direct HiGHS path gives linprog's highs-ds vertex, pivots and
     status exactly; a scipy whose private bindings change fails here."""
     rng = np.random.default_rng(50 + n)
-    res = assert_solve_matches_linprog(ValueTable(n=n, values=rng.normal(size=1 << n)),
-                                       denoise)
-    assert res.status == 0
+    x, _ = assert_solve_matches_linprog(ValueTable(n=n, values=rng.normal(size=1 << n)),
+                                        denoise)
+    assert x is not None
 
 
 def test_lp_solve_is_linprog_bit_for_bit_at_the_pivot_limit():
     rng = np.random.default_rng(40)
     v = ValueTable(n=10, values=rng.normal(size=1 << 10))
-    res = assert_solve_matches_linprog(v, False, maxiter=512)
-    assert (res.status, res.pivots, res.x) == (1, 512, None)
+    x, pivots = assert_solve_matches_linprog(v, False, maxiter=512)
+    assert (x, pivots) == (None, 512)
 
 
 def test_lp_solves_do_not_depend_on_their_order():
@@ -588,14 +598,13 @@ def test_lp_solves_do_not_depend_on_their_order():
 
     def solve(v, denoise):
         zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-        res = _lp_solve(_objective_base(v.values), zeta, denoise)
-        return res, sparsify(v, denoise).interactions
+        return _lp_solve(v.values, zeta, denoise), sparsify(v, denoise).interactions
 
     forward = [solve(*job) for job in jobs]
     backward = [solve(*job) for job in jobs[::-1]][::-1]
-    for (res, iset), (res_b, iset_b) in zip(forward, backward):
-        assert (res.status, res.pivots) == (res_b.status, res_b.pivots)
-        np.testing.assert_array_equal(res.x, res_b.x)
+    for ((x, pivots), iset), ((x_b, pivots_b), iset_b) in zip(forward, backward):
+        assert x is not None and pivots == pivots_b
+        np.testing.assert_array_equal(x, x_b)
         np.testing.assert_array_equal(iset.effects, iset_b.effects)
         assert iset.bias == iset_b.bias
 
@@ -612,9 +621,9 @@ def test_one_instance_per_mode_solves_interleaved_tables_like_linprog():
     jobs = [(dense, False, 512), (game, False, None), (game, True, 512),
             *((v, denoise, None) for v in small for denoise in (False, True)),
             (game, False, 8), (game, False, None)]
-    statuses = [assert_solve_matches_linprog(v, denoise, maxiter).status
-                for v, denoise, maxiter in jobs]
-    assert statuses == [1, 0, 1] + [0] * 6 + [1, 0]
+    optimal = [assert_solve_matches_linprog(v, denoise, maxiter)[0] is not None
+               for v, denoise, maxiter in jobs]
+    assert optimal == [False, True, False] + [True] * 6 + [False, True]
 
 
 def test_lp_model_passes_set_row_bounds_and_checks_every_status():
@@ -631,12 +640,12 @@ def test_lp_model_passes_set_row_bounds_and_checks_every_status():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_criterion_4_games_solve_exactly_on_the_lp(monkeypatch, seed):
+def test_criterion_4_games_solve_exactly_on_the_lp(seed):
     game, v, _ = recovery_game(seed)
     result = sparsify(v, denoise=False)
     iset = result.interactions
     assert result.solver == "lp"
-    huber_l1 = huber_sparsify(monkeypatch, v, False).interactions.total_l1()
+    huber_l1 = _huber_sparsify(v, False).interactions.total_l1()
     assert iset.total_l1() <= huber_l1 * (1 + 1e-12)
     # the ground truth's 15 effects and not one entry of rounding dust
     assert np.count_nonzero(iset.effects) == 15
@@ -658,9 +667,8 @@ def assert_optimal_under_unit_costs(v, denoise):
     effect's cost to 1 and run again from that optimal basis: it must take no
     pivot and stay optimal at the same vertex, so the weights only pick among
     the unit-cost LP's optimal vertices."""
-    base = _objective_base(v.values)
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-    res = _lp_solve(base, zeta, denoise)      # writes v's bounds into the instance
+    x, pivots = _lp_solve(v.values, zeta, denoise)    # writes v's bounds into the instance
     core, instance = _lp_model(v.n, denoise)[:2]
     lp = instance.getLp()
     options = core.HighsOptions()
@@ -672,14 +680,14 @@ def assert_optimal_under_unit_costs(v, denoise):
     highs.passOptions(options)
     highs.passModel(lp)
     unit = (np.arange(lp.num_col_) < 4 * lp.num_row_).astype(float)
-    for cost, pivots in ((None, res.pivots), (unit, 0)):
+    for cost, expected in ((None, pivots), (unit, 0)):
         if cost is not None:
             assert highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32),
                                         cost) == core.HighsStatus.kOk
         assert highs.run() == core.HighsStatus.kOk
         assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
-        assert highs.getInfo().simplex_iteration_count == pivots
-        np.testing.assert_array_equal(highs.getSolution().col_value, res.x)
+        assert highs.getInfo().simplex_iteration_count == expected
+        np.testing.assert_array_equal(highs.getSolution().col_value, x)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
