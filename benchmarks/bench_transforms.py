@@ -5,7 +5,7 @@ the oracle's reconstruction of sparse and dense effect sets.
 Run directly: python benchmarks/bench_transforms.py [max_n]
 
 The kernels are timed on one lattice vector and on a (2, 2**n) stack, the
-shape of the batched calls inside the denoised objective, at even n from 10
+shape of a batched call of two rows (``lattice``), at even n from 10
 to max_n, by default ``lattice.MAX_N``, the largest n a command accepts.
 The objective rows time one value-plus-gradient evaluation of the smoothed
 L1 objective (``extraction._loss_grad``), with and without denoising, at
@@ -79,9 +79,8 @@ import numpy as np
 from andor import extraction, oracle
 from andor import io as aio
 from andor.extraction import (LP_MAX_N, ZETA_FRACTION, InteractionSet, _huber_sparsify,
-                              _loss_grad, _lp_matrix, _lp_model, _lp_solve,
-                              _objective_base, sparsify)
-from andor.lattice import MAX_N, _diff_transform, _sum_transform, order_counts
+                              _loss_grad, _lp_matrix, _lp_model, _lp_solve, sparsify)
+from andor.lattice import MAX_N, _diff_transform, _sum_transform, mobius_or, order_counts
 from andor.models import (MaskingScheme, TinyNet, ValueTable, net_value_table,
                           realize_table, sample_sparse_game)
 from andor.oracle import reconstruct
@@ -118,11 +117,11 @@ def objective(rng):
     print(f"\n{'n':>4} {'loss_grad':>12} {'denoised':>12}")
     for n in (8, 10, 14):
         values = rng.normal(size=1 << n)
-        base = _objective_base(values)
+        or_base = mobius_or(values)
         times = []
         for denoise in (False, True):
             x = rng.normal(size=(2 if denoise else 1) * ((1 << n) - 1))
-            times.append(best_time(lambda x: _loss_grad(x, 0.1, base, denoise),
+            times.append(best_time(lambda x: _loss_grad(x, 0.1, or_base, denoise),
                                    lambda: x, repeats_for(n)))
         print(f"{n:>4} " + " ".join(f"{t * 1e3:>10.3f}ms" for t in times))
 

@@ -133,8 +133,8 @@ def cmd_synth(args) -> int:
     orders = _parse_orders(args.orders)
     out = Path(args.out)
 
-    # Every game (or the one table) is built before --out is made, so a
-    # value the library refuses leaves no directory behind.
+    # Every game's table (or the one table) is built before --out is made, so
+    # a value the library refuses leaves no directory behind.
     if args.interaction:
         v = interaction_function_table(args.mask, args.c, args.interaction, args.n,
                                        label="interaction_0000")
@@ -147,7 +147,7 @@ def cmd_synth(args) -> int:
     rng = np.random.default_rng(args.seed)
     n_inject = round(args.overfit_fraction * args.samples)
     injected = set(rng.choice(args.samples, size=n_inject, replace=False).tolist())
-    games = []
+    games, tables = [], []
     for i in range(args.samples):
         game = sample_sparse_game(
             args.n, args.m, orders, effect_range=args.effect_range,
@@ -159,16 +159,16 @@ def cmd_synth(args) -> int:
                                   magnitude=args.overfit_magnitude,
                                   rng_seed=args.seed * 100003 + i + 1)
         games.append(game)
+        tables.append(realize_table(game, label=f"sample_{i:04d}"))
 
-    tables = [out / f"table_{i:04d}.json" for i in range(args.samples)]
-    _check_writable([*tables, out / "ground_truth.json"])
+    paths = [out / f"table_{i:04d}.json" for i in range(args.samples)]
+    _check_writable([*paths, out / "ground_truth.json"])
     out.mkdir(parents=True, exist_ok=True)
     sidecar = {"n": args.n, "seed": args.seed, "samples": []}
-    for i, (game, path) in enumerate(zip(games, tables)):
-        label = f"sample_{i:04d}"
-        aio.write_table(realize_table(game, label=label), path)
+    for i, (game, v, path) in enumerate(zip(games, tables, paths)):
+        aio.write_table(v, path)
         sidecar["samples"].append({
-            "label": label,
+            "label": v.label,
             "injected": i in injected,
             "and": [{"mask": m, "value": c} for m, c in sorted(game.and_effects.items())],
             "or": [{"mask": m, "value": c} for m, c in sorted(game.or_effects.items())],

@@ -1,21 +1,20 @@
 """AND-OR interaction extraction and L1 sparsification.
 
-The masked outputs are split as u_and[L] = 0.5*(v[L] - delta[L]) + gamma[L]
-and u_or[L] = 0.5*(v[L] - delta[L]) - gamma[L], so u_and + u_or = v - delta
-always holds. The empty-set entries are pinned (delta[0] = 0,
-gamma[0] = 0.5*v[0]) so the all-masked output is attributed to the AND side
-and the bias is identifiable. ``sparsify`` learns (gamma, delta) by
-minimizing the total effect magnitude and returns the effects and the delta
-it solved for (``Sparsified``). The two closed forms fix delta = 0 and
-return their effects: ``all_and`` (gamma = v/2) and ``even_split`` (gamma
-zero beyond its pin).
+The masked outputs are split as v - delta = u_and + u_or, into AND effects
+p = mobius_and(u_and) and OR effects q = mobius_or(u_or), with delta[0] = 0
+and u_and[0] = v[0] pinned so the all-masked output is attributed to the AND
+side and the bias is identifiable. ``sparsify`` learns the split and delta
+by minimizing the total effect magnitude and returns the effects and the
+delta it solved for (``Sparsified``). The two closed forms fix delta = 0:
+``all_and`` (u_and = v) and ``even_split`` (u_and = u_or = v/2 beyond the
+pin).
 
-Both solvers work in interaction-space coordinates: gamma is parametrized as
-the subset sum of a free vector theta, which makes the AND effects an affine
-*identity* in theta (the subset-sum and difference transforms are inverses),
-and the subset sums cancel against the Mobius transforms (see
-``_theta_effects``). The problem is then a linear program, and ``sparsify``
-picks its solver from the table size n:
+Both solvers minimize over the same variables, p and delta on the nonempty
+subsets, which fix q = mobius_or(v - delta - zeta_subsets(p)) =
+S p + mobius_or(v - delta) with S p = (-1)^|S| * zeta_supersets(p)
+(``_split_effects``): the rows S p - q + K delta = K v with K = -M_or. The
+problem is then a linear program, and ``sparsify`` picks its solver from
+the table size n:
 
 - n <= LP_MAX_N: the exact L1 minimum, one HiGHS dual-simplex solve of that
   LP (``_lp_sparsify``). At n = LP_MAX_N the simplex gets 2**(n-1) pivots:
@@ -25,11 +24,11 @@ picks its solver from the table size n:
   attempt.
 - n = 11..14 (above LP_MAX_N, up to ``lattice.MAX_N``), and n = 10 tables
   past the pivot budget: a smoothed-L1 (Huber) continuation with L-BFGS-B
-  (``_huber_sparsify``), which stops near the minimum. In the raw gamma
-  coordinates the objective's curvature spans a factor exponential in n and
-  first-order methods stall; in theta coordinates it converges in a few
-  thousand quasi-Newton steps, each evaluation needing one superset sum and
-  its adjoint, plus one batched difference transform each way when
+  over (p, delta) (``_huber_sparsify``), which stops near the minimum. In
+  the coordinates of u_and the objective's curvature spans a factor
+  exponential in n and first-order methods stall; in p it converges in a
+  few thousand quasi-Newton steps, each evaluation needing one superset sum
+  and its adjoint, plus one ``mobius_or`` of delta and its adjoint when
   denoising.
 
 ``benchmarks/bench_transforms.py`` prints the pivots and times that set the
@@ -72,9 +71,8 @@ nonzeros at n = 10 against 118 096 in the plain rows, and fewer pivots.
 Where the minimum ties, as it can when denoising (delta costs 0), the
 simplex may reach another optimal vertex than on the plain rows.
 
-The row bounds are one transform of the table. With a = mobius_and(v/2) and
-b = mobius_or(v/2), the plain rows' right-hand side is S a - b = K v, since
-S M_and = K = -M_or, and HiGHS gets R'K v. Per bit, T times K's factor is
+The row bounds are one transform of the table. The plain rows' right-hand
+side is K v, and HiGHS gets R'K v. Per bit, T times K's factor is
 mobius_and's factor [[1,0],[-1,1]], and K's own [[0,1],[1,-1]] is
 mobius_and's with the bit complemented, so R'K v is ``mobius_and`` of v with
 its low n - n // 2 bits complemented, at the nonempty subsets (``_lp_rhs``).
@@ -87,10 +85,10 @@ the solver's feasibility tolerance. Where it passes it by no more than
 1e-12 * max(1, zeta), the vertex's delta is kept. Beyond that, delta is
 clipped into the box and the clip Delta = delta_clipped - delta_raw is
 folded into the OR row as q -= mobius_or(Delta): the rows give
-q = S p - S a + b + K delta with K = -M_or, so the folded effects rebuild
+q = S p - K v + K delta with K = -M_or, so the folded effects rebuild
 v - delta_clipped as the vertex's rebuilt v - delta_raw. Unfolded, they
 would miss the returned delta by the overshoot. On the Huber path they are
-``_theta_effects`` of the best stage iterate, whose delta L-BFGS-B's bounds
+``_split_effects`` of the best stage iterate, whose delta L-BFGS-B's bounds
 keep in the box, or a closed form's, with delta = 0.
 
 ``sparsify`` only picks the path (its docstring lists them). The LP path
@@ -228,32 +226,28 @@ def _interaction_set(v: ValueTable, effects: np.ndarray) -> InteractionSet:
     return InteractionSet(n=v.n, effects=effects, bias=float(v.values[0]), label=v.label)
 
 
-def all_and(v: ValueTable) -> InteractionSet:
-    """The all-AND closed form (gamma = v/2, delta = 0): u_and = v, u_or = 0,
-    so the AND effects are mobius_and(v) and no OR effect is nonzero."""
-    effects = np.zeros((2, v.values.size))
-    effects[0] = mobius_and(v.values)
-    effects[0, 0] = 0.0
-    if not np.isfinite(np.abs(effects[0]).sum()):
+def _closed_form(v: ValueTable, effects: np.ndarray) -> InteractionSet:
+    """The closed form with these (2, 2**n) effect rows, empty-set slots zeroed."""
+    effects[:, 0] = 0.0
+    if not np.isfinite(np.abs(effects).sum()):
         # v is finite, so its effects or their L1 overflow float64: an input error
         raise ValueError("the table's effects overflow float64")
     return _interaction_set(v, effects)
 
 
-def _theta_start(values: np.ndarray) -> np.ndarray:
-    """theta[1:] of the even split, gamma = zeta_subsets(theta) zero beyond
-    its pin gamma[0] = v[0]/2."""
-    pin = np.zeros(values.size)
-    pin[0] = 0.5 * values[0]
-    return mobius_and(pin)[1:]
+def all_and(v: ValueTable) -> InteractionSet:
+    """The all-AND closed form (delta = 0): u_and = v, u_or = 0, so the AND
+    effects are mobius_and(v) and no OR effect is nonzero."""
+    return _closed_form(v, np.stack([mobius_and(v.values), np.zeros(v.values.size)]))
 
 
 def even_split(v: ValueTable) -> InteractionSet:
-    """The even split (gamma zero beyond the empty-set pin, delta = 0):
-    u_and = u_or = v/2 on every nonempty subset. Its effects are
-    ``_theta_effects`` of the theta start, the Huber path's start."""
-    return _interaction_set(v, _theta_effects(_theta_start(v.values),
-                                              _objective_base(v.values), False))
+    """The even split (delta = 0): u_and = u_or = v/2 on every nonempty
+    subset, with u_and[0] = v[0]. Its AND row is the Huber path's start."""
+    u_and = 0.5 * v.values
+    u_or = u_and.copy()
+    u_and[0], u_or[0] = v.values[0], 0.0
+    return _closed_form(v, np.stack([mobius_and(u_and), mobius_or(u_or)]))
 
 
 @lru_cache(maxsize=None)
@@ -264,60 +258,43 @@ def _parity_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _objective_base(values: np.ndarray) -> np.ndarray:
-    """Rows mobius_and(v/2) and mobius_or(v/2): the effects at theta = delta = 0."""
-    half = 0.5 * values
-    return np.stack([mobius_and(half), mobius_or(half)])
+def _split_effects(x: np.ndarray, or_base: np.ndarray, denoise: bool) -> np.ndarray:
+    """Rows (p, q) of the packed variables x, empty-set slots zeroed.
 
-
-def _theta_effects(x: np.ndarray, base: np.ndarray, denoise: bool) -> np.ndarray:
-    """Rows (i_and, i_or) of the packed variables x, empty-set slots zeroed.
-
-    x holds theta[1:], then delta[1:] when denoising; gamma = zeta_subsets(theta)
-    and h = (v - delta)/2. The subset sums cancel against the Mobius transforms:
-        i_and = mobius_and(h) + theta
-        i_or  = mobius_or(h) + (-1)^|S| * sum_{T superset S} theta[T]
-    so v enters only through base, and theta[0] (which reaches only the
-    zeroed i_or[0]) can be left at 0.
+    x holds the AND effects p[1:], then delta[1:] when denoising. The OR
+    effects are what the LP's rows leave them (module docstring):
+        q = S p + mobius_or(v - delta),   S p = (-1)^|S| * zeta_supersets(p),
+    so v enters only through or_base = mobius_or(v), and p[0] (which
+    reaches only the zeroed q[0]) can be left at 0.
     """
-    size = base.shape[-1]
-    theta = np.zeros(size)
-    theta[1:] = x[:size - 1]
-    effects = base.copy()
-    effects[0] += theta
-    effects[1] += _parity_signs(size.bit_length() - 1) * zeta_supersets(theta)
+    size = or_base.size
+    effects = np.zeros((2, size))
+    effects[0, 1:] = x[:size - 1]
+    effects[1] = or_base + _parity_signs(size.bit_length() - 1) * zeta_supersets(effects[0])
     if denoise:
-        half_delta = np.zeros(size)
-        half_delta[1:] = 0.5 * x[size - 1:]
-        # one batched call: rows mobius_and(delta/2) and -mobius_or(delta/2)
-        shifts = mobius_and(np.stack([half_delta, half_delta[::-1]]))
-        effects[0] -= shifts[0]
-        effects[1] += shifts[1]
-    effects[:, 0] = 0.0
+        effects[1] -= mobius_or(np.concatenate([[0.0], x[size - 1:]]))
+    effects[1, 0] = 0.0
     return effects
 
 
-def _loss_grad(x: np.ndarray, mu: float, base: np.ndarray, denoise: bool
+def _loss_grad(x: np.ndarray, mu: float, or_base: np.ndarray, denoise: bool
                ) -> tuple[float, np.ndarray]:
-    """Huber-smoothed L1 (width mu) of _theta_effects(x) and its gradient in x.
+    """Huber-smoothed L1 (width mu) of _split_effects(x) and its gradient in x.
 
-    The gradient applies the adjoints of _theta_effects to the clipped
-    effects p: p_and + (-1)^|S|-weighted subset sums of p_or for theta and,
-    when denoising, the adjoints of -mobius_and(./2) and -mobius_or(./2) for
-    delta in one batched call.
+    The gradient applies the adjoints of _split_effects to the clipped
+    effects r: r_and + subset sums of (-1)^|S| * r_or for p and, when
+    denoising, the adjoint of -mobius_or, mobius_and of reversed r_or, for
+    delta.
     """
-    size = base.shape[-1]
-    effects = _theta_effects(x, base, denoise)
+    size = or_base.size
+    effects = _split_effects(x, or_base, denoise)
     mag = np.abs(effects)
     f = float(np.where(mag <= mu, mag * mag / (2 * mu), mag - mu / 2).sum())
-    p = np.clip(effects / mu, -1.0, 1.0)
-    g_theta = p[0] + zeta_subsets(_parity_signs(size.bit_length() - 1) * p[1])
+    r = np.clip(effects / mu, -1.0, 1.0)
+    g_p = r[0] + zeta_subsets(_parity_signs(size.bit_length() - 1) * r[1])
     if not denoise:
-        return f, g_theta[1:]
-    # rows mobius_and(reversed p_and) and mobius_and(reversed p_or)
-    back = mobius_and(p[:, ::-1])
-    g_delta = 0.5 * (back[1] - back[0][::-1])
-    return f, np.concatenate([g_theta[1:], g_delta[1:]])
+        return f, g_p[1:]
+    return f, np.concatenate([g_p[1:], mobius_and(r[1, ::-1])[1:]])
 
 
 class _CscMatrix(NamedTuple):
@@ -490,9 +467,9 @@ def _highs_ok(core, status, call: str) -> None:
 
 
 def _lp_rhs(values: np.ndarray) -> np.ndarray:
-    """The row bounds R'(S a - b) = R'K v of _lp_solve: mobius_and of the
-    table with its low n - n // 2 bits complemented, at the nonempty subsets
-    (module docstring)."""
+    """The row bounds R'K v of _lp_solve: mobius_and of the table with its
+    low n - n // 2 bits complemented, at the nonempty subsets (module
+    docstring)."""
     size = values.size
     n = size.bit_length() - 1
     low = (1 << (n - n // 2)) - 1
@@ -504,19 +481,12 @@ def _lp_solve(values: np.ndarray, zeta: float, denoise: bool, maxiter: int | Non
     """One HiGHS dual-simplex solve of the L1 LP of the table values, as
     (vertex, pivots): the vertex's columns, or None at the pivot limit.
 
-    With p = i_and and q = i_or (each split into nonnegative parts) and
-    a, b = _objective_base(values)[:, 1:], the effects of _theta_effects
-    satisfy
-        S p - q + K delta = S a - b,   theta = p - a + mobius_and(delta/2),
-    over the nonempty subsets, so minimizing sum p+- + q+- over that one
-    block of 2**n - 1 rows, delta in [-zeta, zeta], is the L1 problem.
-    HiGHS gets those rows times R' (_lp_matrix), whose right-hand side
-    R'(S a - b) is one transform of the table (_lp_rhs). The costs are
-    _lp_model's, 1 + LP_ORDER_WEIGHT * |S|**2 per effect: where the L1
-    minimum is not unique they pick the one of least sum |S|**2 * |I_S|, and
-    otherwise move the L1 by at most LP_ORDER_WEIGHT * n**2 relative (module
-    docstring). The vertex's L1 is abs(vertex[:4 * m]).sum() over its
-    m = 2**n - 1 rows.
+    The LP is the module docstring's: the rows S p - q + K delta = K v over
+    the m = 2**n - 1 nonempty subsets, with p = i_and and q = i_or each split
+    into nonnegative parts, delta in [-zeta, zeta], and _lp_model's order
+    weights as the costs of p+- and q+-. HiGHS gets those rows times R'
+    (_lp_matrix), whose right-hand side R'K v is one transform of the table
+    (_lp_rhs). The vertex's L1 is abs(vertex[:4 * m]).sum().
 
     The solve runs on _lp_model's instance of (n, denoise): it writes the
     table's row bounds (and delta box) into the cached model and passes it
@@ -526,10 +496,22 @@ def _lp_solve(values: np.ndarray, zeta: float, denoise: bool, maxiter: int | Non
     always feasible and bounded, so a HiGHS model status other than optimal
     or the pivot limit raises NumericalError. The vertex and the pivots are
     linprog's exactly when linprog gets the same costs and row bounds.
+
+    A table whose row bounds' L1 overflows float64, or whose row bounds or
+    delta box reach HiGHS's infinite_bound (1e20, read as infinite), raises
+    ValueError.
     """
     m = values.size - 1
     core, highs, lp = _lp_model(m.bit_length(), denoise)
-    lp.row_lower_ = lp.row_upper_ = _lp_rhs(values)
+    rhs = _lp_rhs(values)
+    if not np.isfinite(np.abs(rhs).sum()):
+        # v is finite, so its row bounds or their L1 overflow float64: an input error
+        raise ValueError("the table's LP row bounds overflow float64")
+    status, limit = highs.getOptionValue("infinite_bound")
+    _highs_ok(core, status, "getOptionValue")
+    if max(float(np.max(np.abs(rhs))), zeta) >= limit:
+        raise ValueError(f"the table's LP bounds reach {limit:g}, which HiGHS reads as infinite")
+    lp.row_lower_ = lp.row_upper_ = rhs
     if denoise:
         lp.col_lower_, lp.col_upper_ = _lp_col_bounds(m, lp.num_col_, zeta)
     _highs_ok(core, highs.passModel(lp), "passModel")
@@ -597,33 +579,32 @@ def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
     stage's iterate of a Huber-smoothed L1 continuation from it, and
     all-AND.
 
-    Variables are theta (gamma = zeta_subsets(theta), see ``_theta_effects``)
-    and, when denoising, delta with box bounds. Each
-    stage of SMOOTHING_STAGES shrinks the Huber width and starts L-BFGS-B
-    from the previous stage's iterate. An iterate replaces the best split so
-    far only if its L1 is lower by more than CONVERGENCE_EPS (relative),
-    with the effects ``_theta_effects`` gives it; all-AND only if it is
-    lower at all.
+    The variables are the LP's, p and (with box bounds) delta, starting at
+    the even split's; the effects are ``_split_effects``'. Each stage of
+    SMOOTHING_STAGES shrinks the Huber width and starts L-BFGS-B from the
+    previous stage's iterate. An iterate replaces the best split so far only
+    if its L1 is lower by more than CONVERGENCE_EPS (relative); all-AND only
+    if it is lower at all. A table whose effects overflow raises ValueError.
     """
     minimize = sys.modules[__name__].minimize
     values = v.values
     size = values.size
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
-    base = _objective_base(values)
-    scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
-    bounds = [(None, None)] * (size - 1) + [(-zeta, zeta)] * (size - 1) if denoise else None
     effects, delta = even_split(v).effects, np.zeros(size)
     loss = float(np.abs(effects).sum())
-    # x packs theta[1:], then delta[1:] when denoising
-    x = _theta_start(values)
-    if denoise:
-        x = np.concatenate([x, np.zeros(size - 1)])
+    or_base = mobius_or(values)     # about twice the even split's q: it can overflow first
+    if not np.isfinite(np.abs(or_base).sum()):
+        raise ValueError("the table's effects overflow float64")
+    scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
+    bounds = [(None, None)] * (size - 1) + [(-zeta, zeta)] * (size - 1) if denoise else None
+    # x packs p[1:], then delta[1:] when denoising
+    x = np.concatenate([effects[0, 1:], np.zeros(size - 1 if denoise else 0)])
     for stage in SMOOTHING_STAGES:
-        x = minimize(_loss_grad, x, args=(stage * scale, base, denoise),
+        x = minimize(_loss_grad, x, args=(stage * scale, or_base, denoise),
                      jac=True, method="L-BFGS-B", bounds=bounds,
                      options={"maxiter": HUBER_MAX_ITERS, "ftol": 1e-14,
                               "gtol": 1e-12}).x
-        it_effects = _theta_effects(x, base, denoise)
+        it_effects = _split_effects(x, or_base, denoise)
         it_loss = float(np.abs(it_effects).sum())
         if not np.isfinite(it_loss):
             raise NumericalError("non-finite loss during continuation")
@@ -637,7 +618,7 @@ def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
 
 
 def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
-    """Minimize sum |I_and| + |I_or| over (gamma, delta); see module docstring.
+    """Minimize sum |I_and| + |I_or| over (p, delta); see module docstring.
 
     With ``denoise``, delta is learned in the box |delta| <= ZETA_FRACTION *
     v.gap(); without it, delta = 0. The result's ``solver`` names the path:
@@ -654,9 +635,6 @@ def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
       runs.
     """
     values = v.values
-    if not np.isfinite(np.abs(_objective_base(values)).sum()):
-        # v is finite, so its effects or their L1 overflow float64: an input error
-        raise ValueError("the table's effects overflow float64")
     if v.n == 0:
         # one mask, so one split: the even split, with no effect to solve for
         return Sparsified(even_split(v), np.zeros(values.size), "")

@@ -437,6 +437,8 @@ def malformed_inputs(tmp_path_factory):
     (mixed / "huge-l1").mkdir()     # finite effects whose L1 overflows float64
     aio.write_table(ValueTable(n=2, values=[0.0, 1e308, 1e308, 0.0]),
                     mixed / "huge-l1" / "table_0000.json")
+    (mixed / "limit").mkdir()   # LP row bounds past HiGHS's infinite bound, 1e20
+    aio.write_table(ValueTable(n=1, values=[0.0, 1e21]), mixed / "limit" / "table_0000.json")
     dup = tmp_path / "dup"      # two tables that share the label sample_0000
     dup.mkdir()
     for name in ("a.json", "b.json"):
@@ -502,6 +504,8 @@ MALFORMED_ARGV = [
       for flags in (("--mode", "all-and"), ("--no-denoise",), ())),
     *(("extract", "--in", "{mixed}/huge-l1", "--out", "{out}/out", *flags)
       for flags in (("--no-denoise",), ())),
+    *(("extract", "--in", "{mixed}/limit", "--out", "{out}/out", *flags)
+      for flags in (("--no-denoise",), ())),
     *(("profile", "--in", f"{{mixed}}/{name}", "--out", "{out}/p.csv")
       for name in ("nan", "inf", "repeated")),
     *(("oracle", "verify", "--table", f"{{bad}}/{name}.json",
@@ -531,7 +535,11 @@ MALFORMED_ARGV = [
         ("10", ("--samples", "4", "--overfit-fraction", "0.5", "--overfit-pairs", "2",
                 "--overfit-magnitude", "nan")),
         ("4", ("--overfit-magnitude", "inf")), ("4", ("--overfit-magnitude", "0")),
-        ("4", ("--seed", "-1")))),
+        ("4", ("--seed", "-1")),
+        # finite flags whose injected game's, or every game's, table overflows
+        ("8", ("--samples", "4", "--overfit-fraction", "0.25", "--overfit-pairs", "3",
+               "--overfit-magnitude", "1.7e308", "--seed", "0")),
+        ("4", ("--samples", "3", "--m", "6", "--effect-range", "1.7e308")))),
     # output paths that cannot be written: an existing file, a missing directory
     ("extract", "--in", "{tabs}", "--out", "{tabs}/table_0000.json", "--mode", "all-and"),
     ("profile", "--in", "{isets}", "--out", "{out}/missing/p.csv"),
@@ -556,7 +564,8 @@ MALFORMED_IDS = [
         "compare-negative-tau",
         "extract-overflow-all-and", "extract-overflow-no-denoise",
         "extract-overflow-denoise", "extract-l1-overflow-no-denoise",
-        "extract-l1-overflow-denoise", "profile-nan-effect", "profile-inf-effect",
+        "extract-l1-overflow-denoise", "extract-lp-bound-limit-no-denoise",
+        "extract-lp-bound-limit-denoise", "profile-nan-effect", "profile-inf-effect",
         "profile-repeated-mask", "verify-nan-value", "verify-n-past-uint64",
         "verify-400-digit-value",
         "axioms-n", "axioms-n-zero", "axioms-n-one", "axioms-trials",
@@ -569,6 +578,7 @@ MALFORMED_IDS = [
         "synth-effect-range-inf", "synth-effect-range-nan", "synth-magnitude-floor-zero",
         "synth-magnitude-floor-nan", "synth-overfit-magnitude-nan",
         "synth-overfit-magnitude-inf", "synth-overfit-magnitude-zero", "synth-negative-seed",
+        "synth-overfit-table-overflow", "synth-table-overflow",
         "extract-out-is-a-file", "profile-out-dir-missing", "similarity-out-dir-missing",
         "compare-out-dir-missing", "diagnose-out-dir-missing", "axioms-out-dir-missing"]
 

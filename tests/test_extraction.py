@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from andor import extraction
+from andor import extraction, lattice
 from andor.extraction import (LP_ORDER_WEIGHT, ZETA_FRACTION, NumericalError, _highs_ok,
                               _huber_sparsify, _loss_grad, _lp_matrix, _lp_model, _lp_rhs,
-                              _lp_solve, _lp_sparsify, _objective_base, _theta_effects,
-                              all_and, even_split, filter_salient, salience_threshold,
-                              sparsify)
+                              _lp_solve, _lp_sparsify, _split_effects, all_and, even_split,
+                              filter_salient, salience_threshold, sparsify)
 from andor.lattice import mobius_and, mobius_or, zeta_subsets
 from andor.models import (MaskingScheme, TinyNet, ValueTable, interaction_function_table,
                           net_value_table, realize_table,
@@ -182,21 +181,24 @@ def test_sparsify_recovers_a_small_game():
 
 
 def _unpack(x, values, denoise):
+    """(u_and, delta) of the packed AND effects p[1:] (then delta[1:]):
+    u_and = zeta_subsets(p) with p[0] = v[0]."""
     size = values.size
-    theta = np.empty(size)
-    theta[0] = 0.5 * values[0]
-    theta[1:] = x[:size - 1]
+    p = np.empty(size)
+    p[0] = values[0]
+    p[1:] = x[:size - 1]
     delta = np.zeros(size)
     if denoise:
         delta[1:] = x[size - 1:]
-    return theta, delta
+    return zeta_subsets(p), delta
 
 
 def _six_transform_loss_grad(x, mu, values, denoise):
-    """The objective in (gamma, delta) form: six transforms per evaluation."""
-    theta, delta = _unpack(x, values, denoise)
-    gamma = zeta_subsets(theta)
+    """The objective in (gamma, delta) form, gamma = u_and - (v - delta)/2:
+    six transforms per evaluation."""
+    u_and, delta = _unpack(x, values, denoise)
     half = 0.5 * (values - delta)
+    gamma = u_and - half
     i_and = mobius_and(half + gamma)
     i_and[0] = 0.0
     i_or = mobius_or(half - gamma)
@@ -209,12 +211,14 @@ def _six_transform_loss_grad(x, mu, values, denoise):
     p_or = np.clip(i_or / mu, -1.0, 1.0)
     g_u_and = mobius_and_transpose(p_and)
     g_u_or = -mobius_and(p_or[::-1])
+    g_gamma = g_u_and - g_u_or
     # adjoint of zeta_subsets: sums over supersets
-    g_theta = zeta_subsets((g_u_and - g_u_or)[::-1])[::-1]
+    g_p = zeta_subsets(g_gamma[::-1])[::-1]
     if not denoise:
-        return f, g_theta[1:]
-    g_delta = -0.5 * (g_u_and + g_u_or)
-    return f, np.concatenate([g_theta[1:], g_delta[1:]])
+        return f, g_p[1:]
+    # delta moves half by -delta/2 and gamma by +delta/2
+    g_delta = -0.5 * (g_u_and + g_u_or) + 0.5 * g_gamma
+    return f, np.concatenate([g_p[1:], g_delta[1:]])
 
 
 def _random_point(n, denoise, seed):
@@ -230,9 +234,9 @@ def _random_point(n, denoise, seed):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_loss_grad_matches_six_transform_reference(n, denoise):
     values, x = _random_point(n, denoise, seed=n)
-    base = _objective_base(values)
+    or_base = mobius_or(values)
     for mu in (1e-3, 0.1, 10.0):
-        f, g = _loss_grad(x, mu, base, denoise)
+        f, g = _loss_grad(x, mu, or_base, denoise)
         f_ref, g_ref = _six_transform_loss_grad(x, mu, values, denoise)
         assert f == pytest.approx(f_ref, rel=1e-12)
         np.testing.assert_allclose(g, g_ref, rtol=1e-12,
@@ -242,25 +246,43 @@ def test_loss_grad_matches_six_transform_reference(n, denoise):
 @pytest.mark.parametrize("denoise", [False, True])
 def test_loss_grad_finite_differences(denoise):
     values, x = _random_point(5, denoise, seed=3)
-    base = _objective_base(values)
+    or_base = mobius_or(values)
     mu, h = 50.0, 1e-6      # a wide Huber width keeps every effect quadratic
-    _, g = _loss_grad(x, mu, base, denoise)
+    _, g = _loss_grad(x, mu, or_base, denoise)
     for j in range(x.size):
         step = np.zeros_like(x)
         step[j] = h
-        fd = (_loss_grad(x + step, mu, base, denoise)[0]
-              - _loss_grad(x - step, mu, base, denoise)[0]) / (2 * h)
+        fd = (_loss_grad(x + step, mu, or_base, denoise)[0]
+              - _loss_grad(x - step, mu, or_base, denoise)[0]) / (2 * h)
         assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-8)
 
 
 @pytest.mark.parametrize("denoise", [False, True])
-def test_theta_effects_match_the_oracle(denoise):
+def test_loss_grad_transform_rows_per_evaluation(monkeypatch, denoise):
+    """One evaluation runs two one-row lattice transforms, a superset sum
+    and its adjoint, and two more when denoising, mobius_or of delta and its
+    adjoint."""
+    rows = []
+    for name in ("_diff_transform", "_sum_transform"):
+        kernel = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name,
+                            lambda a, kernel=kernel: rows.append(a.size // a.shape[-1])
+                            or kernel(a))
+    values, x = _random_point(6, denoise, seed=5)
+    or_base = mobius_or(values)
+    rows.clear()
+    _loss_grad(x, 0.1, or_base, denoise)
+    assert rows == [1] * (4 if denoise else 2)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+def test_split_effects_match_the_oracle(denoise):
+    """The rows are the oracle's effects of u_and = zeta_subsets(p), p[0] = v[0],
+    and u_or = v - delta - u_and."""
     values, x = _random_point(6, denoise, seed=11)
-    effects = _theta_effects(x, _objective_base(values), denoise)
-    theta, delta = _unpack(x, values, denoise)
-    gamma = zeta_subsets(theta)
-    half = 0.5 * (values - delta)
-    i_and, i_or = brute_and(half + gamma), brute_or(half - gamma)
+    effects = _split_effects(x, mobius_or(values), denoise)
+    u_and, delta = _unpack(x, values, denoise)
+    i_and, i_or = brute_and(u_and), brute_or(values - delta - u_and)
     i_and[0] = i_or[0] = 0.0
     np.testing.assert_allclose(effects[0], i_and, atol=1e-10)
     np.testing.assert_allclose(effects[1], i_or, atol=1e-10)
@@ -268,24 +290,19 @@ def test_theta_effects_match_the_oracle(denoise):
 
 @pytest.mark.parametrize("denoise", [False, True])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_lp_matrix_matches_theta_effects(n, denoise):
-    """The LP's rows hold for the effects of any (theta, delta), and theta is
-    recovered from them: this checks S, K and the recovery formula."""
+def test_lp_matrix_matches_split_effects(n, denoise):
+    """The LP's rows hold for the effects of any (p, delta), with the
+    right-hand side R'(S a - b), a = mobius_and(v/2) and b = mobius_or(v/2):
+    this checks S and K."""
     values, x = _random_point(n, denoise, seed=20 + n)
-    base = _objective_base(values)
-    p, q = _theta_effects(x, base, denoise)[:, 1:]
-    a, b = base[:, 1:]
+    p, q = _split_effects(x, mobius_or(values), denoise)[:, 1:]
+    a, b = mobius_and(0.5 * values)[1:], mobius_or(0.5 * values)[1:]
     m = a.size
-    delta = np.zeros(m + 1)
-    if denoise:
-        delta[1:] = x[m:]
     matrix = lp_matrix(n, denoise)
     z = np.concatenate([np.maximum(p, 0), np.maximum(-p, 0),
-                        np.maximum(q, 0), np.maximum(-q, 0), delta[1:] if denoise else []])
+                        np.maximum(q, 0), np.maximum(-q, 0), x[m:] if denoise else []])
     np.testing.assert_allclose(matrix @ z, matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b,
                                atol=1e-10)
-    theta = p - a + 0.5 * mobius_and(delta)[1:]
-    np.testing.assert_allclose(theta, x[:m], atol=1e-10)
 
 
 def lp_matrix(n, denoise):
@@ -339,8 +356,8 @@ def test_lp_matrix_and_rhs_are_scipy_sparse_bit_for_bit(n, denoise):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_lp_rhs_is_one_transform_of_the_table(n, denoise):
     """_lp_rhs(v) is the right-hand side R'(S a - b) of the rows, the
-    scipy.sparse product of their p+ and q+ blocks with
-    a, b = _objective_base(v)[:, 1:], to 1e-13 * max(1, max|v|). At v[0] = 0
+    scipy.sparse product of their p+ and q+ blocks with a = mobius_and(v/2)
+    and b = mobius_or(v/2), to 1e-13 * max(1, max|v|). At v[0] = 0
     it is the denoised rows' delta block times v[1:]: the rows hold at
     p = q = 0, delta = v."""
     ref = scipy_lp_matrix(n, denoise)
@@ -349,13 +366,23 @@ def test_lp_rhs_is_one_transform_of_the_table(n, denoise):
     for scale in (1e-3, 1.0, 1e3):
         values = scale * rng.normal(size=m + 1)
         atol = 1e-13 * max(1.0, np.max(np.abs(values)))
-        a, b = _objective_base(values)[:, 1:]
+        a, b = mobius_and(0.5 * values)[1:], mobius_or(0.5 * values)[1:]
         np.testing.assert_allclose(_lp_rhs(values), ref[:, :m] @ a + ref[:, 2 * m:3 * m] @ b,
                                    rtol=0, atol=atol)
         if denoise:
             values[0] = 0.0
             np.testing.assert_allclose(_lp_rhs(values), ref[:, 4 * m:] @ values[1:],
                                        rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+def test_lp_bounds_at_highs_infinite_bound_are_refused(denoise):
+    """HiGHS reads a bound of its infinite_bound, 1e20, or more as infinite:
+    a table whose row bounds reach it is refused, naming the bound, before
+    HiGHS sees it, and a table of 1e19 still solves."""
+    with pytest.raises(ValueError, match=r"reach 1e\+20"):
+        sparsify(ValueTable(n=1, values=np.array([0.0, 1e21])), denoise)
+    assert sparsify(ValueTable(n=1, values=np.array([0.0, 1e19])), denoise).solver == "lp"
 
 
 def test_lp_path_loads_only_the_highs_extension():
@@ -535,14 +562,14 @@ def test_clipped_delta_effects_rebuild_the_denoised_table():
 def linprog_reference(values, zeta, denoise, maxiter=None, plain=False):
     """The LP of _lp_solve, with _lp_model's costs, through scipy's public
     linprog: on _lp_matrix's rows with _lp_rhs's bounds, or with plain on
-    the plain rows with their right-hand side S a - b, as scipy.sparse
-    multiplies it out."""
+    the plain rows with their right-hand side S a - b, a = mobius_and(v/2)
+    and b = mobius_or(v/2), as scipy.sparse multiplies it out."""
     from scipy.optimize import linprog
     m = values.size - 1
     n = m.bit_length()
     if plain:
         matrix = plain_lp_matrix(n, denoise)
-        a, b = _objective_base(values)[:, 1:]
+        a, b = mobius_and(0.5 * values)[1:], mobius_or(0.5 * values)[1:]
         rhs = matrix[:, :m] @ a + matrix[:, 2 * m:3 * m] @ b
     else:
         matrix, rhs = lp_matrix(n, denoise), _lp_rhs(values)
