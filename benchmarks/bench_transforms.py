@@ -4,9 +4,8 @@ the oracle's reconstruction of sparse and dense effect sets.
 
 Run directly: python benchmarks/bench_transforms.py [max_n]
 
-The kernels are timed on one lattice vector and on a (2, 2**n) stack, the
-shape of a batched call of two rows (``lattice``), at even n from 10
-to max_n, by default ``lattice.MAX_N``, the largest n a command accepts.
+The kernels are timed on one lattice vector at even n from 10 to max_n,
+by default ``lattice.MAX_N``, the largest n a command accepts.
 The objective rows time one value-plus-gradient evaluation of the smoothed
 L1 objective (``extraction._loss_grad``), with and without denoising, at
 n = 8, 10, 14. Each of these figures is the best of several repeats.
@@ -101,14 +100,12 @@ def repeats_for(n):
 
 
 def kernels(max_n, rng):
-    columns = [(f"{name}/{shape}", kernel, rows)
-               for name, kernel in (("diff", _diff_transform), ("sum", _sum_transform))
-               for shape, rows in (("1d", None), ("2xN", 2))]
-    print(f"{'n':>4} " + " ".join(f"{name:>12}" for name, _, _ in columns))
+    columns = (("diff", _diff_transform), ("sum", _sum_transform))
+    print(f"{'n':>4} " + " ".join(f"{name:>12}" for name, _ in columns))
     for n in range(10, max_n + 1, 2):
         times = []
-        for _, kernel, rows in columns:
-            a = rng.normal(size=(1 << n) if rows is None else (rows, 1 << n))
+        for _, kernel in columns:
+            a = rng.normal(size=1 << n)
             times.append(best_time(kernel, a.copy, repeats_for(n)))
         print(f"{n:>4} " + " ".join(f"{t * 1e3:>10.3f}ms" for t in times))
 

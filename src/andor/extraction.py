@@ -34,6 +34,22 @@ the table size n:
 ``benchmarks/bench_transforms.py`` prints the pivots and times that set the
 cutoff and the budget, per table; CHANGES.md keeps the measurements.
 
+The scale. The L1 split is scale-equivariant: the minimal effects and the
+delta box of c * v are c times v's. ``sparsify`` writes the table as
+v = 2**e * u, e chosen so that u's spread about its bias,
+max_S |u(S) - u(empty)|, lies in [0.5, 1) (a constant table keeps e = 0),
+solves u, and scales the effects and delta back by 2**e. ``np.ldexp`` is
+exact short of subnormals, so every solver input is exactly 2**-e times
+what the table itself would give, and sparsify(2**k * v) is
+2**k * sparsify(v) bit for bit. The solvers see magnitudes near 1 only:
+the LP's row bounds stay below 2**n and its delta box below 0.02, far from
+HiGHS's infinite bound (1e20) and well above its absolute tolerances
+(1e-7), and no effect of u overflows. The spread is taken about v(empty),
+not as max|v|, because the row bounds K v do not see the bias: scaled by
+max|v|, a table 1e6 + 1e-3 * noise would leave every row bound below
+HiGHS's tolerances. The one magnitude check left is on the scaled-back
+effects, whose L1 overflows float64 where the table's effects do.
+
 The order weights. The LP does not give every effect cost 1: the effect on
 subset S costs 1 + LP_ORDER_WEIGHT * |S|**2 (both signs, AND and OR alike;
 delta costs 0). Under unit costs the LP is heavily dual-degenerate: its
@@ -82,7 +98,7 @@ split it picked. On the LP path they are the vertex's own: p = p+ - p-
 (AND) and q = q+ - q- (OR), with the empty-set slots 0. A slot the vertex
 holds at zero is an exact 0.0. A basic delta column can pass its box by
 the solver's feasibility tolerance. Where it passes it by no more than
-1e-12 * max(1, zeta), the vertex's delta is kept. Beyond that, delta is
+1e-12 (at unit spread), the vertex's delta is kept. Beyond that, delta is
 clipped into the box and the clip Delta = delta_clipped - delta_raw is
 folded into the OR row as q -= mobius_or(Delta): the rows give
 q = S p - K v + K delta with K = -M_or, so the folded effects rebuild
@@ -497,21 +513,13 @@ def _lp_solve(values: np.ndarray, zeta: float, denoise: bool, maxiter: int | Non
     or the pivot limit raises NumericalError. The vertex and the pivots are
     linprog's exactly when linprog gets the same costs and row bounds.
 
-    A table whose row bounds' L1 overflows float64, or whose row bounds or
-    delta box reach HiGHS's infinite_bound (1e20, read as infinite), raises
-    ValueError.
+    ``sparsify`` hands it a table at unit spread (module docstring), whose
+    row bounds stay below 2**n and delta box below 0.02, far inside HiGHS's
+    infinite bound of 1e20.
     """
     m = values.size - 1
     core, highs, lp = _lp_model(m.bit_length(), denoise)
-    rhs = _lp_rhs(values)
-    if not np.isfinite(np.abs(rhs).sum()):
-        # v is finite, so its row bounds or their L1 overflow float64: an input error
-        raise ValueError("the table's LP row bounds overflow float64")
-    status, limit = highs.getOptionValue("infinite_bound")
-    _highs_ok(core, status, "getOptionValue")
-    if max(float(np.max(np.abs(rhs))), zeta) >= limit:
-        raise ValueError(f"the table's LP bounds reach {limit:g}, which HiGHS reads as infinite")
-    lp.row_lower_ = lp.row_upper_ = rhs
+    lp.row_lower_ = lp.row_upper_ = _lp_rhs(values)
     if denoise:
         lp.col_lower_, lp.col_upper_ = _lp_col_bounds(m, lp.num_col_, zeta)
     _highs_ok(core, highs.passModel(lp), "passModel")
@@ -536,8 +544,9 @@ def _lp_sparsify(values: np.ndarray, zeta: float, denoise: bool):
     of the vertex's own effects p = p+ - p- (AND) and q = q+ - q- (OR), with
     the empty-set slots 0, so a slot the vertex holds at zero is exactly
     0.0; delta is the vertex's, with delta[0] = 0, and zero without
-    denoising. A delta entry past its box by more than 1e-12 * max(1, zeta)
-    is clipped into it, and the clip is folded into q (module docstring).
+    denoising. A delta entry past its box by more than 1e-12 (the table is
+    at unit spread) is clipped into it, and the clip is folded into q
+    (module docstring).
     At n = LP_MAX_N the dual simplex gets 2**(n-1) pivots, and None is
     returned when it needs more.
     """
@@ -554,7 +563,7 @@ def _lp_sparsify(values: np.ndarray, zeta: float, denoise: bool):
         return effects, delta
     delta[1:] = raw = x[4 * m:]
     # a basic delta can overshoot its bounds by the solver's tolerance
-    past = np.abs(raw) > zeta + 1e-12 * max(1.0, zeta)
+    past = np.abs(raw) > zeta + 1e-12
     if past.any():
         clipped = delta.copy()
         clipped[1:][past] = np.clip(raw[past], -zeta, zeta)
@@ -584,7 +593,10 @@ def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
     SMOOTHING_STAGES shrinks the Huber width and starts L-BFGS-B from the
     previous stage's iterate. An iterate replaces the best split so far only
     if its L1 is lower by more than CONVERGENCE_EPS (relative); all-AND only
-    if it is lower at all. A table whose effects overflow raises ValueError.
+    if it is lower at all. The Huber widths are the stages' fractions of the
+    table's own scale, its gap or max|v|, whichever is larger; ``sparsify``
+    hands it a table at unit spread (module docstring), whose effects cannot
+    overflow.
     """
     minimize = sys.modules[__name__].minimize
     values = v.values
@@ -592,9 +604,7 @@ def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
     zeta = ZETA_FRACTION * v.gap() if denoise else 0.0
     effects, delta = even_split(v).effects, np.zeros(size)
     loss = float(np.abs(effects).sum())
-    or_base = mobius_or(values)     # about twice the even split's q: it can overflow first
-    if not np.isfinite(np.abs(or_base).sum()):
-        raise ValueError("the table's effects overflow float64")
+    or_base = mobius_or(values)
     scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
     bounds = [(None, None)] * (size - 1) + [(-zeta, zeta)] * (size - 1) if denoise else None
     # x packs p[1:], then delta[1:] when denoising
@@ -633,16 +643,31 @@ def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
       continuation's iterates and all-AND.
     - empty at n = 0, where the even split is the only split and no solver
       runs.
+
+    Either solver gets the table rescaled to unit spread, u = 2**-e * v, and
+    the effects and delta it returns are scaled back by 2**e (module
+    docstring), so sparsify(2**k * v) is 2**k * sparsify(v) bit for bit. A
+    table whose effects' L1 overflows float64 raises ValueError.
     """
     values = v.values
     if v.n == 0:
         # one mask, so one split: the even split, with no effect to solve for
         return Sparsified(even_split(v), np.zeros(values.size), "")
-    if v.n <= LP_MAX_N:
-        vertex = _lp_sparsify(values, ZETA_FRACTION * v.gap() if denoise else 0.0, denoise)
-        if vertex is not None:
-            return Sparsified(_interaction_set(v, vertex[0]), vertex[1], "lp")
-    return _huber_sparsify(v, denoise)
+    # the spread max|v - v(empty)| is twice this, which cannot overflow
+    half_spread = float(np.max(np.abs(0.5 * values - 0.5 * values[0])))
+    e = int(np.frexp(half_spread)[1]) + 1 if half_spread else 0
+    u = replace(v, values=np.ldexp(values, -e))
+    zeta = ZETA_FRACTION * u.gap() if denoise else 0.0
+    vertex = _lp_sparsify(u.values, zeta, denoise) if v.n <= LP_MAX_N else None
+    solver = "huber" if vertex is None else "lp"
+    if vertex is None:
+        huber = _huber_sparsify(u, denoise)
+        vertex = huber.interactions.effects, huber.delta
+    effects, delta = (np.ldexp(a, e) for a in vertex)
+    if not np.isfinite(np.abs(effects).sum()):
+        # v is finite, so its effects or their L1 overflow float64: an input error
+        raise ValueError("the table's effects overflow float64")
+    return Sparsified(_interaction_set(v, effects), delta, solver)
 
 
 def salience_threshold(tables, fraction: float = DEFAULT_SALIENCE_FRACTION) -> float:

@@ -2,12 +2,9 @@
 
 Subsets of N = {1..n} are bitmasks: bit i-1 set <=> variable i in S, index 0
 is the empty set. A lattice vector is a float64 array of length 2**n indexed
-by bitmask. All transforms are pure: they copy their input and run an
-in-place butterfly kernel (``_diff_transform`` or ``_sum_transform``) on the
-copy. Each transform also takes a ``(k, 2**n)`` stack of lattice vectors and
-transforms every row in one kernel call; every row gets the same operations
-in the same order as a 1-D call, so batched rows are bit-identical to
-transforming each row alone.
+by bitmask. All transforms take one lattice vector and are pure: they copy
+their input and run an in-place butterfly kernel (``_diff_transform`` or
+``_sum_transform``) on the copy.
 
 MAX_N is the package's one limit on input size: every table and effect file
 is refused above it as it is read or built. It is 14 because every file a
@@ -52,15 +49,6 @@ def as_lattice(values) -> np.ndarray:
     return arr
 
 
-def _as_rows(values) -> np.ndarray:
-    """A lattice vector, or a (k, 2**n) stack of them, as float64."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise LatticeSizeError("expected a lattice vector or a (k, 2**n) stack")
-    _size_to_n(arr.shape[-1])
-    return arr
-
-
 def order_counts(n: int) -> np.ndarray:
     """Population count (subset order) per bitmask index, as uint8."""
     idx = np.arange(table_size(n), dtype=np.uint32)
@@ -97,7 +85,7 @@ def mobius_and(u) -> np.ndarray:
 
     O(n * 2**n) dimension-by-dimension difference transform.
     """
-    out = _as_rows(u).copy()
+    out = as_lattice(u).copy()
     return _diff_transform(out)
 
 
@@ -106,7 +94,7 @@ def mobius_or(u) -> np.ndarray:
 
     Complement reindexing is a reversal: (2**n - 1) ^ L == 2**n - 1 - L.
     """
-    out = _as_rows(u)[..., ::-1].copy()
+    out = as_lattice(u)[::-1].copy()
     _diff_transform(out)
     np.negative(out, out=out)
     return out
@@ -114,15 +102,15 @@ def mobius_or(u) -> np.ndarray:
 
 def zeta_subsets(i) -> np.ndarray:
     """Subset aggregation: g[S] = sum_{T subset S} I[T]; inverse of mobius_and."""
-    out = _as_rows(i).copy()
+    out = as_lattice(i).copy()
     return _sum_transform(out)
 
 
 def zeta_supersets(g) -> np.ndarray:
     """Superset aggregation: out[T] = sum_{S superset T} g[S]; adjoint of zeta_subsets."""
-    out = _as_rows(g)[..., ::-1].copy()
+    out = as_lattice(g)[::-1].copy()
     _sum_transform(out)
-    return out[..., ::-1].copy()
+    return out[::-1].copy()
 
 
 def permute_variables(values, perm) -> np.ndarray:
