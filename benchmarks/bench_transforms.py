@@ -11,8 +11,11 @@ L1 objective (``extraction._loss_grad``), with and without denoising, at
 n = 8, 10, 14. Each of these figures is the best of several repeats.
 
 The solver rows time one solve per table, with and without denoising, on a
-random normal table, a net table and a sparse game of the criterion-4 kind
-(15 order-3 effects on an antichain) at n = 8, 9 and 10. Each row prints
+random normal table, the same table plus 1e3 ("shifted"), a net table and a
+sparse game of the criterion-4 kind (15 order-3 effects on an antichain) at
+n = 8, 9 and 10. The shifted table has the effects of the normal one but
+its bias, so its row beside the normal one's shows how far each path's L1
+moves with an offset. Each row prints
 the nonzeros of the LP's equality matrix (``extraction._lp_matrix``, its
 rows in the half-butterfly coordinates of the extraction docstring), times
 the LP without a pivot budget (``extraction._lp_solve``, which returns the
@@ -151,8 +154,10 @@ def solvers(rng, ns=(8, 9, 10)):
     rows = []
     for n in ns:
         net = TinyNet.random([n, 32, 32, 2], rng_seed=n)
+        random = ValueTable(n=n, values=rng.normal(size=1 << n))
         tables = {
-            "random": ValueTable(n=n, values=rng.normal(size=1 << n)),
+            "random": random,
+            "shifted": ValueTable(n=n, values=random.values + 1e3),
             "net": net_value_table(net, MaskingScheme(rng.normal(size=n), np.zeros(n))),
             "sparse": realize_table(sparse_game(n)),
         }

@@ -143,7 +143,9 @@ class SparsityDiagnostic:
     condition1: no salient effect above the stated max order; condition2:
     mean masked output rises with mask order; condition3: smallest exponent p
     bounding the rise polynomially (INFEASIBLE when no p in (0, P_MAX] works);
-    kappa_fit: log(salient_count * tau) / log(n).
+    kappa_fit: log(salient_count * tau) / log(n). Conditions 2 and 3 forgive
+    a shortfall up to the table's rounding, ``ValueTable.rounding``, so
+    their verdicts do not change when the table is rescaled.
     """
 
     condition1_ok: bool
@@ -165,14 +167,15 @@ def _mean_gain_by_order(v: ValueTable) -> np.ndarray:
     return out
 
 
-def _condition3_min_p(u_bar: np.ndarray) -> float:
-    """Smallest p > 0 with u_bar[k'-1] >= (k'/k)^p * u_bar[k-1] for k' <= k."""
+def _condition3_min_p(u_bar: np.ndarray, slack: float) -> float:
+    """Smallest p > 0 with u_bar[k'-1] >= (k'/k)^p * u_bar[k-1] - slack for
+    k' <= k."""
     n = len(u_bar)
 
     def holds(p: float) -> bool:
         for k in range(1, n + 1):
             for kp in range(1, k + 1):
-                if u_bar[kp - 1] < (kp / k) ** p * u_bar[k - 1] - 1e-12:
+                if u_bar[kp - 1] < (kp / k) ** p * u_bar[k - 1] - slack:
                     return False
         return True
 
@@ -205,9 +208,10 @@ def sparsity_diagnostics(v: ValueTable, iset: InteractionSet, tau: float,
     max_sal = int(salient_orders.max()) if salient_orders.size else 0
 
     u_bar = _mean_gain_by_order(v)
+    slack = v.rounding()
     violation = None
     for k in range(1, v.n):
-        if u_bar[k] < u_bar[k - 1] - 1e-12:
+        if u_bar[k] < u_bar[k - 1] - slack:
             violation = k + 1
             break
 
@@ -216,7 +220,7 @@ def sparsity_diagnostics(v: ValueTable, iset: InteractionSet, tau: float,
         max_salient_order=max_sal,
         condition2_ok=violation is None,
         condition2_violation=violation,
-        condition3_min_p=_condition3_min_p(u_bar),
+        condition3_min_p=_condition3_min_p(u_bar, slack),
         salient_count=count,
         kappa_fit=kappa_fit(count, tau, v.n),
     )

@@ -10,6 +10,12 @@ line). Every input error, and every output path of ``synth`` and
 ``extract`` that is a directory, is found before the first output is
 written, so a run that exits 2 on one leaves no file or directory behind.
 
+The verdicts of ``oracle verify`` and ``diagnose`` put down to rounding an
+error of at most the table's ``ValueTable.rounding``, ``models.ROUNDING``
+times max|v|: verify passes where the effects rebuild every mask to that,
+and diagnose's conditions 2 and 3 forgive a shortfall of that. So a
+verdict is the same for a table and its effects rescaled by 2**k.
+
 ``main`` may be called any number of times in one process: it parses with
 one parser, built on the first call. argparse keeps no state between
 parses, so each call behaves as in a fresh process.
@@ -304,8 +310,7 @@ def cmd_oracle(args) -> int:
     # (denoised) extract exit 1 here, reporting their max|delta| (ROADMAP item 1)
     err = verify_matching(v, iset, 0.0)
     sys.stdout.write(f"max_abs_error: {err!r}\n")
-    # at the table's own scale, as sparsify solves it
-    return 0 if err <= 1e-8 * float(np.max(np.abs(v.values))) else 1
+    return 0 if err <= v.rounding() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,20 +35,23 @@ the table size n:
 cutoff and the budget, per table; CHANGES.md keeps the measurements.
 
 The scale. The L1 split is scale-equivariant: the minimal effects and the
-delta box of c * v are c times v's. ``sparsify`` writes the table as
-v = 2**e * u, e chosen so that u's spread about its bias,
-max_S |u(S) - u(empty)|, lies in [0.5, 1) (a constant table keeps e = 0),
-solves u, and scales the effects and delta back by 2**e. ``np.ldexp`` is
-exact short of subnormals, so every solver input is exactly 2**-e times
-what the table itself would give, and sparsify(2**k * v) is
-2**k * sparsify(v) bit for bit. The solvers see magnitudes near 1 only:
-the LP's row bounds stay below 2**n and its delta box below 0.02, far from
-HiGHS's infinite bound (1e20) and well above its absolute tolerances
-(1e-7), and no effect of u overflows. The spread is taken about v(empty),
-not as max|v|, because the row bounds K v do not see the bias: scaled by
-max|v|, a table 1e6 + 1e-3 * noise would leave every row bound below
-HiGHS's tolerances. The one magnitude check left is on the scaled-back
-effects, whose L1 overflows float64 where the table's effects do.
+delta box of c * v are c times v's. Every scale the solvers use is the
+table's spread about its bias, max_S |v(S) - v(empty)|
+(``ValueTable.half_spread``), not max|v|, because adding a constant to v
+moves only the bias: scaled by max|v|, a table 1e6 + 1e-3 * noise would
+leave every row bound below HiGHS's tolerances, and its Huber widths would
+follow the offset. A table of spread 0 is constant, and its bias rebuilds
+it: ``sparsify`` returns no effect and no delta for it, and runs no
+solver. Any other table is written as v = 2**e * u, e chosen so that u's
+spread lies in [0.5, 1); ``sparsify`` solves u and scales the effects and
+delta back by 2**e. ``np.ldexp`` is exact short of subnormals, so every
+solver input is exactly 2**-e times what the table itself would give, and
+sparsify(2**k * v) is 2**k * sparsify(v) bit for bit. The solvers see
+magnitudes near 1 only: the LP's row bounds stay below 2**n and its delta
+box below 0.02, far from HiGHS's infinite bound (1e20) and well above its
+absolute tolerances (1e-7), and no effect of u overflows. The one
+magnitude check left is on the scaled-back effects, whose L1 overflows
+float64 where the table's effects do.
 
 The order weights. The LP does not give every effect cost 1: the effect on
 subset S costs 1 + LP_ORDER_WEIGHT * |S|**2 (both signs, AND and OR alike;
@@ -124,12 +127,13 @@ and builds its matrix in numpy, importing neither ``scipy.optimize`` nor
 The LP reaches HiGHS through the bindings scipy ships in its private module
 ``scipy.optimize._highspy._core``, not through ``linprog``. ``_lp_model``
 builds one HiGHS instance per (n, denoise), once per process, with the
-options of ``linprog(method="highs-ds")`` with presolve off, and one HiGHS
-model holding the matrix and the costs. Each solve writes the table's row
-bounds (and delta box) into the model, passes it to the instance, which
-drops the previous solve's basis and solution, sets the pivot limit, runs
-it and reads the vertex and the status. The matrix's arrays are bit for
-bit those scipy.sparse builds, so the vertex and the pivot count are
+options of ``linprog(method="highs-ds")`` with presolve and scaling off,
+and one HiGHS model holding the matrix and the costs. Each solve writes the
+table's row bounds (and delta box) into the model, passes it to the
+instance, which drops the previous solve's basis and solution, sets the
+pivot limit, runs it and reads the vertex and the status. The matrix's
+arrays are bit for bit those scipy.sparse builds, and scaling a matrix of
++-1 entries changes no pivot, so the vertex and the pivot count are
 linprog's given the same costs and row bounds (the tests pass linprog the
 model's costs and ``_lp_rhs`` and compare the two, also for solves of
 several modes interleaved in one process). linprog rebuilds the model and
@@ -165,7 +169,7 @@ LP_ORDER_WEIGHT = 1e-6
 # is lower by this much, relative.
 CONVERGENCE_EPS = 1e-9
 # Huber widths of the continuation's stages, as fractions of the table's
-# output scale, largest first.
+# spread, largest first.
 SMOOTHING_STAGES = (0.1, 0.01, 0.001)
 # Per-stage quasi-Newton cap of the Huber continuation; it does not bound the LP.
 HUBER_MAX_ITERS = 2000
@@ -436,7 +440,8 @@ def _lp_model(n: int, denoise: bool) -> _LpModel:
     delta: the tie-break toward low orders of the module docstring. The
     instance gets the options that
     ``linprog(method="highs-ds", options={"presolve": False})`` sets:
-    simplex, dual strategy, presolve off, no output; then the model. Only
+    simplex, dual strategy, presolve off, no output; and scaling off, which
+    saves its setup on every solve; then the model. Only
     the row bounds, the delta box and the pivot limit change per table
     (_lp_solve), so solves must not run in parallel threads. A HiGHS status
     other than kOk raises NumericalError: an instance whose passModel failed
@@ -463,6 +468,8 @@ def _lp_model(n: int, denoise: bool) -> _LpModel:
     options.presolve = "off"
     options.solver = "simplex"
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    # every matrix entry is +-1, so there is nothing to scale
+    options.simplex_scale_strategy = 0
     options.output_flag = options.log_to_console = False
     highs = core._Highs()
     _highs_ok(core, highs.passOptions(options), "passOptions")
@@ -594,9 +601,9 @@ def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
     previous stage's iterate. An iterate replaces the best split so far only
     if its L1 is lower by more than CONVERGENCE_EPS (relative); all-AND only
     if it is lower at all. The Huber widths are the stages' fractions of the
-    table's own scale, its gap or max|v|, whichever is larger; ``sparsify``
-    hands it a table at unit spread (module docstring), whose effects cannot
-    overflow.
+    table's spread max|v - v(empty)|, so adding a constant to v moves only
+    the bias; ``sparsify`` hands it a nonconstant table at unit spread
+    (module docstring), whose effects cannot overflow.
     """
     minimize = sys.modules[__name__].minimize
     values = v.values
@@ -605,12 +612,12 @@ def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
     effects, delta = even_split(v).effects, np.zeros(size)
     loss = float(np.abs(effects).sum())
     or_base = mobius_or(values)
-    scale = max(v.gap(), float(np.max(np.abs(values))), 1e-12)
+    spread = 2 * v.half_spread()
     bounds = [(None, None)] * (size - 1) + [(-zeta, zeta)] * (size - 1) if denoise else None
     # x packs p[1:], then delta[1:] when denoising
     x = np.concatenate([effects[0, 1:], np.zeros(size - 1 if denoise else 0)])
     for stage in SMOOTHING_STAGES:
-        x = minimize(_loss_grad, x, args=(stage * scale, or_base, denoise),
+        x = minimize(_loss_grad, x, args=(stage * spread, or_base, denoise),
                      jac=True, method="L-BFGS-B", bounds=bounds,
                      options={"maxiter": HUBER_MAX_ITERS, "ftol": 1e-14,
                               "gtol": 1e-12}).x
@@ -618,7 +625,7 @@ def _huber_sparsify(v: ValueTable, denoise: bool) -> Sparsified:
         it_loss = float(np.abs(it_effects).sum())
         if not np.isfinite(it_loss):
             raise NumericalError("non-finite loss during continuation")
-        if it_loss < loss - CONVERGENCE_EPS * max(1.0, abs(loss)):
+        if it_loss < loss - CONVERGENCE_EPS * loss:
             loss, effects = it_loss, it_effects
             delta = np.concatenate([[0.0], x[size - 1:]]) if denoise else np.zeros(size)
     alland = all_and(v)
@@ -641,7 +648,8 @@ def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
     - "huber", for n > LP_MAX_N or when the LP exhausts its pivot budget:
       what ``_huber_sparsify`` returns, the best of the even split, the
       continuation's iterates and all-AND.
-    - empty at n = 0, where the even split is the only split and no solver
+    - empty for a table of spread 0 (a constant one, n = 0 included): the
+      bias rebuilds it, so it gets zero effects and delta, and no solver
       runs.
 
     Either solver gets the table rescaled to unit spread, u = 2**-e * v, and
@@ -650,12 +658,12 @@ def sparsify(v: ValueTable, denoise: bool = True) -> Sparsified:
     table whose effects' L1 overflows float64 raises ValueError.
     """
     values = v.values
-    if v.n == 0:
-        # one mask, so one split: the even split, with no effect to solve for
-        return Sparsified(even_split(v), np.zeros(values.size), "")
-    # the spread max|v - v(empty)| is twice this, which cannot overflow
-    half_spread = float(np.max(np.abs(0.5 * values - 0.5 * values[0])))
-    e = int(np.frexp(half_spread)[1]) + 1 if half_spread else 0
+    half_spread = v.half_spread()
+    if not half_spread:
+        # the bias rebuilds a constant table: no effect, nothing to solve
+        zeros = np.zeros(values.size)
+        return Sparsified(_interaction_set(v, np.stack([zeros, zeros])), zeros, "")
+    e = int(np.frexp(half_spread)[1]) + 1
     u = replace(v, values=np.ldexp(values, -e))
     zeta = ZETA_FRACTION * u.gap() if denoise else 0.0
     vertex = _lp_sparsify(u.values, zeta, denoise) if v.n <= LP_MAX_N else None

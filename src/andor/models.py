@@ -11,6 +11,11 @@ import numpy as np
 from .lattice import as_lattice, infer_n, order_counts, table_size, zeta_subsets
 
 PROB_CLAMP = 1e-7
+# The error a verdict on a table puts down to rounding, relative to its
+# magnitude max|v|: ten times the worst rebuild error of a correct split
+# measured, 3.8e-11 (an LP vertex of a dense n = 9 table), and below 1e-9, so
+# that one effect moved by 1e-9 times a zero-bias table's spread fails.
+ROUNDING = 4e-10
 # Default magnitude floor as a fraction of effect_range in sample_sparse_game.
 DEFAULT_FLOOR_FRACTION = 0.5
 
@@ -40,6 +45,17 @@ class ValueTable:
     def gap(self) -> float:
         """|v(x_N) - v(x_empty)|, the per-sample output span."""
         return float(abs(self.values[self.full_mask] - self.values[0]))
+
+    def half_spread(self) -> float:
+        """Half the spread max_S |v(x_S) - v(x_empty)|, the table's scale with
+        its bias left out; half, because the spread itself can overflow."""
+        return float(np.max(np.abs(0.5 * self.values - 0.5 * self.values[0])))
+
+    def rounding(self) -> float:
+        """ROUNDING * max|v|: the error a verdict on this table puts down to
+        rounding. Taken at max|v|, not the spread, because float64 rounds v
+        itself at that magnitude; 0 for an all-zero table."""
+        return ROUNDING * float(np.max(np.abs(self.values)))
 
 
 @dataclass

@@ -37,7 +37,8 @@ def test_bench_transforms_solver_rows_end_with_one_json_line(capsys, huber_max_i
     rows = json.loads(lines[-1])
     printed = [line.split() for line in lines[:-1] if line.split()[:1] == ["6"]]
     assert [(r["table"], r["denoise"]) for r in rows] == [
-        (table, denoise) for table in ("random", "net", "sparse") for denoise in (False, True)]
+        (table, denoise) for table in ("random", "shifted", "net", "sparse")
+        for denoise in (False, True)]
     for row, cells in zip(rows, printed, strict=True):
         assert set(row) == {"n", "denoise", "table", "nnz", "pivots", "path", "lp_s",
                             "huber_s", "sparsify_s", "lp_l1", "huber_l1"}

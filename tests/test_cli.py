@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import andor
 from andor import io as aio
 from andor.cli import build_parser, main
-from andor.lattice import MAX_N
+from andor.extraction import InteractionSet, all_and
+from andor.lattice import MAX_N, order_counts
 from andor.metrics import order_profile
 from andor.models import MaskingScheme, TinyNet, ValueTable, net_value_table
 from test_acceptance import recovery_game
@@ -424,11 +425,124 @@ def test_extract_solves_tables_far_from_unit_scale(tmp_path, values):
 
 def test_oracle_verify_judges_at_the_table_scale(tmp_path):
     """An empty effect file misses [0, 1e-9, 2e-9, 5e-9] by 5e-9, which is
-    far above 1e-8 * max|v|."""
+    far above the table's rounding."""
     aio.write_table(ValueTable(n=2, values=[0.0, 1e-9, 2e-9, 5e-9]), tmp_path / "t.json")
     _effect_file(tmp_path / "empty.json", 2, [])
     assert in_process("oracle", "verify", "--table", tmp_path / "t.json",
                       "--interactions", tmp_path / "empty.json") == (1, "max_abs_error: 5e-09\n", "")
+
+
+def test_oracle_verify_fails_a_bias_only_file_on_an_offset_table(tmp_path):
+    """The bias of 1e6 + 1e-3 * noise rebuilds none of the noise: the file
+    misses the table by its spread, far above the table's rounding."""
+    v = ValueTable(n=4, values=1e6 + 1e-3 * np.random.default_rng(0).normal(size=16))
+    aio.write_table(v, tmp_path / "t.json")
+    aio.write_interactions(InteractionSet(n=4, effects=np.zeros((2, 16)), bias=v.values[0]),
+                           tmp_path / "bias.json")
+    rc, out, err = in_process("oracle", "verify", "--table", tmp_path / "t.json",
+                              "--interactions", tmp_path / "bias.json")
+    assert (rc, err) == (1, "")
+    assert float(out.removeprefix("max_abs_error: ")) == np.max(np.abs(v.values - v.values[0]))
+
+
+def test_oracle_verify_fails_one_effect_moved_by_a_billionth_of_the_spread(tmp_path):
+    """A criterion-4 game's --no-denoise file passes; moving its largest
+    effect by 1e-9 times the spread fails (the game has no bias)."""
+    v = recovery_game(0)[1]
+    (tmp_path / "tabs").mkdir()
+    aio.write_table(v, tmp_path / "tabs" / "t.json")
+    assert in_process("extract", "--in", tmp_path / "tabs", "--out", tmp_path / "isets",
+                      "--no-denoise") == (0, "", "")
+    written = tmp_path / "isets" / f"{v.label}.json"
+    verify = ("oracle", "verify", "--table", tmp_path / "tabs" / "t.json",
+              "--interactions", written)
+    assert in_process(*verify)[0] == 0
+    iset = aio.read_interactions(written)
+    assert iset.bias == 0.0
+    largest = np.unravel_index(np.argmax(np.abs(iset.effects)), iset.effects.shape)
+    iset.effects[largest] += 1e-9 * np.max(np.abs(v.values))
+    aio.write_interactions(iset, written)
+    assert in_process(*verify)[0] == 1
+
+
+@pytest.mark.parametrize("n", [4, 8, 10])
+@pytest.mark.parametrize("offset, noise", [(1.0, 1e-9), (1e6, 1e-3)], ids=["one", "million"])
+def test_oracle_verify_passes_solved_offset_tables(tmp_path, huber_max_iters, n, offset,
+                                                   noise):
+    """The all-AND and --no-denoise files of a table far from zero rebuild
+    it to float64's rounding at max|v|, far above its spread's."""
+    huber_max_iters(5)
+    (tmp_path / "tabs").mkdir()
+    values = offset + noise * np.random.default_rng(n).normal(size=1 << n)
+    aio.write_table(ValueTable(n=n, values=values, label="t"), tmp_path / "tabs" / "t.json")
+    for flags in (("--mode", "all-and"), ("--no-denoise",)):
+        out = tmp_path / flags[-1]
+        assert in_process("extract", "--in", tmp_path / "tabs", "--out", out, *flags) \
+            == (0, "", "")
+        rc, _, err = in_process("oracle", "verify", "--table", tmp_path / "tabs" / "t.json",
+                                "--interactions", out / "t.json")
+        assert (rc, err) == (0, "")
+
+
+def test_oracle_verify_passes_an_all_zero_table_only_rebuilt_exactly(tmp_path):
+    aio.write_table(ValueTable(n=2, values=np.zeros(4)), tmp_path / "t.json")
+    _effect_file(tmp_path / "empty.json", 2, [])
+    _effect_file(tmp_path / "dust.json", 2, [(3, 1e-300)])
+    verify = ("oracle", "verify", "--table", tmp_path / "t.json", "--interactions")
+    assert in_process(*verify, tmp_path / "empty.json") == (0, "max_abs_error: 0.0\n", "")
+    assert in_process(*verify, tmp_path / "dust.json") == (1, "max_abs_error: 1e-300\n", "")
+
+
+def test_diagnose_verdict_does_not_depend_on_the_scale(tmp_path):
+    """The n = 3 table whose order gains are (1, 0.5, 0.75) breaks condition
+    2 at scales 2**-44, 1 and 2**44 alike."""
+    results = []
+    for k in (0, -44, 44):
+        v = ValueTable(n=3, values=np.ldexp([0.0, 1.0, 0.5, 0.75], k)[order_counts(3)])
+        aio.write_table(v, tmp_path / "t.json")
+        aio.write_interactions(all_and(v), tmp_path / "e.json")
+        rc, out, err = in_process("diagnose", "--table", tmp_path / "t.json",
+                                  "--interactions", tmp_path / "e.json")
+        results.append((rc, out.splitlines()[:3], err))
+    assert results[0][0] == 1
+    assert results[0][1][1] == "condition2_monotone_ok: False (violated at k=2)"
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), staircase=st.booleans(),
+       miss=st.sampled_from([0.0, 0.5, 2.0, 1e6]), k=st.integers(-200, 200))
+def test_verdicts_do_not_depend_on_the_scale(n, seed, staircase, miss, k):
+    """oracle verify and diagnose give a table and its effects the verdicts
+    they give both rescaled by 2**k. One mask of the table is moved by miss
+    times its rounding after its all-AND effects are taken, so that both
+    verdicts are tried at their thresholds: diagnose's where a staircase
+    table (v(S) nondecreasing in |S|) has two orders of equal gain."""
+    rng = np.random.default_rng(seed)
+    if staircase:
+        values = np.cumsum(rng.integers(0, 2, size=n + 1))[order_counts(n)] \
+            + float(rng.integers(-3, 4))
+    else:
+        values = rng.normal(size=1 << n)
+    v = ValueTable(n=n, values=values)
+    effects = all_and(v).effects
+    moved = values.copy()
+    moved[int(rng.integers(1, 1 << n))] -= miss * v.rounding()
+    verdicts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        table, effect_file = Path(tmp) / "t.json", Path(tmp) / "e.json"
+        for scale in (0, k):
+            aio.write_table(ValueTable(n=n, values=np.ldexp(moved, scale)), table)
+            aio.write_interactions(InteractionSet(n=n, effects=np.ldexp(effects, scale),
+                                                  bias=float(np.ldexp(values[0], scale))),
+                                   effect_file)
+            rc, out, err = in_process("oracle", "verify", "--table", table,
+                                      "--interactions", effect_file)
+            error = np.ldexp(float(out.removeprefix("max_abs_error: ")), -scale)
+            diag_rc, diag_out, diag_err = in_process("diagnose", "--table", table,
+                                                     "--interactions", effect_file)
+            verdicts.append((rc, error, diag_rc, diag_out.splitlines()[:3], err + diag_err))
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.fixture(scope="module")

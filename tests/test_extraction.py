@@ -516,6 +516,43 @@ def test_offset_table_solves_as_the_unshifted_one(n, denoise):
 
 
 @pytest.mark.parametrize("denoise", [False, True])
+def test_huber_widths_follow_the_spread(monkeypatch, huber_max_iters, denoise):
+    """Each Huber stage's width is a fraction of the spread about v(empty),
+    so v and v + 2**20 (which float64 holds exactly, v being on a 2**-20
+    grid) are solved with the same widths."""
+    huber_max_iters(3)
+    minimize, widths = extraction.minimize, []
+
+    def recording(fun, x, args, **kwargs):
+        widths.append(args[0])
+        return minimize(fun, x, args=args, **kwargs)
+
+    monkeypatch.setattr(extraction, "minimize", recording)
+    w = np.round(np.random.default_rng(93).normal(size=1 << 11) * 2 ** 20) / 2 ** 20
+    for offset in (0.0, 2.0 ** 20):
+        assert sparsify(ValueTable(n=11, values=w + offset), denoise).solver == "huber"
+    stages = len(extraction.SMOOTHING_STAGES)
+    assert len(widths) == 2 * stages
+    assert widths[:stages] == widths[stages:]
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("n", [0, 4, 11])
+def test_constant_table_is_its_bias_without_a_solve(monkeypatch, n, denoise):
+    """A table of spread 0 gets zero effects and delta and solver "": no
+    HiGHS model is built and minimize is not called."""
+    def solve(*args, **kwargs):
+        raise AssertionError("a constant table was solved")
+
+    monkeypatch.setattr(extraction, "_lp_model", solve)
+    monkeypatch.setattr(extraction, "minimize", solve)
+    result = sparsify(ValueTable(n=n, values=np.full(1 << n, -2.5)), denoise)
+    assert (result.solver, result.interactions.bias) == ("", -2.5)
+    np.testing.assert_array_equal(result.interactions.effects, np.zeros((2, 1 << n)))
+    np.testing.assert_array_equal(result.delta, np.zeros(1 << n))
+
+
+@pytest.mark.parametrize("denoise", [False, True])
 @pytest.mark.parametrize("n", range(4, 9))
 def test_lp_writes_the_vertex_effects(n, denoise):
     """The written effects are the vertex's own p and q, bit for bit, with
